@@ -1,41 +1,41 @@
-//! The whole-limb bit-flipping kernel for iteratively decoded (LDPC) codes.
+//! The whole-limb bit-flipping residual stage for iteratively decoded (LDPC)
+//! codes.
 //!
-//! Unlike the algebraic engines, nothing here is per-lane: a synchronous
-//! bit-flip round *is* bit-sliced work. Each round computes every low-density
-//! check parity as one XOR chain over its support lanes (shared by 64 words),
-//! then flips each variable by a whole-limb 3-input majority of its check
-//! slices. Even the all-dirty worst case never unpacks a lane — the first
-//! decode engine in this crate with that property.
+//! Nothing here is per-lane: a synchronous bit-flip round *is* bit-sliced
+//! work. Each round computes every low-density check parity as one XOR chain
+//! over its support lanes (shared by 64 words), then flips each variable by
+//! a whole-limb 3-input majority of its check slices. Even a limb whose every
+//! lane is residual never unpacks a lane.
 //!
 //! The schedule is the synchronous one contracted by
 //! [`ecc::IterativeDecode`]: all parities from one snapshot, all flips at
-//! once. Converged lanes are fixed points (zero parities → zero majorities),
-//! so running a limb to the shared cap is bit-identical to the scalar
-//! decoder's per-word early exit; a limb whose lanes have all converged or
-//! stalled breaks out early. Classification is by final parity: a lane that
-//! started dirty and ends with clean checks was corrected, anything still
-//! unsatisfied at the cap raises the error flag.
+//! once. Parities are masked to the residual lanes (the dirty lanes the
+//! shared column stage left unmatched); every other lane holds a codeword,
+//! whose parities are zero anyway. Converged lanes are fixed points (zero
+//! parities → zero majorities), so running a limb to the shared cap is
+//! bit-identical to the scalar decoder's per-word early exit; a limb whose
+//! lanes have all converged or stalled breaks out early. Classification is
+//! by final parity: a residual lane that ends with clean checks was
+//! corrected, anything still unsatisfied at the cap keeps its error flag.
 
 use ecc::{BatchDecoded, BitFlipPlan};
-use gf2::{or_reduce, BitSlice64};
+use gf2::BitSlice64;
 
 /// Upper bound on the number of low-density checks (parity slices live in a
 /// fixed stack array). The catalog's LDPC(60,32) uses 30.
 const MAX_CHECKS: usize = 64;
 
-/// Per-call statistics of the bit-flip kernel, flushed to the
+/// Per-call statistics of the bit-flip residual stage, flushed to the
 /// `batch.ldpc.*` counters once per decode call.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct BitFlipStats {
-    /// Limbs whose syndromes were all zero (short-circuited).
-    pub clean_limbs: u64,
-    /// Limbs that ran at least one synchronous flip round.
+    /// Limbs that ran the flip rounds (at least one residual lane).
     pub flip_limbs: u64,
-    /// Lanes with a nonzero syndrome.
+    /// Residual lanes.
     pub dirty_lanes: u64,
-    /// Dirty lanes whose checks all cleared (corrected).
+    /// Residual lanes whose checks all cleared (corrected).
     pub corrected: u64,
-    /// Dirty lanes still unsatisfied at the iteration cap (flagged).
+    /// Residual lanes still unsatisfied at the iteration cap (flagged).
     pub flagged: u64,
     /// Synchronous rounds executed across all limbs.
     pub rounds: u64,
@@ -43,24 +43,16 @@ pub(crate) struct BitFlipStats {
     pub flips: u64,
 }
 
-/// Decodes one batch with the whole-limb bit-flipping engine.
-///
-/// `out.codewords` must already hold a copy of the received batch; rounds
-/// mutate it in place. `syndromes` are the full-rank `H′` slices used only
-/// for the dirty screen — the flip rounds recompute the *low-density* check
-/// parities from the codeword lanes each round (same row space, so the two
-/// agree on which lanes are clean). `gather` is the per-limb syndrome
-/// scratch (`redundancy` words).
+/// Decodes the residual lanes of one batch: on entry `out.flagged` holds
+/// the dirty lanes the column stage left unmatched, and on return each of
+/// them is either corrected or still flagged. Rounds mutate `out.codewords`
+/// in place; a lane that stays flagged gets its `received` bits back.
 pub(crate) fn run_bit_flip(
     plan: &BitFlipPlan,
     received: &BitSlice64,
-    syndromes: &BitSlice64,
-    gather: &mut [u64],
     out: &mut BatchDecoded,
     stats: &mut BitFlipStats,
 ) {
-    let words = syndromes.words();
-    let tail = syndromes.tail_mask();
     let checks = plan.checks();
     debug_assert!(checks <= MAX_CHECKS);
     let mut parity = [0u64; MAX_CHECKS];
@@ -77,21 +69,18 @@ pub(crate) fn run_bit_flip(
         acc
     };
 
-    for w in 0..words {
-        let valid = if w + 1 == words { tail } else { u64::MAX };
-        syndromes.gather_word(w, gather);
-        let dirty = or_reduce(gather) & valid;
-        if dirty == 0 {
-            stats.clean_limbs += 1;
+    for w in 0..received.words() {
+        let residual = out.flagged[w];
+        if residual == 0 {
             continue;
         }
         stats.flip_limbs += 1;
-        stats.dirty_lanes += u64::from(dirty.count_ones());
+        stats.dirty_lanes += u64::from(residual.count_ones());
 
         for _ in 0..plan.max_iterations {
             let mut unsat = 0u64;
             for (c, &support) in plan.check_supports.iter().enumerate() {
-                let p = parity_slice(out, support, w) & valid;
+                let p = parity_slice(out, support, w) & residual;
                 parity[c] = p;
                 unsat |= p;
             }
@@ -102,7 +91,7 @@ pub(crate) fn run_bit_flip(
             let mut any_flip = 0u64;
             for (j, vc) in plan.var_checks.iter().enumerate() {
                 let (a, b, c) = (parity[vc[0]], parity[vc[1]], parity[vc[2]]);
-                let flip = ((a & b) | (a & c) | (b & c)) & valid;
+                let flip = (a & b) | (a & c) | (b & c);
                 if flip != 0 {
                     out.codewords.lane_mut(j)[w] ^= flip;
                     any_flip |= flip;
@@ -116,22 +105,19 @@ pub(crate) fn run_bit_flip(
             }
         }
 
-        // Final classification by residual low-density parity. Clean lanes
-        // never flipped (zero parities → zero majorities), so the residual
-        // is confined to the initially dirty lanes.
-        let mut residual = 0u64;
+        // Final classification by residual low-density parity.
+        let mut flagged = 0u64;
         for &support in &plan.check_supports {
-            residual |= parity_slice(out, support, w) & valid;
+            flagged |= parity_slice(out, support, w) & residual;
         }
-        let flagged = residual & dirty;
-        let corrected = dirty & !flagged;
-        out.flagged[w] |= flagged;
+        let corrected = residual & !flagged;
+        out.flagged[w] = flagged;
         out.corrected[w] |= corrected;
         stats.flagged += u64::from(flagged.count_ones());
         stats.corrected += u64::from(corrected.count_ones());
 
         // Flagged lanes deliver the received word unchanged, like every
-        // other engine: undo whatever partial flips the rounds left behind.
+        // other stage: undo whatever partial flips the rounds left behind.
         if flagged != 0 {
             for p in 0..received.bits() {
                 let lane = out.codewords.lane(p)[w];

@@ -80,8 +80,8 @@ pub(crate) struct DirectTable {
     /// (non-correcting entries, absent second flips) redirected to the
     /// [`DUMP`] accumulator slot. The branch-free inner loop then issues one
     /// 2-byte load and two unconditional XORs per lane — no flag masks.
-    /// Boxed so the table doesn't bloat every `DecodeEngine` by 512 bytes;
-    /// the dense loop hoists the reference once per limb.
+    /// Boxed so the table doesn't bloat every codec by 512 bytes; the dense
+    /// loop hoists the reference once per limb.
     packed: Box<[u16; 256]>,
     /// Syndrome width `r ≤ 8`.
     redundancy: usize,

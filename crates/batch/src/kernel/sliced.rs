@@ -1,19 +1,21 @@
-//! The batched algebraic-syndrome kernel for multi-error (BCH) codes.
+//! The sliced algebraic residual stage for multi-error (BCH) codes.
 //!
-//! The scalar-fallback engine re-derives each dirty lane's power syndromes
-//! from scratch — unpack the word into a `BitVec`, multiply by `H`, walk
-//! Chien search over all `n` positions. This kernel instead accumulates the
+//! By the time this stage runs, the shared column stage has corrected every
+//! lane whose syndrome is a column of `H` — the distance-1 cosets, the
+//! dominant dirty population in Monte-Carlo traffic — and left the other
+//! dirty lanes flagged. For those residual lanes this stage accumulates the
 //! **bit-slices of the odd power syndromes across the whole limb** (one XOR
 //! chain per GF(2^m) coefficient bit, shared by up to 64 lanes), then runs
 //! the scalar algebra — Berlekamp–Massey plus the closed-form locator root
-//! solve — per dirty lane with its syndromes supplied for free: no `BitVec`
-//! is ever materialized, no matrix product performed, and even syndromes
-//! come from the Frobenius square rather than the channel. Under the
-//! all-dirty worst case every lane still shares the limb-wide accumulation,
-//! which is what lifts the batched BCH floor.
+//! solve — per residual lane with its syndromes supplied for free: no
+//! `BitVec` is ever materialized, no matrix product performed, and even
+//! syndromes come from the Frobenius square rather than the channel. A limb
+//! without residual lanes skips the accumulation entirely.
 
 use ecc::{AlgebraicAction, BatchDecoded, SlicedSyndromePlan};
-use gf2::{or_reduce, BitSlice64};
+use gf2::BitSlice64;
+
+use crate::MAX_BLOCK_LENGTH;
 
 /// Upper bound on `odd_count × field_bits` (the sliced accumulator array):
 /// `m ≤ 8` and `t ≤ 16` comfortably cover every code the catalog admits.
@@ -22,109 +24,56 @@ const MAX_POWER_SLICES: usize = 128;
 /// Upper bound on the per-lane power-syndrome vector (`2t`).
 const MAX_SYNDROMES: usize = 32;
 
-/// Per-call statistics of the sliced algebraic kernel, flushed to the
+/// Per-call statistics of the sliced residual stage, flushed to the
 /// `batch.bch.*` counters once per decode call.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct SlicedStats {
-    /// Limbs whose syndromes were all zero (short-circuited).
-    pub clean_limbs: u64,
     /// Limbs that ran the sliced power-syndrome accumulation.
     pub sliced_limbs: u64,
-    /// Lanes with a nonzero syndrome (each runs the per-lane algebra).
+    /// Residual lanes (each runs the per-lane algebra).
     pub dirty_lanes: u64,
-    /// Dirty lanes corrected.
+    /// Residual lanes corrected.
     pub corrected: u64,
-    /// Dirty lanes flagged detected-uncorrectable.
+    /// Residual lanes flagged detected-uncorrectable.
     pub flagged: u64,
     /// Error-locator evaluations: with the closed-form root solve the
     /// decoder evaluates the locator only at its claimed roots, so this is
-    /// the popcount of the applied flip masks (compare the Chien fallback's
-    /// `n` evaluations per dirty word).
+    /// the popcount of the applied flip masks.
     pub locator_evals: u64,
 }
 
-/// Decodes one batch with the sliced-syndrome engine.
-///
-/// `out.codewords` must already hold a copy of the received batch; the
-/// kernel reads each limb's lanes from it *before* applying that limb's
-/// flips, so the accumulation always sees the received bits. `gather` is the
-/// per-limb full-syndrome scratch (`redundancy` words).
-///
-/// `prefilter` is the weight-1 column screen: `prefilter[j]` is the full
-/// syndrome of a single-bit error at position `j` (column `j` of `H`). Per
-/// dirty limb, before any per-lane algebra, each column's pattern is matched
-/// against the whole limb with an XNOR-AND chain over the syndrome slices
-/// (early exit on the first zero), and matching lanes — exactly the
-/// distance-1 cosets, the dominant dirty population in Monte-Carlo traffic —
-/// are flipped and retired wholesale. Bit-exactness is unconditional: a
-/// syndrome equal to column `j` means the received word is in the coset of
-/// `e_j`, whose unique bounded-distance correction is "flip `j`" (the
-/// engine's constructor probes every column against the scalar decoder).
-/// Only *residual* lanes pay for power-syndrome accumulation and
-/// Berlekamp–Massey; a limb with no residue skips accumulation entirely,
-/// which is what lifts the all-dirty worst case.
+/// Decodes the residual lanes of one batch: on entry `out.flagged` holds
+/// the dirty lanes the column stage left unmatched, and on return each of
+/// them is either corrected or still flagged. Power syndromes accumulate
+/// from `received` (a residual lane's codeword bits are still its received
+/// bits).
 pub(crate) fn run_sliced(
     plan: &SlicedSyndromePlan,
-    prefilter: &[u128],
     action: &(dyn Fn(&[u16], u128) -> AlgebraicAction + Send + Sync),
+    received: &BitSlice64,
     syndromes: &BitSlice64,
-    gather: &mut [u64],
     out: &mut BatchDecoded,
     stats: &mut SlicedStats,
 ) {
-    let words = syndromes.words();
-    let tail = syndromes.tail_mask();
     let m = plan.field_bits;
     let odd_count = plan.odd_count();
     debug_assert!(odd_count * m <= MAX_POWER_SLICES);
     debug_assert!(plan.syndrome_count <= MAX_SYNDROMES);
     let mut power = [0u64; MAX_POWER_SLICES];
     let mut synd = [0u16; MAX_SYNDROMES];
+    // Per-limb full-syndrome slices (`r < n ≤ MAX_BLOCK_LENGTH`).
+    let mut gather = [0u64; MAX_BLOCK_LENGTH];
+    let gather = &mut gather[..syndromes.bits()];
 
-    for w in 0..words {
-        let valid = if w + 1 == words { tail } else { u64::MAX };
-        syndromes.gather_word(w, gather);
-        let dirty = or_reduce(gather) & valid;
-        if dirty == 0 {
-            stats.clean_limbs += 1;
-            continue;
-        }
-        stats.dirty_lanes += u64::from(dirty.count_ones());
-
-        // Weight-1 column prefilter: retire every lane whose full syndrome
-        // equals a column of `H` without touching the per-lane algebra. One
-        // locator evaluation per matched lane (the single applied flip bit),
-        // identical to what Berlekamp–Massey + the closed-form solve would
-        // have metered for the same lane.
-        let mut residual = dirty;
-        for (j, &pattern) in prefilter.iter().enumerate() {
-            if residual == 0 {
-                break;
-            }
-            let mut matched = residual;
-            for (t, &slice) in gather.iter().enumerate() {
-                matched &= if (pattern >> t) & 1 == 1 {
-                    slice
-                } else {
-                    !slice
-                };
-                if matched == 0 {
-                    break;
-                }
-            }
-            if matched != 0 {
-                out.codewords.lane_mut(j)[w] ^= matched;
-                out.corrected[w] |= matched;
-                let count = u64::from(matched.count_ones());
-                stats.corrected += count;
-                stats.locator_evals += count;
-                residual &= !matched;
-            }
-        }
+    for w in 0..received.words() {
+        let residual = out.flagged[w];
         if residual == 0 {
             continue;
         }
+        out.flagged[w] = 0;
         stats.sliced_limbs += 1;
+        stats.dirty_lanes += u64::from(residual.count_ones());
+        syndromes.gather_word(w, gather);
 
         // Bit-sliced accumulation: word `h·m + b` holds, in lane order, bit
         // `b` of odd power syndrome S_{2h+1} for all 64 lanes at once — one
@@ -135,7 +84,7 @@ pub(crate) fn run_sliced(
                 let mut rest = support;
                 while rest != 0 {
                     let p = rest.trailing_zeros() as usize;
-                    acc ^= out.codewords.lane(p)[w];
+                    acc ^= received.lane(p)[w];
                     rest &= rest - 1;
                 }
                 power[h * m + b] = acc;
@@ -144,8 +93,6 @@ pub(crate) fn run_sliced(
 
         // Per residual lane: read the odd syndromes out of the slices,
         // square up the even ones, and hand the algebra its inputs for free.
-        // (Prefilter-corrected lanes changed only their own bit columns, so
-        // the residual lanes' extracted syndromes still see received bits.)
         let mut rest = residual;
         while rest != 0 {
             let lane = rest.trailing_zeros();

@@ -1,17 +1,15 @@
 //! The width-generic prefix-bucket walk kernel and the 256-bit limb.
 //!
-//! [`run_walk`] is the original per-`u64` column-matching loop made generic
-//! over [`gf2::Limb`]: every mask, reduction, and flip operates on
-//! `L::WORDS` consecutive words of the batch at once. Instantiated at `u64`
-//! it *is* the reference kernel; at `u128` and [`W256`] each AND/XNOR
-//! reduction step covers 128 / 256 messages.
+//! [`run_walk`] is the per-`u64` column-matching loop made generic over
+//! [`gf2::Limb`]: every mask, reduction, and flip operates on `L::WORDS`
+//! consecutive words of the batch at once. Instantiated at `u64` it walks one
+//! word per step; at [`W256`] each AND/XNOR reduction step covers 256
+//! messages.
 //!
 //! [`W256`] is a software-SIMD limb: four `u64`s combined with element-wise
 //! bitwise ops in safe code (`sfq-batch` forbids `unsafe`, so no intrinsics).
 //! The fixed-width inner loops are exactly the shape LLVM's auto-vectorizer
-//! turns into 256-bit `vpand`/`vpor`/`vpxor` when compiling for a CPU with
-//! AVX2; runtime feature detection therefore gates only whether dispatch
-//! *prefers* this limb, never whether it runs correctly.
+//! turns into packed vector instructions.
 
 use ecc::BatchDecoded;
 use gf2::{and_xnor_reduce_limb, or_reduce_limb, BitSlice64, Limb};
@@ -19,8 +17,8 @@ use gf2::{and_xnor_reduce_limb, or_reduce_limb, BitSlice64, Limb};
 use super::KernelStats;
 use crate::{ColumnMatchProgram, PREFIX_SLOTS};
 
-/// Upper bound on `Limb::WORDS` across the kernel family (sizing the
-/// per-chunk validity buffer).
+/// Upper bound on `Limb::WORDS` across the walk widths (sizing the per-chunk
+/// validity buffer).
 const MAX_LIMB_WORDS: usize = 4;
 
 /// Upper bound on syndrome lanes (`r < MAX_BLOCK_LENGTH`), sizing the
@@ -185,18 +183,19 @@ pub(crate) fn run_walk<L: Limb>(
     }
 }
 
-/// [`run_walk`] over the whole batch: full `L`-width chunks first, then the
-/// ragged remainder (fewer than `L::WORDS` words) with the `u64` kernel —
-/// both produce bit-identical words, so the seam is invisible.
-pub(crate) fn run_walk_chunked<L: Limb>(
+/// [`run_walk`] over the whole batch: full [`W256`] chunks first, then the
+/// ragged remainder (fewer than four words — the whole batch when it is
+/// that short) with the `u64` walk. Both produce bit-identical words, so the
+/// seam is invisible.
+pub(crate) fn run_walk_chunked(
     program: &ColumnMatchProgram,
     syndromes: &BitSlice64,
     out: &mut BatchDecoded,
     stats: &mut KernelStats,
 ) {
     let total_words = syndromes.words();
-    let full = total_words - total_words % L::WORDS;
-    run_walk::<L>(program, syndromes, 0, full, out, stats);
+    let full = total_words - total_words % W256::WORDS;
+    run_walk::<W256>(program, syndromes, 0, full, out, stats);
     if full < total_words {
         run_walk::<u64>(program, syndromes, full, total_words, out, stats);
     }
@@ -227,5 +226,18 @@ mod tests {
         assert_eq!(W256::load(&roundtrip), a);
         a.xor_into(&mut roundtrip);
         assert_eq!(roundtrip, [0; 4]);
+        // The width-generic reductions act word by word.
+        let slices = [a, b, a.xor(b)];
+        for i in 0..4 {
+            let words: Vec<u64> = slices.iter().map(|s| s.0[i]).collect();
+            assert_eq!(or_reduce_limb(&slices).0[i], gf2::or_reduce(&words));
+            for pattern in [0u128, 0b101, 0b110] {
+                assert_eq!(
+                    and_xnor_reduce_limb(W256([!0; 4]), &slices, pattern).0[i],
+                    gf2::and_xnor_reduce(!0, &words, pattern),
+                    "word {i} pattern {pattern:b}"
+                );
+            }
+        }
     }
 }

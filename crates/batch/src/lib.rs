@@ -13,75 +13,67 @@
 //! units of superconducting QEC decoders (QECOOL, NEO-QEC), applied here to
 //! classical link codes.
 //!
-//! ## How decoding becomes branch-free: column matching
+//! ## One staged decode pipeline
 //!
 //! [`BatchCodec`] is built from any scalar [`BlockCode`] + [`HardDecoder`]
 //! whose hard decisions are **coset-invariant**: the correction applied to a
-//! received word depends only on its syndrome. Construction compiles the
-//! decoder into a [`ColumnMatchProgram`]: a list of `(syndrome pattern,
-//! flip mask)` entries covering exactly the *correctable* syndromes. Batch
-//! decoding computes the `r = n − k` syndrome bit-slices, and per 64-message
-//! limb:
+//! received word depends only on its syndrome. Every decode runs the same
+//! stages, in one body ([`BatchDecode::decode_batch_with`]):
 //!
-//! * a limb whose syndromes are all zero (the dominant case in Monte-Carlo
-//!   traffic) skips matching entirely;
-//! * the `2^min(4,r)` syndrome-*prefix* masks are built once per limb (one
-//!   shared AND-tree by successive halving, partitioning the lanes), and
-//!   the all-zero prefix mask yields the clean-word mask;
-//! * each entry starts from its prefix bucket's mask and matches only its
-//!   remaining high bits — an XNOR-AND-tree over the suffix slices
-//!   ([`gf2::and_xnor_reduce`]) — then XORs its flip mask into the matching
-//!   positions; matched lanes retire, and buckets with no lanes in play
-//!   skip all of their entries;
-//! * everything that is neither clean nor matched raises the error flag —
-//!   detected-uncorrectable syndromes are handled *by complement* and cost
-//!   nothing.
+//! 1. **Syndrome** — the `r = n − k` syndrome bit-slices of the batch.
+//! 2. **Column stage** — construction compiles a *column-match program*, a
+//!    list of `(syndrome pattern, flip mask)` entries, and a kernel executes
+//!    it per 64-message limb. A limb whose syndromes are all zero (the
+//!    dominant case in Monte-Carlo traffic) skips matching entirely; lanes
+//!    whose syndrome matches an entry are flipped and marked corrected;
+//!    every other dirty lane is flagged.
+//! 3. **Residual stage** — what happens to the flagged lanes depends on the
+//!    decoder's [`SyndromeClass`]:
+//!    * [`SyndromeClass::ColumnFlip`] / [`SyndromeClass::General`]: the
+//!      program covers every correctable syndrome, so the flag stands —
+//!      detected-uncorrectable syndromes are handled *by complement* and
+//!      cost nothing;
+//!    * [`SyndromeClass::Algebraic`] (multi-error BCH,
+//!      [`BatchCodec::with_sliced_algebraic`]): odd power syndromes are
+//!      accumulated bit-sliced across each residual limb (even powers follow
+//!      from the Frobenius square), and only the scalar algebra —
+//!      Berlekamp–Massey plus a closed-form locator root solve — runs per
+//!      residual lane, with its syndromes supplied for free;
+//!    * [`SyndromeClass::Iterative`] (LDPC, [`BatchCodec::with_bit_flip`]):
+//!      synchronous bit-flip rounds run whole-limb over the residual lanes,
+//!      with no per-lane region at all.
+//! 4. **One stats flush** of the call's telemetry (see below).
+//! 5. **Message extraction** from the corrected codeword lanes.
 //!
-//! How the program is built depends on the scalar decoder's declared
-//! [`SyndromeClass`]:
+//! How the program is built depends on the class. `General` decoders (e.g.
+//! majority-vote repetition) are interrogated once per syndrome value —
+//! exact, but only tractable for small `r`. Every other class compiles
+//! **directly from the columns of `H`**: one entry per codeword position,
+//! verified with one scalar probe per position (a syndrome equal to column
+//! `j` puts the word in the coset of `e_j`, and the probe checks that the
+//! scalar decoder answers that coset with "flip `j`"). Construction is
+//! `O(n · r)` and per-limb matching is `O(n · r)` bit-ops, independent of
+//! `2^r` — which is what lets the engine serve codes such as the catalog's
+//! Shortened Hamming(85,64) with `r = 21`.
 //!
-//! * [`SyndromeClass::ColumnFlip`] decoders (every Hamming/SEC-DED-style
-//!   decoder in `ecc`, and the tie-detecting RM(1,3) decoder) are compiled
-//!   **directly from the columns of `H`** — one entry per codeword position,
-//!   verified with one scalar probe per position. Construction is `O(n · r)`
-//!   and per-limb decode is `O(n · r)` bit-ops, independent of `2^r`, which
-//!   is what lets the engine serve codes with redundancy far beyond the old
-//!   20-bit action-table limit (e.g. the catalog's Shortened Hamming(85,64)
-//!   with `r = 21`).
-//! * [`SyndromeClass::General`] decoders (e.g. majority-vote repetition) are
-//!   interrogated once per syndrome value, exactly like the old
-//!   syndrome-action table — still exact, but only tractable for small `r`.
-//! * [`SyndromeClass::Algebraic`] decoders (multi-error BCH) have far too
-//!   many correctable syndromes to tabulate (`Σ C(n,i)` for `i ≤ t`).
-//!   [`BatchCodec::with_sliced_algebraic`] keeps the bit-sliced syndrome
-//!   screen and the clean-limb short-circuit, **accumulates the odd power
-//!   syndromes bit-sliced across each dirty limb** (even powers follow from
-//!   the Frobenius square), and runs only the scalar algebra — Berlekamp–
-//!   Massey plus a closed-form locator root solve — per dirty lane, with its
-//!   syndromes supplied for free. [`BatchCodec::with_scalar_fallback`]
-//!   remains as the slow reference engine (unpack each dirty lane, run the
-//!   whole scalar decoder). Work is metered by the `batch.bch.*` counters.
+//! ## Column-stage kernels
 //!
-//! ## Decode kernels and runtime dispatch
-//!
-//! One compiled program can be executed by several interchangeable kernels
-//! (see the crate's `kernel` module): the prefix-bucket walk at `u64`,
-//! `u128`, or 256-bit software-SIMD width, and — for codes whose whole
-//! syndrome fits one byte (`r ≤ 8`, i.e. every [`SyndromeClass::ColumnFlip`]
-//! / [`SyndromeClass::General`] code up to SEC-DED(72,64)) — *direct
-//! dispatch*: a flat 256-entry syndrome→action table indexed per lane, with
-//! dense limbs bit-transposed into per-lane syndrome bytes
-//! ([`gf2::syndrome_bytes`]). Dispatch picks the widest profitable kernel at
-//! run time ([`KernelKind::Auto`]); the `SFQ_BATCH_KERNEL` environment
-//! variable or [`BatchCodec::with_kernel`] pins one, and the workspace's
-//! forced-dispatch equivalence suite proves every kernel bit-identical to
-//! the scalar walk. Selection and per-kernel volume are observable via the
-//! `batch.kernel.*` counters.
+//! One compiled program is executed by one of four interchangeable kernels
+//! (see the crate's `kernel` module), chosen by the code's redundancy and
+//! the batch length alone: for codes whose whole syndrome fits one byte
+//! (`r ≤ 8`), *direct dispatch* — `direct4` / `direct8` index a flat
+//! 256-entry syndrome→action table per lane, with dense limbs bit-transposed
+//! into per-lane syndrome bytes ([`gf2::syndrome_bytes`]); for wider codes,
+//! the prefix-bucket AND-tree walk on a 256-bit software-SIMD limb
+//! (`walk-w256`), with the one-word `walk-u64` walk on ragged tails and on
+//! batches shorter than four limbs. Every kernel is bit-identical;
+//! [`BatchCodec::selected_kernel_name`] and the `batch.kernel.*` counters
+//! show which one ran.
 //!
 //! Bit-exactness with the scalar path is enforced by the workspace's
-//! exhaustive equivalence tests, and the RM(1,3) tie-break policy note
-//! applies unchanged: the batch engine tabulates the tie-*detecting*
-//! decoder (`decode`), not `decode_best_effort`.
+//! equivalence tests, and the RM(1,3) tie-break policy note applies
+//! unchanged: the batch engine tabulates the tie-*detecting* decoder
+//! (`decode`), not `decode_best_effort`.
 //!
 //! ## Allocation-free hot path
 //!
@@ -96,21 +88,19 @@
 
 use ecc::{
     generator_right_inverse, AlgebraicAction, AlgebraicDecode, BatchDecode, BatchDecoded,
-    BatchEncode, BatchScratch, Bch, BchSpec, BitFlipPlan, BlockCode, DecodeOutcome, Decoded,
-    Hamming74, Hamming84, HardDecoder, IterativeDecode, Ldpc, Repetition, Rm13, SecDed,
-    ShortenedHamming, SlicedSyndromePlan, SyndromeClass, Uncoded,
+    BatchEncode, BatchScratch, Bch, BchSpec, BitFlipPlan, BlockCode, DecodeOutcome, Hamming74,
+    Hamming84, HardDecoder, IterativeDecode, Ldpc, Repetition, Rm13, SecDed, ShortenedHamming,
+    SlicedSyndromePlan, SyndromeClass, Uncoded,
 };
 use gf2::{or_reduce, BitMat, BitSlice64, BitVec};
 use std::sync::Arc;
 
 mod kernel;
 
-pub use kernel::{KernelEnvError, KernelKind};
-
 use kernel::bitflip::{run_bit_flip, BitFlipStats};
-use kernel::direct::DirectTable;
+use kernel::direct::{run_direct4, run_direct8, DirectTable};
 use kernel::sliced::{run_sliced, SlicedStats};
-use kernel::wide::{run_walk_chunked, W256};
+use kernel::wide::run_walk_chunked;
 use kernel::{KernelChoice, KernelStats};
 
 /// Largest supported codeword length: syndrome patterns, column supports,
@@ -131,12 +121,12 @@ struct MatchEntry {
     flip: u128,
 }
 
-/// The compiled decoder: match entries for every *correctable* syndrome.
-/// The zero syndrome accepts, and any other unmatched syndrome is
-/// detected-uncorrectable by complement.
+/// The compiled column stage: match entries for correctable syndromes. The
+/// zero syndrome accepts, and any other unmatched syndrome is flagged for
+/// the residual stage.
 ///
 /// Entries are bucketed by the low [`ColumnMatchProgram::prefix_bits`] bits
-/// of their pattern. The decode kernel builds all `2^prefix_bits`
+/// of their pattern. The walk kernel builds all `2^prefix_bits`
 /// prefix-match masks of a limb once (a shared AND-tree instead of
 /// per-entry re-computation), then each entry only matches its bucket's
 /// remaining high bits — and whole buckets with no matching lanes are
@@ -153,55 +143,26 @@ struct ColumnMatchProgram {
     /// buckets only**, so the kernel never branches over prefix values no
     /// entry uses.
     buckets: Vec<(u8, u32, u32)>,
-    /// The flat syndrome→action table, compiled whenever the decoder's
-    /// class is direct-dispatch eligible (`r ≤ 8`); its presence is what
-    /// makes auto-dispatch pick the `direct4`/`direct8` kernels.
+    /// The flat syndrome→action table the `direct4`/`direct8` kernels
+    /// index, compiled whenever `1 ≤ r ≤ 8`.
     direct: Option<DirectTable>,
 }
 
 /// Upper bound of the per-limb prefix-mask table (`2^4`).
 const PREFIX_SLOTS: usize = 16;
 
-/// The scalar-fallback decode engine for [`SyndromeClass::Algebraic`]
-/// decoders: limbs are screened with the bit-sliced syndrome OR-reduce, and
-/// only *dirty* lanes are unpacked and handed to the owned scalar decoder.
-#[derive(Clone)]
-struct AlgebraicFallback {
-    /// The owned scalar decoder, type-erased.
-    decode: Arc<dyn Fn(&BitVec) -> Decoded + Send + Sync>,
-    /// Locator evaluations one scalar decode of a dirty word performs
-    /// (e.g. `n` Chien-search points for BCH); used for work metering only.
-    locator_evals_per_word: u64,
-    /// `batch.bch.*` telemetry handles.
-    metrics: AlgebraicMetrics,
-}
-
-impl std::fmt::Debug for AlgebraicFallback {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AlgebraicFallback")
-            .field("locator_evals_per_word", &self.locator_evals_per_word)
-            .finish_non_exhaustive()
-    }
-}
-
-/// The type-erased per-lane algebra of a [`SlicedAlgebraic`] engine:
+/// The type-erased per-lane algebra of the sliced residual stage:
 /// `(power syndromes, full syndrome) → action`.
 type AlgebraicActionFn = Arc<dyn Fn(&[u16], u128) -> AlgebraicAction + Send + Sync>;
 
-/// The sliced-syndrome decode engine for [`SyndromeClass::Algebraic`]
+/// The sliced-syndrome residual stage for [`SyndromeClass::Algebraic`]
 /// decoders: odd power syndromes are accumulated bit-sliced across each
-/// dirty limb, and the per-lane algebra runs from those syndromes alone —
+/// residual limb, and the per-lane algebra runs from those syndromes alone —
 /// no `BitVec` is ever materialized.
 #[derive(Clone)]
 struct SlicedAlgebraic {
     /// The code's constant accumulation plan (supports, squaring table).
     plan: SlicedSyndromePlan,
-    /// The weight-1 column prefilter: `col_syndromes[j]` is the full
-    /// syndrome of a single-bit error at position `j`. Dirty lanes matching
-    /// a column are flipped and retired whole-limb before any per-lane
-    /// algebra runs; each column is probed against the scalar decoder at
-    /// construction, so the shortcut is provably bit-identical.
-    col_syndromes: Vec<u128>,
     /// The per-lane algebra.
     action: AlgebraicActionFn,
     /// `batch.bch.*` telemetry handles.
@@ -216,10 +177,10 @@ impl std::fmt::Debug for SlicedAlgebraic {
     }
 }
 
-/// The whole-limb bit-flipping engine for [`SyndromeClass::Iterative`]
-/// decoders: each synchronous round is one XOR reduction per low-density
-/// check plus one 3-input majority per variable, shared by 64 lanes — no
-/// per-lane work at all, even on all-dirty limbs.
+/// The whole-limb bit-flipping residual stage for
+/// [`SyndromeClass::Iterative`] decoders: each synchronous round is one XOR
+/// reduction per low-density check plus one 3-input majority per variable,
+/// shared by 64 lanes — no per-lane work at all.
 #[derive(Debug, Clone)]
 struct BitFlipEngine {
     /// The code's constant synchronous schedule.
@@ -228,49 +189,44 @@ struct BitFlipEngine {
     metrics: BitFlipMetrics,
 }
 
-/// How a [`BatchCodec`] turns syndromes into corrections.
+/// What a [`BatchCodec`] does with the dirty lanes its column stage left
+/// unmatched.
 #[derive(Debug, Clone)]
-enum DecodeEngine {
-    /// The compiled column-matching program (`ColumnFlip` / `General`).
-    ColumnMatch(ColumnMatchProgram),
-    /// Bit-sliced power-syndrome accumulation + per-lane algebra
-    /// (`Algebraic`, the default engine for BCH).
-    SlicedAlgebraic(SlicedAlgebraic),
-    /// Bit-sliced syndrome screen + scalar decode of dirty lanes
-    /// (`Algebraic`, reference engine).
-    ScalarFallback(AlgebraicFallback),
-    /// Whole-limb synchronous bit flipping (`Iterative`, the engine for
-    /// LDPC).
+enum Residual {
+    /// Keep them flagged (`ColumnFlip` / `General`: the program already
+    /// covers every correctable syndrome).
+    Flag,
+    /// Sliced power syndromes + per-lane algebra (`Algebraic`).
+    Sliced(SlicedAlgebraic),
+    /// Whole-limb synchronous bit flipping (`Iterative`).
     BitFlip(BitFlipEngine),
 }
 
-/// Telemetry handles of the algebraic fallback path, registered under the
+/// Telemetry handles of the sliced residual stage, registered under the
 /// `batch.bch.*` names (see `docs/OBSERVABILITY.md`). Like
-/// [`DecodeMetrics`], the kernel accumulates into locals and flushes once
-/// per decode call.
+/// [`DecodeMetrics`], the stage accumulates into locals and the decode call
+/// flushes once.
 #[derive(Debug, Clone)]
 struct AlgebraicMetrics {
-    /// Lanes whose syndrome was nonzero (each runs the per-lane algebra or
-    /// one scalar decode).
+    /// Residual lanes (each runs the per-lane algebra).
     dirty_lanes: sfq_telemetry::Counter,
-    /// Dirty lanes the decoder corrected.
+    /// Residual lanes the algebra corrected.
     fallback_corrected: sfq_telemetry::Counter,
-    /// Dirty lanes the decoder flagged detected-uncorrectable.
+    /// Residual lanes the algebra flagged detected-uncorrectable.
     fallback_flagged: sfq_telemetry::Counter,
-    /// Error-locator evaluations performed (Chien-search points for the
-    /// scalar fallback; applied flip bits for the closed-form solve).
+    /// Error-locator evaluations (applied flip bits of the closed-form
+    /// solve).
     locator_evals: sfq_telemetry::Counter,
-    /// Limbs that ran the bit-sliced power-syndrome accumulation (sliced
-    /// engine only; stays zero under the scalar fallback).
+    /// Limbs that ran the bit-sliced power-syndrome accumulation.
     sliced_syndrome_limbs: sfq_telemetry::Counter,
-    /// `batch.kernel.selected.<engine>` — decode calls served.
+    /// `batch.kernel.selected.sliced` — decode calls served.
     kernel_selected: sfq_telemetry::Counter,
-    /// `batch.kernel.<engine>.limbs` — limbs processed.
+    /// `batch.kernel.sliced.limbs` — limbs processed.
     kernel_limbs: sfq_telemetry::Counter,
 }
 
 impl AlgebraicMetrics {
-    fn new(engine: &str) -> Self {
+    fn new() -> Self {
         let registry = sfq_telemetry::global();
         AlgebraicMetrics {
             dirty_lanes: registry.counter("batch.bch.dirty_lanes"),
@@ -278,28 +234,28 @@ impl AlgebraicMetrics {
             fallback_flagged: registry.counter("batch.bch.fallback_flagged"),
             locator_evals: registry.counter("batch.bch.locator_evals"),
             sliced_syndrome_limbs: registry.counter("batch.bch.sliced_syndrome_limbs"),
-            kernel_selected: registry.counter(&format!("batch.kernel.selected.{engine}")),
-            kernel_limbs: registry.counter(&format!("batch.kernel.{engine}.limbs")),
+            kernel_selected: registry.counter("batch.kernel.selected.sliced"),
+            kernel_limbs: registry.counter("batch.kernel.sliced.limbs"),
         }
     }
 }
 
-/// Telemetry handles of the bit-flipping engine, registered under the
+/// Telemetry handles of the bit-flip residual stage, registered under the
 /// `batch.ldpc.*` names (see `docs/OBSERVABILITY.md`). Accumulated in
-/// locals and flushed once per decode call, like every other engine.
+/// locals and flushed once per decode call, like every other stage.
 #[derive(Debug, Clone)]
 struct BitFlipMetrics {
-    /// Lanes whose syndrome was nonzero.
+    /// Residual lanes.
     dirty_lanes: sfq_telemetry::Counter,
-    /// Dirty lanes whose checks all cleared (corrected).
+    /// Residual lanes whose checks all cleared (corrected).
     corrected: sfq_telemetry::Counter,
-    /// Dirty lanes still unsatisfied at the iteration cap (flagged).
+    /// Residual lanes still unsatisfied at the iteration cap (flagged).
     flagged: sfq_telemetry::Counter,
     /// Synchronous flip rounds executed (whole-limb each).
     rounds: sfq_telemetry::Counter,
     /// Variable flips applied (lane-bits across all rounds).
     flips: sfq_telemetry::Counter,
-    /// Limbs that ran at least one flip round (clean limbs short-circuit).
+    /// Limbs that ran at least one flip round.
     flip_limbs: sfq_telemetry::Counter,
     /// `batch.kernel.selected.bit-flip` — decode calls served.
     kernel_selected: sfq_telemetry::Counter,
@@ -323,11 +279,11 @@ impl BitFlipMetrics {
     }
 }
 
-/// Decode-kernel telemetry handles, registered once per codec under the
+/// Decode telemetry handles, registered once per codec under the
 /// `batch.decode.*` names (each codec is a shard of the global registry;
-/// see `docs/OBSERVABILITY.md`). The kernel accumulates into plain locals
-/// and flushes once per [`BatchCodec::decode_batch_with`] call, so the
-/// per-limb loop sees no atomics. With the `telemetry` feature off these
+/// see `docs/OBSERVABILITY.md`). The stages accumulate into plain locals
+/// and [`BatchCodec::decode_batch_with`] flushes once per call, so the
+/// per-limb loops see no atomics. With the `telemetry` feature off these
 /// handles are zero-sized no-ops.
 #[derive(Debug, Clone)]
 struct DecodeMetrics {
@@ -343,16 +299,16 @@ struct DecodeMetrics {
     buckets_skipped: sfq_telemetry::Counter,
     /// Match entries tested against a limb.
     entries_tested: sfq_telemetry::Counter,
-    /// Lanes corrected (retired by a match).
+    /// Lanes corrected (by the column or the residual stage).
     lanes_matched: sfq_telemetry::Counter,
     /// Lanes flagged detected-uncorrectable.
     lanes_flagged: sfq_telemetry::Counter,
     /// `batch.kernel.selected.<name>`, indexed by [`KernelChoice::index`] —
-    /// decode calls each kernel served.
-    kernel_selected: Vec<sfq_telemetry::Counter>,
+    /// decode calls each column-stage kernel served.
+    kernel_selected: [sfq_telemetry::Counter; 4],
     /// `batch.kernel.<name>.limbs`, indexed by [`KernelChoice::index`] —
-    /// limbs each kernel processed.
-    kernel_limbs: Vec<sfq_telemetry::Counter>,
+    /// limbs each column-stage kernel processed.
+    kernel_limbs: [sfq_telemetry::Counter; 4],
     /// Detection-only calls (one per [`BatchCodec::detect_batch_with`]).
     detect_calls: sfq_telemetry::Counter,
     /// Limbs screened by detection-only calls.
@@ -374,13 +330,9 @@ impl DecodeMetrics {
             lanes_matched: registry.counter("batch.decode.lanes_matched"),
             lanes_flagged: registry.counter("batch.decode.lanes_flagged"),
             kernel_selected: KernelChoice::ALL
-                .iter()
-                .map(|c| registry.counter(&format!("batch.kernel.selected.{}", c.name())))
-                .collect(),
+                .map(|c| registry.counter(&format!("batch.kernel.selected.{}", c.name()))),
             kernel_limbs: KernelChoice::ALL
-                .iter()
-                .map(|c| registry.counter(&format!("batch.kernel.{}.limbs", c.name())))
-                .collect(),
+                .map(|c| registry.counter(&format!("batch.kernel.{}.limbs", c.name()))),
             detect_calls: registry.counter("batch.detect.calls"),
             detect_limbs: registry.counter("batch.detect.limbs"),
             detect_dirty_lanes: registry.counter("batch.detect.dirty_lanes"),
@@ -390,8 +342,8 @@ impl DecodeMetrics {
 
 impl ColumnMatchProgram {
     /// Buckets a finished entry list by syndrome prefix, and compiles the
-    /// flat direct-dispatch table when `direct_eligible`.
-    fn new(mut entries: Vec<MatchEntry>, redundancy: usize, direct_eligible: bool) -> Self {
+    /// flat direct-dispatch table when the syndrome fits a byte.
+    fn new(mut entries: Vec<MatchEntry>, redundancy: usize) -> Self {
         let prefix_bits = redundancy.min(4);
         debug_assert!(1 << prefix_bits <= PREFIX_SLOTS);
         let prefix_mask = (1u128 << prefix_bits) - 1;
@@ -408,14 +360,23 @@ impl ColumnMatchProgram {
             buckets.push((prefix as u8, start as u32, end as u32));
             start = end;
         }
-        let direct =
-            (direct_eligible && redundancy > 0).then(|| DirectTable::compile(&entries, redundancy));
+        let direct = (1..=8)
+            .contains(&redundancy)
+            .then(|| DirectTable::compile(&entries, redundancy));
         ColumnMatchProgram {
             prefix_bits,
             entries,
             buckets,
             direct,
         }
+    }
+
+    /// The direct-dispatch table (present whenever `1 ≤ r ≤ 8`, which is
+    /// exactly when the kernel selection picks `direct4`/`direct8`).
+    fn direct_table(&self) -> &DirectTable {
+        self.direct
+            .as_ref()
+            .expect("r ≤ 8 programs compile a direct table")
     }
 }
 
@@ -435,7 +396,8 @@ pub struct DetectSummary {
 ///
 /// * the generator's column supports (for lane encoding),
 /// * the parity-check rows (for lane syndromes),
-/// * the per-code [`ColumnMatchProgram`] (for lane decoding),
+/// * the per-code column-match program (the column stage) and the
+///   residual stage its decoder class needs,
 /// * the pivot/transform pair of [`generator_right_inverse`] (for lane
 ///   message extraction).
 ///
@@ -450,191 +412,116 @@ pub struct BatchCodec {
     encode_masks: Vec<u128>,
     /// `syndrome_masks[t]`: support of parity-check row `t` over codeword bits.
     syndrome_masks: Vec<u128>,
-    /// The decode engine: a compiled column-matching program, or the
-    /// scalar-fallback screen for algebraic decoders.
-    engine: DecodeEngine,
+    /// The column stage.
+    program: ColumnMatchProgram,
+    /// The residual stage.
+    residual: Residual,
     /// `extract_masks[j]`: support over codeword bits whose parity is message
     /// bit `j` (from the generator's right inverse).
     extract_masks: Vec<u128>,
-    /// Kernel override for column-matching decodes, seeded from the
-    /// `SFQ_BATCH_KERNEL` environment variable at construction (see
-    /// [`BatchCodec::with_kernel`]).
-    kernel: KernelKind,
-    /// Decode-kernel telemetry (write-only; never affects results).
+    /// Decode telemetry (write-only; never affects results).
     metrics: DecodeMetrics,
 }
 
 impl BatchCodec {
-    /// Builds the batch engine for a scalar code + hard decoder.
-    ///
-    /// The decoder's [`HardDecoder::syndrome_class`] selects the program
-    /// builder: `ColumnFlip` decoders compile straight from the columns of
-    /// `H` (no syndrome-space enumeration, so the redundancy is unlimited);
-    /// `General` decoders are interrogated once per syndrome value.
+    /// Builds the batch engine for a scalar code + hard decoder whose
+    /// corrections are all table lookups: `ColumnFlip` decoders compile
+    /// straight from the columns of `H` (no syndrome-space enumeration, so
+    /// the redundancy is unlimited); `General` decoders are interrogated
+    /// once per syndrome value.
     ///
     /// # Panics
     /// Panics if the code exceeds `n ≤ 128` (masks are single `u128`s), if
     /// the parity-check matrix does not have full row rank, if a
     /// `ColumnFlip` decoder fails its per-column scalar probe, or if the
     /// decoder declares [`SyndromeClass::Algebraic`] (build those with
-    /// [`BatchCodec::with_sliced_algebraic`] — or
-    /// [`BatchCodec::with_scalar_fallback`] for the reference engine) or
+    /// [`BatchCodec::with_sliced_algebraic`]) or
     /// [`SyndromeClass::Iterative`] (build those with
     /// [`BatchCodec::with_bit_flip`]).
     #[must_use]
     pub fn new<C: BlockCode + HardDecoder>(code: &C) -> Self {
-        let engine = |code: &C, redundancy: usize| {
-            let (entries, direct_eligible) = if redundancy == 0 {
-                // No parity: every word is a codeword, nothing to correct or
-                // detect.
-                (Vec::new(), false)
-            } else {
-                let class = code.syndrome_class();
-                let entries = match class {
-                    SyndromeClass::ColumnFlip => column_flip_entries(code),
-                    SyndromeClass::General => interrogated_entries(code),
-                    SyndromeClass::Algebraic => panic!(
-                        "{}: algebraic decoders have too many correctable syndromes to \
-                         tabulate; build with BatchCodec::with_sliced_algebraic (the \
-                         default engine — registry members are one BatchCodec::bch_spec \
-                         call away), or BatchCodec::with_scalar_fallback for the slow \
-                         reference engine",
-                        code.name()
-                    ),
-                    SyndromeClass::Iterative => panic!(
-                        "{}: iterative decoders correct by synchronous flip rounds, not \
-                         per-syndrome lookup; build with BatchCodec::with_bit_flip",
-                        code.name()
-                    ),
-                };
-                (entries, class.direct_dispatch_eligible(redundancy))
-            };
-            DecodeEngine::ColumnMatch(ColumnMatchProgram::new(
-                entries,
-                redundancy,
-                direct_eligible,
-            ))
-        };
-        Self::build(code, engine)
-    }
-
-    /// Builds the batch engine for a [`SyndromeClass::Algebraic`] decoder:
-    /// bit-sliced syndrome accumulation with the clean-limb short-circuit,
-    /// plus an owned clone of the scalar decoder that is invoked **per dirty
-    /// lane only**. `locator_evals_per_word` meters the locator-evaluation
-    /// work one scalar decode performs (`batch.bch.locator_evals`).
-    ///
-    /// # Panics
-    /// Panics under the same size/rank conditions as [`BatchCodec::new`].
-    #[must_use]
-    pub fn with_scalar_fallback<C>(code: &C, locator_evals_per_word: usize) -> Self
-    where
-        C: BlockCode + HardDecoder + Clone + Send + Sync + 'static,
-    {
-        let engine = |code: &C, _redundancy: usize| {
-            let owned = code.clone();
-            DecodeEngine::ScalarFallback(AlgebraicFallback {
-                decode: Arc::new(move |word: &BitVec| owned.decode(word)),
-                locator_evals_per_word: locator_evals_per_word as u64,
-                metrics: AlgebraicMetrics::new("scalar-fallback"),
-            })
-        };
-        Self::build(code, engine)
+        match code.syndrome_class() {
+            SyndromeClass::ColumnFlip | SyndromeClass::General => {}
+            SyndromeClass::Algebraic => panic!(
+                "{}: algebraic decoders correct more than the columns of H; build with \
+                 BatchCodec::with_sliced_algebraic (registry members are one \
+                 BatchCodec::bch_spec call away)",
+                code.name()
+            ),
+            SyndromeClass::Iterative => panic!(
+                "{}: iterative decoders correct by synchronous flip rounds, not \
+                 per-syndrome lookup; build with BatchCodec::with_bit_flip",
+                code.name()
+            ),
+        }
+        Self::build(code, Residual::Flag)
     }
 
     /// Builds the batch engine for a [`SyndromeClass::Algebraic`] decoder
-    /// that implements [`AlgebraicDecode`]: odd power syndromes are
-    /// accumulated **bit-sliced across each dirty limb** (shared by up to 64
-    /// lanes; even powers follow from the Frobenius square), and only the
-    /// per-lane algebra — Berlekamp–Massey plus the closed-form locator root
-    /// solve — runs per dirty lane, with its syndromes supplied for free.
-    /// This is the default engine for BCH ([`BatchCodec::bch`]); the
-    /// unpack-and-decode [`BatchCodec::with_scalar_fallback`] engine remains
-    /// as the slow reference.
+    /// that implements [`AlgebraicDecode`]: the shared column stage corrects
+    /// the single-error lanes, and for the residual lanes odd power
+    /// syndromes are accumulated **bit-sliced across each limb** (shared by
+    /// up to 64 lanes; even powers follow from the Frobenius square) so only
+    /// the per-lane algebra — Berlekamp–Massey plus the closed-form locator
+    /// root solve — runs per residual lane, with its syndromes supplied for
+    /// free. This is the engine behind [`BatchCodec::bch`].
     ///
     /// # Panics
-    /// Panics under the same size/rank conditions as [`BatchCodec::new`].
+    /// Panics under the same size/rank conditions as [`BatchCodec::new`],
+    /// or if the scalar decoder does not correct a single-bit error at some
+    /// position by flipping exactly that position.
     #[must_use]
     pub fn with_sliced_algebraic<C>(code: &C) -> Self
     where
         C: BlockCode + AlgebraicDecode + Clone + Send + Sync + 'static,
     {
-        let engine = |code: &C, _redundancy: usize| {
-            let plan = code.sliced_syndrome_plan();
-            // Weight-1 prefilter: column `j`'s syndrome pattern, probed
-            // against the scalar decoder exactly like the ColumnFlip
-            // builder's probe — a code whose decoder would not answer
-            // syndrome H[:,j] with "flip j" fails loudly here instead of
-            // silently diverging from the scalar path.
-            let h = code.parity_check();
-            let n = code.n();
-            let col_syndromes: Vec<u128> = (0..n)
-                .map(|j| {
-                    let pattern = h.col(j).to_u128();
-                    let mut e_j = BitVec::zeros(n);
-                    e_j.set(j, true);
-                    let decoded = code.decode(&e_j);
-                    let corrected_to_zero = decoded
-                        .codeword
-                        .as_ref()
-                        .is_some_and(|cw| cw.is_zero() && decoded.outcome.corrected());
-                    assert!(
-                        corrected_to_zero,
-                        "{}: scalar decoder does not flip position {j} on syndrome \
-                         H[:,{j}] — the weight-1 prefilter would diverge",
-                        code.name()
-                    );
-                    pattern
-                })
-                .collect();
-            let owned = code.clone();
-            DecodeEngine::SlicedAlgebraic(SlicedAlgebraic {
-                plan,
-                col_syndromes,
+        let owned = code.clone();
+        Self::build(
+            code,
+            Residual::Sliced(SlicedAlgebraic {
+                plan: code.sliced_syndrome_plan(),
                 action: Arc::new(move |synd: &[u16], full: u128| owned.decode_action(synd, full)),
-                metrics: AlgebraicMetrics::new("sliced"),
-            })
-        };
-        Self::build(code, engine)
+                metrics: AlgebraicMetrics::new(),
+            }),
+        )
     }
 
     /// Builds the batch engine for a [`SyndromeClass::Iterative`] decoder
-    /// that implements [`IterativeDecode`]: the code's synchronous bit-flip
-    /// schedule runs **whole-limb bit-sliced** — each round is one XOR
-    /// reduction per low-density check plus one 3-input majority per
-    /// variable, shared by up to 64 lanes. Unlike the algebraic engines
-    /// there is no per-lane region at all: even an all-dirty limb never
-    /// unpacks a lane. This is the engine behind [`BatchCodec::ldpc`].
+    /// that implements [`IterativeDecode`]: the shared column stage corrects
+    /// the single-error lanes, and the code's synchronous bit-flip schedule
+    /// runs **whole-limb bit-sliced** over the residual lanes — each round
+    /// is one XOR reduction per low-density check plus one 3-input majority
+    /// per variable, shared by up to 64 lanes, so even an all-dirty limb
+    /// never unpacks a lane. This is the engine behind [`BatchCodec::ldpc`].
     ///
     /// # Panics
-    /// Panics under the same size/rank conditions as [`BatchCodec::new`],
-    /// or if the plan fails [`BitFlipPlan::validate`].
+    /// Panics under the same conditions as
+    /// [`BatchCodec::with_sliced_algebraic`], or if the plan fails
+    /// [`BitFlipPlan::validate`].
     #[must_use]
     pub fn with_bit_flip<C>(code: &C) -> Self
     where
         C: BlockCode + IterativeDecode,
     {
-        let engine = |code: &C, _redundancy: usize| {
-            let plan = code.bit_flip_plan();
-            plan.validate();
-            assert!(
-                plan.check_supports.len() <= 64,
-                "{}: bit-flip parity slices are a fixed 64-entry array",
-                code.name()
-            );
-            DecodeEngine::BitFlip(BitFlipEngine {
+        let plan = code.bit_flip_plan();
+        plan.validate();
+        assert!(
+            plan.check_supports.len() <= 64,
+            "{}: bit-flip parity slices are a fixed 64-entry array",
+            code.name()
+        );
+        Self::build(
+            code,
+            Residual::BitFlip(BitFlipEngine {
                 plan,
                 metrics: BitFlipMetrics::new(),
-            })
-        };
-        Self::build(code, engine)
+            }),
+        )
     }
 
-    /// Shared constructor body: masks, extraction lanes, and the engine.
-    fn build<C: BlockCode + HardDecoder>(
-        code: &C,
-        engine: impl FnOnce(&C, usize) -> DecodeEngine,
-    ) -> Self {
+    /// Shared constructor body: masks, the column-match program, and
+    /// extraction lanes.
+    fn build<C: BlockCode + HardDecoder>(code: &C, residual: Residual) -> Self {
         let (n, k) = (code.n(), code.k());
         assert!(
             n <= MAX_BLOCK_LENGTH,
@@ -649,7 +536,16 @@ impl BatchCodec {
         let h = code.parity_check();
         let syndrome_masks: Vec<u128> = (0..redundancy).map(|t| row_mask(h, t)).collect();
 
-        let engine = engine(code, redundancy);
+        let entries = if redundancy == 0 {
+            // No parity: every word is a codeword, nothing to correct or
+            // detect.
+            Vec::new()
+        } else if code.syndrome_class() == SyndromeClass::General {
+            interrogated_entries(code)
+        } else {
+            column_entries(code)
+        };
+        let program = ColumnMatchProgram::new(entries, redundancy);
 
         let (pivots, transform) = generator_right_inverse(g);
         let extract_masks: Vec<u128> = (0..k)
@@ -668,42 +564,27 @@ impl BatchCodec {
             k,
             encode_masks,
             syndrome_masks,
-            engine,
+            program,
+            residual,
             extract_masks,
-            kernel: KernelKind::from_env_or_auto(),
             metrics: DecodeMetrics::new(),
         }
     }
 
-    /// Pins the decode kernel for this codec, overriding both auto-dispatch
-    /// and the `SFQ_BATCH_KERNEL` environment variable. Every kernel is
-    /// bit-identical; this only affects speed (and telemetry attribution).
-    /// Algebraic codecs ignore the override — it selects among
-    /// column-matching kernels only.
+    /// The kernels a decode of `batch` messages runs: the column-stage
+    /// kernel (`direct4`, `direct8`, `walk-u64`, or `walk-w256`), joined
+    /// with `+` to the residual stage where there is one (`sliced`,
+    /// `bit-flip`) — e.g. `walk-w256+sliced`. `none` when `r = 0`: there
+    /// is nothing to match. Used by benches and reports; decode results
+    /// never depend on it.
     #[must_use]
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// The kernel dispatch would run for a batch of `batch` messages:
-    /// `direct4`, `direct8`, `walk-u64`, `walk-u128`, `walk-w256`,
-    /// `sliced`, `scalar-fallback`, or `bit-flip` (the engine-named
-    /// algebraic/iterative paths are fixed per constructor). Used by benches
-    /// and reports; decode results never depend on it.
-    #[must_use]
-    pub fn selected_kernel_name(&self, batch: usize) -> &'static str {
-        match &self.engine {
-            DecodeEngine::ColumnMatch(program) => kernel::select(
-                self.kernel,
-                program.direct.is_some(),
-                self.syndrome_masks.len(),
-                batch.div_ceil(64),
-            )
-            .name(),
-            DecodeEngine::SlicedAlgebraic(_) => "sliced",
-            DecodeEngine::ScalarFallback(_) => "scalar-fallback",
-            DecodeEngine::BitFlip(_) => "bit-flip",
+    pub fn selected_kernel_name(&self, batch: usize) -> String {
+        let column = kernel::select(self.syndrome_masks.len(), batch.div_ceil(64))
+            .map_or("none", KernelChoice::name);
+        match &self.residual {
+            Residual::Flag => column.to_owned(),
+            Residual::Sliced(_) => format!("{column}+sliced"),
+            Residual::BitFlip(_) => format!("{column}+bit-flip"),
         }
     }
 
@@ -752,9 +633,9 @@ impl BatchCodec {
     }
 
     /// Batch engine for the multi-error BCH(31,16) code (`t = 2`,
-    /// `d_min = 7`): bit-sliced power-syndrome accumulation, per-lane
-    /// Berlekamp–Massey + closed-form locator solve on residual dirty lanes
-    /// only.
+    /// `d_min = 7`): the shared column stage for single errors, then
+    /// bit-sliced power-syndrome accumulation and per-lane Berlekamp–Massey
+    /// + closed-form locator solve on the residual lanes only.
     #[must_use]
     pub fn bch() -> Self {
         Self::bch_spec(BchSpec::BCH_31_16)
@@ -780,9 +661,9 @@ impl BatchCodec {
         Self::bch_spec(BchSpec::BCH_63_45)
     }
 
-    /// Batch engine for the regular Gallager LDPC(60,32) code: whole-limb
-    /// synchronous bit flipping, the first decode engine with no per-lane
-    /// region even on all-dirty limbs.
+    /// Batch engine for the regular Gallager LDPC(60,32) code: the shared
+    /// column stage for single errors, then whole-limb synchronous bit
+    /// flipping with no per-lane region even on all-dirty limbs.
     #[must_use]
     pub fn ldpc() -> Self {
         Self::with_bit_flip(&Ldpc::gallager_60_32())
@@ -794,281 +675,17 @@ impl BatchCodec {
         &self.name
     }
 
-    /// Number of compiled match entries (one per correctable syndrome).
-    /// Scalar-fallback engines compile no entries and report zero.
+    /// Number of compiled match entries: `n` for codes compiled from the
+    /// columns of `H`, one per correctable syndrome for `General` codes,
+    /// zero when `r = 0`.
     #[must_use]
     pub fn program_len(&self) -> usize {
-        match &self.engine {
-            DecodeEngine::ColumnMatch(program) => program.entries.len(),
-            DecodeEngine::SlicedAlgebraic(_)
-            | DecodeEngine::ScalarFallback(_)
-            | DecodeEngine::BitFlip(_) => 0,
-        }
-    }
-
-    /// The column-matching decode entry point: resolves the kernel
-    /// (direct-dispatch table or bucket walk at the chosen limb width) and
-    /// runs it over the limbs. All kernels are bit-identical; dispatch only
-    /// affects speed and telemetry attribution.
-    fn run_program(
-        &self,
-        program: &ColumnMatchProgram,
-        received: &BitSlice64,
-        scratch: &mut BatchScratch,
-        out: &mut BatchDecoded,
-    ) {
-        let redundancy = self.syndrome_masks.len();
-        let words = received.words();
-
-        self.syndrome_batch_into(received, &mut scratch.syndromes);
-
-        out.codewords.copy_from(received);
-        out.flagged.clear();
-        out.flagged.resize(words, 0);
-        out.corrected.clear();
-        out.corrected.resize(words, 0);
-
-        // Telemetry accumulates in a local struct and flushes once per
-        // call, so the limb loops perform no atomic operations.
-        let mut stats = KernelStats::default();
-        let choice = kernel::select(self.kernel, program.direct.is_some(), redundancy, words);
-        match choice {
-            KernelChoice::Direct4 => {
-                let table = program.direct.as_ref().expect("direct4 needs a table");
-                kernel::direct::run_direct4(table, &scratch.syndromes, out, &mut stats);
-            }
-            KernelChoice::Direct8 => {
-                let table = program.direct.as_ref().expect("direct8 needs a table");
-                kernel::direct::run_direct8(table, &scratch.syndromes, out, &mut stats);
-            }
-            KernelChoice::Walk64 => {
-                run_walk_chunked::<u64>(program, &scratch.syndromes, out, &mut stats);
-            }
-            KernelChoice::Walk128 => {
-                run_walk_chunked::<u128>(program, &scratch.syndromes, out, &mut stats);
-            }
-            KernelChoice::Walk256 => {
-                run_walk_chunked::<W256>(program, &scratch.syndromes, out, &mut stats);
-            }
-        }
-
-        self.metrics.calls.inc();
-        self.metrics.limbs.add(words as u64);
-        self.metrics.clean_limbs.add(stats.clean_limbs);
-        self.metrics.buckets_visited.add(stats.buckets_visited);
-        self.metrics.buckets_skipped.add(stats.buckets_skipped);
-        self.metrics.entries_tested.add(stats.entries_tested);
-        self.metrics.lanes_matched.add(stats.lanes_matched);
-        self.metrics.lanes_flagged.add(stats.lanes_flagged);
-        self.metrics.kernel_selected[choice.index()].inc();
-        self.metrics.kernel_limbs[choice.index()].add(words as u64);
-
-        self.extract_message_lanes(received.batch(), out);
-    }
-
-    /// The sliced-syndrome decode entry point for algebraic codes: odd
-    /// power syndromes are accumulated bit-sliced per dirty limb, and the
-    /// per-lane algebra runs with its syndromes supplied for free.
-    fn run_sliced_engine(
-        &self,
-        engine: &SlicedAlgebraic,
-        received: &BitSlice64,
-        scratch: &mut BatchScratch,
-        out: &mut BatchDecoded,
-    ) {
-        let redundancy = self.syndrome_masks.len();
-        let words = received.words();
-
-        self.syndrome_batch_into(received, &mut scratch.syndromes);
-        if scratch.gather.len() < redundancy {
-            scratch.gather.resize(redundancy, 0);
-        }
-
-        out.codewords.copy_from(received);
-        out.flagged.clear();
-        out.flagged.resize(words, 0);
-        out.corrected.clear();
-        out.corrected.resize(words, 0);
-
-        let mut stats = SlicedStats::default();
-        run_sliced(
-            &engine.plan,
-            &engine.col_syndromes,
-            engine.action.as_ref(),
-            &scratch.syndromes,
-            &mut scratch.gather[..redundancy],
-            out,
-            &mut stats,
-        );
-
-        self.metrics.calls.inc();
-        self.metrics.limbs.add(words as u64);
-        self.metrics.clean_limbs.add(stats.clean_limbs);
-        self.metrics.lanes_matched.add(stats.corrected);
-        self.metrics.lanes_flagged.add(stats.flagged);
-        engine.metrics.dirty_lanes.add(stats.dirty_lanes);
-        engine.metrics.fallback_corrected.add(stats.corrected);
-        engine.metrics.fallback_flagged.add(stats.flagged);
-        engine.metrics.locator_evals.add(stats.locator_evals);
-        engine.metrics.sliced_syndrome_limbs.add(stats.sliced_limbs);
-        engine.metrics.kernel_selected.inc();
-        engine.metrics.kernel_limbs.add(words as u64);
-
-        self.extract_message_lanes(received.batch(), out);
-    }
-
-    /// The bit-flipping decode entry point for iterative codes: the whole
-    /// decoder — check parities and majority flips alike — runs bit-sliced,
-    /// with the usual clean-limb short-circuit and no per-lane region.
-    fn run_bit_flip_engine(
-        &self,
-        engine: &BitFlipEngine,
-        received: &BitSlice64,
-        scratch: &mut BatchScratch,
-        out: &mut BatchDecoded,
-    ) {
-        let redundancy = self.syndrome_masks.len();
-        let words = received.words();
-
-        self.syndrome_batch_into(received, &mut scratch.syndromes);
-        if scratch.gather.len() < redundancy {
-            scratch.gather.resize(redundancy, 0);
-        }
-
-        out.codewords.copy_from(received);
-        out.flagged.clear();
-        out.flagged.resize(words, 0);
-        out.corrected.clear();
-        out.corrected.resize(words, 0);
-
-        let mut stats = BitFlipStats::default();
-        run_bit_flip(
-            &engine.plan,
-            received,
-            &scratch.syndromes,
-            &mut scratch.gather[..redundancy],
-            out,
-            &mut stats,
-        );
-
-        self.metrics.calls.inc();
-        self.metrics.limbs.add(words as u64);
-        self.metrics.clean_limbs.add(stats.clean_limbs);
-        self.metrics.lanes_matched.add(stats.corrected);
-        self.metrics.lanes_flagged.add(stats.flagged);
-        engine.metrics.dirty_lanes.add(stats.dirty_lanes);
-        engine.metrics.corrected.add(stats.corrected);
-        engine.metrics.flagged.add(stats.flagged);
-        engine.metrics.rounds.add(stats.rounds);
-        engine.metrics.flips.add(stats.flips);
-        engine.metrics.flip_limbs.add(stats.flip_limbs);
-        engine.metrics.kernel_selected.inc();
-        engine.metrics.kernel_limbs.add(words as u64);
-
-        self.extract_message_lanes(received.batch(), out);
-    }
-
-    /// The scalar-fallback decode kernel for algebraic decoders: bit-sliced
-    /// syndrome accumulation screens the limbs exactly like the
-    /// column-matching kernel (same clean-limb short-circuit), and each
-    /// dirty lane — syndrome nonzero — is unpacked and decoded by the owned
-    /// scalar decoder, whose corrected codeword (or error flag) is written
-    /// back into the lane. Only dirty lanes ever allocate.
-    fn run_fallback(
-        &self,
-        fallback: &AlgebraicFallback,
-        received: &BitSlice64,
-        scratch: &mut BatchScratch,
-        out: &mut BatchDecoded,
-    ) {
-        let redundancy = self.syndrome_masks.len();
-        let words = received.words();
-        let tail = received.tail_mask();
-
-        self.syndrome_batch_into(received, &mut scratch.syndromes);
-        if scratch.gather.len() < redundancy {
-            scratch.gather.resize(redundancy, 0);
-        }
-
-        out.codewords.copy_from(received);
-        out.flagged.clear();
-        out.flagged.resize(words, 0);
-        out.corrected.clear();
-        out.corrected.resize(words, 0);
-
-        // Telemetry in locals, flushed once per call (no atomics per limb).
-        let mut clean_limbs = 0u64;
-        let mut dirty_lanes = 0u64;
-        let mut fallback_corrected = 0u64;
-        let mut fallback_flagged = 0u64;
-        let mut lanes_flagged = 0u64;
-        let mut lanes_matched = 0u64;
-
-        for w in 0..words {
-            let valid = if w + 1 == words { tail } else { u64::MAX };
-            let gather = &mut scratch.gather[..redundancy];
-            scratch.syndromes.gather_word(w, gather);
-
-            // Clean-limb short-circuit, identical to the column-matching
-            // kernel: all-zero syndromes need no per-lane work at all.
-            let mut dirty = or_reduce(gather) & valid;
-            if dirty == 0 {
-                clean_limbs += 1;
-                continue;
-            }
-
-            while dirty != 0 {
-                let bit = dirty & dirty.wrapping_neg();
-                let lane = w * 64 + bit.trailing_zeros() as usize;
-                dirty &= dirty - 1;
-                dirty_lanes += 1;
-
-                let word = received.extract(lane);
-                let decoded = (fallback.decode)(&word);
-                match decoded.outcome {
-                    DecodeOutcome::DetectedUncorrectable => {
-                        out.flagged[w] |= bit;
-                        fallback_flagged += 1;
-                    }
-                    _ => {
-                        let codeword = decoded
-                            .codeword
-                            .expect("non-detected decode must produce a codeword");
-                        for p in 0..self.n {
-                            if codeword.get(p) != word.get(p) {
-                                out.codewords.lane_mut(p)[w] ^= bit;
-                            }
-                        }
-                        out.corrected[w] |= bit;
-                        fallback_corrected += 1;
-                    }
-                }
-            }
-            lanes_matched += u64::from(out.corrected[w].count_ones());
-            lanes_flagged += u64::from(out.flagged[w].count_ones());
-        }
-
-        self.metrics.calls.inc();
-        self.metrics.limbs.add(words as u64);
-        self.metrics.clean_limbs.add(clean_limbs);
-        self.metrics.lanes_matched.add(lanes_matched);
-        self.metrics.lanes_flagged.add(lanes_flagged);
-        fallback.metrics.dirty_lanes.add(dirty_lanes);
-        fallback.metrics.fallback_corrected.add(fallback_corrected);
-        fallback.metrics.fallback_flagged.add(fallback_flagged);
-        fallback
-            .metrics
-            .locator_evals
-            .add(dirty_lanes * fallback.locator_evals_per_word);
-        fallback.metrics.kernel_selected.inc();
-        fallback.metrics.kernel_limbs.add(words as u64);
-
-        self.extract_message_lanes(received.batch(), out);
+        self.program.entries.len()
     }
 
     /// Detection-only decode: computes the syndrome batch and classifies
     /// each message as clean (zero syndrome) or dirty (nonzero), **without
-    /// running any correction kernel** — no column matching, no per-lane
+    /// running any correction stage** — no column matching, no per-lane
     /// algebra, no message extraction. This is the degraded decode mode of
     /// the streaming scrub service (`sfq-stream`): under overload a
     /// SEC-DED-class code stops correcting and merely *detects*, delivering
@@ -1208,6 +825,9 @@ impl BatchDecode for BatchCodec {
         out
     }
 
+    /// The decode pipeline (see the crate docs): syndrome, the shared
+    /// column stage, the per-class residual stage, one stats flush, and
+    /// message extraction.
     fn decode_batch_with(
         &self,
         received: &BitSlice64,
@@ -1215,20 +835,91 @@ impl BatchDecode for BatchCodec {
         out: &mut BatchDecoded,
     ) {
         assert_eq!(received.bits(), self.n, "received lanes must equal n");
-        match &self.engine {
-            DecodeEngine::ColumnMatch(program) => {
-                self.run_program(program, received, scratch, out);
+        let words = received.words();
+
+        self.syndrome_batch_into(received, &mut scratch.syndromes);
+        out.codewords.copy_from(received);
+        out.flagged.clear();
+        out.flagged.resize(words, 0);
+        out.corrected.clear();
+        out.corrected.resize(words, 0);
+
+        // Column stage: matched lanes are corrected, unmatched dirty lanes
+        // flagged. Telemetry accumulates in locals and flushes once below,
+        // so the limb loops perform no atomic operations.
+        let mut stats = KernelStats::default();
+        let column = kernel::select(self.syndrome_masks.len(), words);
+        let syndromes = &scratch.syndromes;
+        match column {
+            None => stats.clean_limbs = words as u64,
+            Some(KernelChoice::Direct4) => {
+                run_direct4(self.program.direct_table(), syndromes, out, &mut stats);
             }
-            DecodeEngine::SlicedAlgebraic(engine) => {
-                self.run_sliced_engine(engine, received, scratch, out);
+            Some(KernelChoice::Direct8) => {
+                run_direct8(self.program.direct_table(), syndromes, out, &mut stats);
             }
-            DecodeEngine::ScalarFallback(fallback) => {
-                self.run_fallback(fallback, received, scratch, out);
-            }
-            DecodeEngine::BitFlip(engine) => {
-                self.run_bit_flip_engine(engine, received, scratch, out);
+            Some(KernelChoice::Walk64 | KernelChoice::Walk256) => {
+                run_walk_chunked(&self.program, syndromes, out, &mut stats);
             }
         }
+
+        // Residual stage: only the lanes the column stage left flagged.
+        let mut sliced = SlicedStats::default();
+        let mut flip = BitFlipStats::default();
+        match &self.residual {
+            Residual::Flag => {}
+            Residual::Sliced(engine) => {
+                let action = engine.action.as_ref();
+                run_sliced(&engine.plan, action, received, syndromes, out, &mut sliced);
+            }
+            Residual::BitFlip(engine) => run_bit_flip(&engine.plan, received, out, &mut flip),
+        }
+
+        // One stats flush. Residual corrections turn lanes the column stage
+        // flagged into corrected ones.
+        let residual_corrected = sliced.corrected + flip.corrected;
+        self.metrics.calls.inc();
+        self.metrics.limbs.add(words as u64);
+        self.metrics.clean_limbs.add(stats.clean_limbs);
+        self.metrics.buckets_visited.add(stats.buckets_visited);
+        self.metrics.buckets_skipped.add(stats.buckets_skipped);
+        self.metrics.entries_tested.add(stats.entries_tested);
+        self.metrics
+            .lanes_matched
+            .add(stats.lanes_matched + residual_corrected);
+        self.metrics
+            .lanes_flagged
+            .add(stats.lanes_flagged - residual_corrected);
+        if let Some(choice) = column {
+            self.metrics.kernel_selected[choice.index()].inc();
+            self.metrics.kernel_limbs[choice.index()].add(words as u64);
+        }
+        match &self.residual {
+            Residual::Flag => {}
+            Residual::Sliced(engine) => {
+                let m = &engine.metrics;
+                m.dirty_lanes.add(sliced.dirty_lanes);
+                m.fallback_corrected.add(sliced.corrected);
+                m.fallback_flagged.add(sliced.flagged);
+                m.locator_evals.add(sliced.locator_evals);
+                m.sliced_syndrome_limbs.add(sliced.sliced_limbs);
+                m.kernel_selected.inc();
+                m.kernel_limbs.add(words as u64);
+            }
+            Residual::BitFlip(engine) => {
+                let m = &engine.metrics;
+                m.dirty_lanes.add(flip.dirty_lanes);
+                m.corrected.add(flip.corrected);
+                m.flagged.add(flip.flagged);
+                m.rounds.add(flip.rounds);
+                m.flips.add(flip.flips);
+                m.flip_limbs.add(flip.flip_limbs);
+                m.kernel_selected.inc();
+                m.kernel_limbs.add(words as u64);
+            }
+        }
+
+        self.extract_message_lanes(received.batch(), out);
     }
 }
 
@@ -1254,30 +945,34 @@ fn row_mask(h: &BitMat, t: usize) -> u128 {
     })
 }
 
-/// Compiles a [`SyndromeClass::ColumnFlip`] decoder straight from the
-/// parity-check matrix: one entry per codeword position, matching the
-/// position's column and flipping that single bit. Detected syndromes are
-/// the complement and need no entries.
+/// Compiles the column stage straight from the parity-check matrix: one
+/// entry per codeword position, matching the position's column and flipping
+/// that single bit. Unmatched syndromes are the complement and need no
+/// entries (flagged, or handed to the residual stage).
 ///
-/// Construction cost is `O(n · r)` plus one scalar probe per position — the
-/// probe re-verifies the declared class against the actual decoder, so a
-/// code that wrongly claims `ColumnFlip` fails loudly here rather than
+/// Construction cost is `O(n · r)` plus one scalar probe per position. A
+/// syndrome equal to column `j` puts the word in the coset of `e_j`, and
+/// the probe checks that the scalar decoder answers that coset with "flip
+/// `j`" — so a decoder that would not fails loudly here rather than
 /// producing a silently divergent batch engine.
 ///
 /// # Panics
-/// Panics if `H` has a zero or duplicated column (the class needs
-/// `d_min ≥ 3`), or if the scalar decoder's response to a single-bit error
-/// is not "flip exactly that bit".
-fn column_flip_entries<C: BlockCode + HardDecoder>(code: &C) -> Vec<MatchEntry> {
+/// Panics if `H` has a zero or duplicated column (single errors must be
+/// distinguishable, `d_min ≥ 3`), or if the scalar decoder's response to a
+/// single-bit error is not "flip exactly that bit".
+fn column_entries<C: BlockCode + HardDecoder>(code: &C) -> Vec<MatchEntry> {
     let n = code.n();
     let h = code.parity_check();
     let mut entries: Vec<MatchEntry> = Vec::with_capacity(n);
     for j in 0..n {
         let pattern = h.col(j).to_u128();
-        assert_ne!(pattern, 0, "H column {j} is zero: not a ColumnFlip code");
+        assert_ne!(
+            pattern, 0,
+            "H column {j} is zero: single errors must be detectable"
+        );
         assert!(
             entries.iter().all(|e| e.pattern != pattern),
-            "H column {j} duplicates another column: not a ColumnFlip code"
+            "H column {j} duplicates another column: single errors must be distinguishable"
         );
         // Probe: the scalar decoder must answer a single-bit error at `j`
         // by flipping exactly `j` (i.e. decode e_j back to the zero word).
@@ -1291,7 +986,7 @@ fn column_flip_entries<C: BlockCode + HardDecoder>(code: &C) -> Vec<MatchEntry> 
         assert!(
             corrected_to_zero,
             "{}: scalar decoder does not flip position {j} on syndrome H[:,{j}] — \
-             the decoder is not SyndromeClass::ColumnFlip",
+             the column stage would diverge from it",
             code.name()
         );
         entries.push(MatchEntry {
@@ -1479,7 +1174,7 @@ mod tests {
     /// Detection-only screening agrees with the full decode on every code
     /// family: a lane is dirty exactly when the full decoder either corrects
     /// or flags it (zero syndrome ⇔ untouched codeword), for ragged batches
-    /// and across all three engines (column match, sliced algebraic).
+    /// and across every residual stage (flag, sliced algebraic, bit-flip).
     #[test]
     fn detect_batch_matches_full_decode_classification() {
         for codec in [
@@ -1622,25 +1317,110 @@ mod tests {
 
     #[test]
     fn column_flip_codes_compile_to_n_entries() {
-        // ColumnFlip programs have exactly one entry per codeword position,
-        // independent of the syndrome-space size.
+        // Programs compiled from the columns of H have exactly one entry per
+        // codeword position, independent of the syndrome-space size — the
+        // algebraic and iterative codecs' shared column stage included.
         assert_eq!(BatchCodec::hamming74().program_len(), 7);
         assert_eq!(BatchCodec::hamming84().program_len(), 8);
         assert_eq!(BatchCodec::rm13().program_len(), 8);
         assert_eq!(BatchCodec::sec_ded(6).program_len(), 72);
         assert_eq!(BatchCodec::wide_hamming_85_64().program_len(), 85);
-        // The r = 0 degenerate case has nothing to match; the algebraic and
-        // iterative engines compile no entries at all.
+        assert_eq!(BatchCodec::bch().program_len(), 31);
+        assert_eq!(BatchCodec::bch_63_45().program_len(), 63);
+        assert_eq!(BatchCodec::ldpc().program_len(), 60);
+        // The r = 0 degenerate case has nothing to match.
         assert_eq!(BatchCodec::uncoded(4).program_len(), 0);
-        assert_eq!(BatchCodec::bch().program_len(), 0);
-        assert_eq!(BatchCodec::bch_63_45().program_len(), 0);
-        assert_eq!(BatchCodec::ldpc().program_len(), 0);
         // General-class codes keep interrogated entries (correctable
         // syndromes only): the (8,4) factor-2 repetition code corrects
         // nothing (every disagreement is a tie), the (6,2) factor-3 code
         // corrects every nonzero syndrome.
         assert_eq!(BatchCodec::repetition(4, 2).program_len(), 0);
         assert_eq!(BatchCodec::repetition(2, 3).program_len(), 15);
+    }
+
+    /// Runs only the column stage of `codec` over `received`, through
+    /// `kernel` whatever the selection would pick (`Walk64` walks the whole
+    /// batch one word at a time).
+    fn forced_column_stage(
+        codec: &BatchCodec,
+        received: &BitSlice64,
+        kernel: KernelChoice,
+    ) -> BatchDecoded {
+        let syndromes = codec.syndrome_batch(received);
+        let words = received.words();
+        let mut out = BatchDecoded::empty();
+        out.codewords.copy_from(received);
+        out.flagged = vec![0; words];
+        out.corrected = vec![0; words];
+        let mut stats = KernelStats::default();
+        let program = &codec.program;
+        match kernel {
+            KernelChoice::Direct4 => {
+                run_direct4(program.direct_table(), &syndromes, &mut out, &mut stats);
+            }
+            KernelChoice::Direct8 => {
+                run_direct8(program.direct_table(), &syndromes, &mut out, &mut stats);
+            }
+            KernelChoice::Walk64 => {
+                kernel::wide::run_walk::<u64>(program, &syndromes, 0, words, &mut out, &mut stats);
+            }
+            KernelChoice::Walk256 => run_walk_chunked(program, &syndromes, &mut out, &mut stats),
+        }
+        out
+    }
+
+    #[test]
+    fn forced_kernels_are_bit_identical() {
+        // Every column-stage kernel a code is eligible for, forced on the
+        // same syndromes, must reproduce the one-word walk over the whole
+        // batch word-for-word — on all-dirty dense noise and on mostly-clean
+        // batches, at ragged batch sizes — and so must the pipeline's own
+        // column stage (these codes have no residual stage).
+        let builders: [fn() -> BatchCodec; 5] = [
+            BatchCodec::hamming74,
+            || BatchCodec::sec_ded(6),
+            || BatchCodec::repetition(2, 3),
+            || BatchCodec::repetition(5, 3),
+            BatchCodec::wide_hamming_85_64,
+        ];
+        let mut rng = StdRng::seed_from_u64(0xF0CE);
+        for build in builders {
+            let codec = build();
+            let direct = kernel::select(codec.n() - codec.k(), 1)
+                .filter(|c| matches!(c, KernelChoice::Direct4 | KernelChoice::Direct8));
+            for batch_size in [1usize, 64, 65, 250, 320] {
+                for dirty_every in [1usize, 16] {
+                    let messages: Vec<BitVec> = (0..batch_size)
+                        .map(|_| {
+                            (0..codec.k())
+                                .map(|_| rng.random::<u64>() & 1 == 1)
+                                .collect()
+                        })
+                        .collect();
+                    let mut words = codec.encode_batch(&BitSlice64::pack(&messages)).unpack();
+                    for w in words.iter_mut().step_by(dirty_every) {
+                        *w = (0..codec.n())
+                            .map(|_| rng.random::<u64>() & 1 == 1)
+                            .collect();
+                    }
+                    let batch = BitSlice64::pack(&words);
+                    let reference = forced_column_stage(&codec, &batch, KernelChoice::Walk64);
+                    let pipeline = codec.decode_batch(&batch);
+                    let forced = std::iter::once(KernelChoice::Walk256)
+                        .chain(direct)
+                        .map(|kind| (kind.name(), forced_column_stage(&codec, &batch, kind)));
+                    for (kind, got) in forced.chain([("pipeline", pipeline)]) {
+                        let label = format!(
+                            "{} {kind} batch {batch_size} dirty 1/{dirty_every}",
+                            codec.name()
+                        );
+                        assert_eq!(got.codewords, reference.codewords, "{label}");
+                        assert_eq!(got.flagged, reference.flagged, "{label}");
+                        assert_eq!(got.corrected, reference.corrected, "{label}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1857,15 +1637,14 @@ mod tests {
 
     #[test]
     fn sliced_bch_engine_matches_the_scalar_fallback_engine() {
-        // The sliced-syndrome engine (default, with the weight-1 column
-        // prefilter) and the unpack-and-decode reference engine must agree
-        // on every output word, including all-dirty batches and
+        // The shipping engine (shared column stage, then the sliced
+        // residual stage) and per-lane scalar `Bch::decode` must agree on
+        // every output word, including all-dirty batches and
         // beyond-capacity error weights — for every registry member.
         let mut rng = StdRng::seed_from_u64(0x51_1CED);
         for spec in BchSpec::REGISTRY {
             let code = Bch::from_spec(spec);
-            let sliced = BatchCodec::bch_spec(spec);
-            let reference = BatchCodec::with_scalar_fallback(&code, code.n());
+            let codec = BatchCodec::bch_spec(spec);
             let (n, k) = (code.n(), code.k());
             for batch_size in [1usize, 63, 64, 65, 130, 257] {
                 let words: Vec<BitVec> = (0..batch_size)
@@ -1879,14 +1658,25 @@ mod tests {
                         w
                     })
                     .collect();
-                let batch = BitSlice64::pack(&words);
-                let a = sliced.decode_batch(&batch);
-                let b = reference.decode_batch(&batch);
-                let label = format!("{spec:?} batch {batch_size}");
-                assert_eq!(a.messages, b.messages, "{label}");
-                assert_eq!(a.codewords, b.codewords, "{label}");
-                assert_eq!(a.flagged, b.flagged, "{label}");
-                assert_eq!(a.corrected, b.corrected, "{label}");
+                let decoded = codec.decode_batch(&BitSlice64::pack(&words));
+                for (i, word) in words.iter().enumerate() {
+                    let reference = code.decode(word);
+                    let label = format!("{spec:?} batch {batch_size} word {i}");
+                    assert_eq!(
+                        decoded.is_flagged(i),
+                        reference.outcome.error_flag(),
+                        "{label}"
+                    );
+                    assert_eq!(
+                        decoded.is_corrected(i),
+                        reference.outcome.corrected(),
+                        "{label}"
+                    );
+                    let codeword = reference.codeword.unwrap_or_else(|| word.clone());
+                    assert_eq!(decoded.codewords.extract(i), codeword, "{label}");
+                    let message = reference.message.unwrap_or_else(|| BitVec::zeros(k));
+                    assert_eq!(decoded.messages.extract(i), message, "{label}");
+                }
             }
         }
     }
@@ -2035,85 +1825,6 @@ mod tests {
             assert_eq!(out.flagged, reference.flagged);
             assert_eq!(out.corrected, reference.corrected);
         }
-    }
-
-    #[test]
-    fn forced_kernels_are_bit_identical() {
-        // Every kernel override must reproduce the reference scalar walk
-        // word-for-word, on dense random noise and ragged batch sizes.
-        let builders: [fn() -> BatchCodec; 4] = [
-            BatchCodec::hamming74,
-            || BatchCodec::sec_ded(6),
-            || BatchCodec::repetition(2, 3),
-            BatchCodec::wide_hamming_85_64,
-        ];
-        let mut rng = StdRng::seed_from_u64(0xF0CE);
-        for build in builders {
-            for batch_size in [1usize, 64, 65, 250] {
-                let n = build().n();
-                let words: Vec<BitVec> = (0..batch_size)
-                    .map(|_| {
-                        (0..n)
-                            .map(|_| rng.random::<u64>() & 1 == 1)
-                            .collect::<BitVec>()
-                    })
-                    .collect();
-                let batch = BitSlice64::pack(&words);
-                let reference = build()
-                    .with_kernel(KernelKind::ScalarU64)
-                    .decode_batch(&batch);
-                for kind in [
-                    KernelKind::Auto,
-                    KernelKind::U128,
-                    KernelKind::Wide256,
-                    KernelKind::Direct,
-                ] {
-                    let codec = build().with_kernel(kind);
-                    let got = codec.decode_batch(&batch);
-                    let label = format!("{} {kind:?} batch {batch_size}", codec.name());
-                    assert_eq!(got.messages, reference.messages, "{label}");
-                    assert_eq!(got.codewords, reference.codewords, "{label}");
-                    assert_eq!(got.flagged, reference.flagged, "{label}");
-                    assert_eq!(got.corrected, reference.corrected, "{label}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_dispatch_names_follow_the_engine_and_override() {
-        // r ≤ 4 → direct4; 5 ≤ r ≤ 8 → direct8; r > 8 → width-dispatched
-        // walk; algebraic engines carry fixed names. Auto is re-pinned
-        // explicitly so the assertions hold even when the CI dispatch
-        // matrix exports SFQ_BATCH_KERNEL (which seeds the default).
-        let auto = |codec: BatchCodec| codec.with_kernel(KernelKind::Auto);
-        assert_eq!(
-            auto(BatchCodec::hamming74()).selected_kernel_name(4096),
-            "direct4"
-        );
-        assert_eq!(
-            auto(BatchCodec::sec_ded(6)).selected_kernel_name(4096),
-            "direct8"
-        );
-        let wide = auto(BatchCodec::wide_hamming_85_64()).selected_kernel_name(4096);
-        assert!(wide == "walk-w256" || wide == "walk-u128", "got {wide}");
-        assert_eq!(
-            auto(BatchCodec::wide_hamming_85_64()).selected_kernel_name(64),
-            "walk-u64"
-        );
-        assert_eq!(BatchCodec::bch().selected_kernel_name(4096), "sliced");
-        assert_eq!(BatchCodec::bch_63_51().selected_kernel_name(4096), "sliced");
-        assert_eq!(BatchCodec::ldpc().selected_kernel_name(4096), "bit-flip");
-        assert_eq!(
-            BatchCodec::with_scalar_fallback(&Bch::bch_31_16(), 31).selected_kernel_name(64),
-            "scalar-fallback"
-        );
-        assert_eq!(
-            BatchCodec::hamming74()
-                .with_kernel(KernelKind::ScalarU64)
-                .selected_kernel_name(4096),
-            "walk-u64"
-        );
     }
 
     #[test]

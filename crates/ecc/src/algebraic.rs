@@ -97,7 +97,7 @@ pub trait AlgebraicDecode: HardDecoder {
     /// `power_syndromes` holds `S_1 … S_{2t}` (as produced by a
     /// [`SlicedSyndromePlan`]); `full_syndrome` is `H·rᵀ` with bit `u` =
     /// syndrome row `u`, guaranteed nonzero by the caller (zero-syndrome
-    /// lanes never reach the fallback).
+    /// lanes never reach the residual stage).
     fn decode_action(&self, power_syndromes: &[u16], full_syndrome: u128) -> AlgebraicAction;
 }
 

@@ -516,7 +516,10 @@ impl AlgebraicDecode for Bch {
     /// at the flips` (equivalent because `H·(r + e)ᵀ = H·rᵀ + H·eᵀ`).
     fn decode_action(&self, power_syndromes: &[u16], full_syndrome: u128) -> AlgebraicAction {
         debug_assert_eq!(power_syndromes.len(), 2 * self.decode_t);
-        debug_assert_ne!(full_syndrome, 0, "clean lanes never reach the fallback");
+        debug_assert_ne!(
+            full_syndrome, 0,
+            "clean lanes never reach the residual stage"
+        );
         if power_syndromes.iter().all(|&s| s == 0) {
             return AlgebraicAction::Detected;
         }

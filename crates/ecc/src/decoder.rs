@@ -65,45 +65,26 @@ pub enum SyndromeClass {
     /// rather than looked up per column, and the set of correctable syndromes
     /// is far too large to tabulate (`Σ C(n,i)` for `i ≤ t`).
     ///
-    /// Batch engines handle this class by accumulating the syndrome
-    /// bit-slices per limb exactly as for [`SyndromeClass::ColumnFlip`]
-    /// (keeping the clean-limb short-circuit), then falling back to the
-    /// scalar decoder on the rare *dirty* lanes only — the expected cost per
-    /// limb stays near the all-clean XOR cost in Monte-Carlo traffic.
+    /// Batch engines match the `n` columns of `H` exactly as for
+    /// [`SyndromeClass::ColumnFlip`] (a single error is the decoder's
+    /// answer to a column syndrome), then run the algebra — from power
+    /// syndromes accumulated bit-sliced across the limb — only on the dirty
+    /// lanes no column matched (see `ecc::AlgebraicDecode`).
     Algebraic,
     /// Iterative message-passing decoding (e.g. LDPC bit flipping): the
     /// correction emerges from repeated whole-word check/flip rounds, not
-    /// from a per-syndrome lookup or a locator polynomial. Batch engines run
-    /// the *same synchronous schedule bit-sliced* — each round is whole-limb
-    /// AND/XOR/majority work shared by 64 lanes — so even all-dirty limbs
-    /// never leave the sliced domain (see `ecc::IterativeDecode`).
+    /// from a per-syndrome lookup or a locator polynomial. Batch engines
+    /// match the `n` columns of `H` first, then run the *same synchronous
+    /// schedule bit-sliced* on the lanes no column matched — each round is
+    /// whole-limb AND/XOR/majority work shared by 64 lanes — so even
+    /// all-dirty limbs never leave the sliced domain (see
+    /// `ecc::IterativeDecode`).
     Iterative,
     /// Any other coset-invariant map (e.g. majority-vote repetition decoding,
     /// whose corrections flip several bits at once). Batch engines must
     /// interrogate the decoder once per syndrome value, which is only
     /// tractable for small `n - k`.
     General,
-}
-
-impl SyndromeClass {
-    /// Whether a batch engine may compile this decoder into a
-    /// *direct-dispatch* kernel for the given redundancy `r = n − k`:
-    /// syndrome bytes index a `2^r`-entry action table directly instead of
-    /// walking matcher entries.
-    ///
-    /// Eligible when the full syndrome→action map is tabulated at
-    /// construction — [`SyndromeClass::ColumnFlip`] and
-    /// [`SyndromeClass::General`] with `r ≤ 8` (so the table has at most 256
-    /// entries and a syndrome fits one byte). [`SyndromeClass::Algebraic`]
-    /// and [`SyndromeClass::Iterative`] decoders compute corrections instead
-    /// of looking them up, so they are never eligible regardless of `r`.
-    #[must_use]
-    pub fn direct_dispatch_eligible(self, redundancy: usize) -> bool {
-        match self {
-            SyndromeClass::ColumnFlip | SyndromeClass::General => redundancy <= 8,
-            SyndromeClass::Algebraic | SyndromeClass::Iterative => false,
-        }
-    }
 }
 
 /// Result of decoding one received word.

@@ -3,14 +3,13 @@
 //! [`BitSlice64`](crate::BitSlice64) stores batches as `u64` limbs — 64
 //! messages per word. The batch decode kernels in `sfq-batch` want to chew
 //! through *several* of those words per reduction step: one AND/XNOR over a
-//! `u128` limb processes 128 messages, and a 4-word software-SIMD limb
-//! processes 256 (lowered to vector instructions by the backend). The
-//! [`Limb`] trait is the abstraction those kernels are generic over: a fixed
-//! number of consecutive `u64` words loaded, combined with bitwise ops, and
-//! stored back. Implementations for `u64` and `u128` live here; wider
-//! software-SIMD limbs live next to the kernels that use them (e.g. the
-//! 256-bit limb in `sfq-batch`'s kernel module) and only need to implement
-//! this trait.
+//! 4-word software-SIMD limb processes 256 messages (lowered to vector
+//! instructions by the backend). The [`Limb`] trait is the abstraction those
+//! kernels are generic over: a fixed number of consecutive `u64` words
+//! loaded, combined with bitwise ops, and stored back. The one-word `u64`
+//! implementation lives here; wider software-SIMD limbs live next to the
+//! kernels that use them (the 256-bit limb in `sfq-batch`'s kernel module)
+//! and only need to implement this trait.
 //!
 //! The transpose primitives serve the *direct-dispatch* kernels for codes
 //! with redundancy `r ≤ 8`: per `u64` limb, the `r` syndrome bit-slices are
@@ -18,15 +17,13 @@
 //! bit-matrix transpose, applied blockwise), which then indexes a 256-entry
 //! action table directly — no per-entry pattern matching at all.
 
-use crate::LIMB_BITS;
-
 /// A decode-kernel limb: [`Self::WORDS`] consecutive `u64` words of a
 /// [`BitSlice64`](crate::BitSlice64) lane, combined with bitwise operations.
 ///
 /// All operations are lane-wise (no carries cross word boundaries), so a
 /// kernel written against `Limb` produces bit-identical results at every
-/// width — the property the workspace's forced-dispatch equivalence suite
-/// asserts exhaustively.
+/// width — the property the workspace's batch equivalence suite checks
+/// against the scalar decoders.
 pub trait Limb: Copy + Eq {
     /// Number of consecutive `u64` words this limb covers.
     const WORDS: usize;
@@ -121,58 +118,6 @@ impl Limb for u64 {
     #[inline]
     fn count_ones(self) -> u32 {
         u64::count_ones(self)
-    }
-}
-
-impl Limb for u128 {
-    const WORDS: usize = 2;
-    const ZERO: Self = 0;
-
-    #[inline]
-    fn load(words: &[u64]) -> Self {
-        u128::from(words[0]) | (u128::from(words[1]) << LIMB_BITS)
-    }
-
-    #[inline]
-    fn store(self, words: &mut [u64]) {
-        words[0] = self as u64;
-        words[1] = (self >> LIMB_BITS) as u64;
-    }
-
-    #[inline]
-    fn xor_into(self, words: &mut [u64]) {
-        words[0] ^= self as u64;
-        words[1] ^= (self >> LIMB_BITS) as u64;
-    }
-
-    #[inline]
-    fn and(self, other: Self) -> Self {
-        self & other
-    }
-
-    #[inline]
-    fn or(self, other: Self) -> Self {
-        self | other
-    }
-
-    #[inline]
-    fn xor(self, other: Self) -> Self {
-        self ^ other
-    }
-
-    #[inline]
-    fn not(self) -> Self {
-        !self
-    }
-
-    #[inline]
-    fn is_zero(self) -> bool {
-        self == 0
-    }
-
-    #[inline]
-    fn count_ones(self) -> u32 {
-        u128::count_ones(self)
     }
 }
 
@@ -313,54 +258,44 @@ mod tests {
     }
 
     #[test]
-    fn u64_and_u128_limbs_roundtrip_loads_and_stores() {
-        let words = lcg_words(4, 1);
+    fn u64_limb_roundtrips_loads_and_stores() {
+        let words = lcg_words(2, 1);
         let a = <u64 as Limb>::load(&words);
         assert_eq!(a, words[0]);
-        let b = <u128 as Limb>::load(&words);
-        assert_eq!(b, u128::from(words[0]) | (u128::from(words[1]) << 64));
         let mut out = vec![0u64; 2];
-        b.store(&mut out);
-        assert_eq!(out, &words[..2]);
-        b.xor_into(&mut out);
+        a.store(&mut out);
+        assert_eq!(out, vec![words[0], 0]);
+        a.xor_into(&mut out);
         assert_eq!(out, vec![0, 0]);
     }
 
     #[test]
     fn limb_bit_ops_match_word_ops() {
-        let w = lcg_words(4, 7);
-        let (a, b) = (<u128 as Limb>::load(&w[..2]), <u128 as Limb>::load(&w[2..]));
-        let mut and = vec![0u64; 2];
-        a.and(b).store(&mut and);
-        assert_eq!(and, vec![w[0] & w[2], w[1] & w[3]]);
-        let mut or = vec![0u64; 2];
-        a.or(b).store(&mut or);
-        assert_eq!(or, vec![w[0] | w[2], w[1] | w[3]]);
-        let mut xor = vec![0u64; 2];
-        a.xor(b).store(&mut xor);
-        assert_eq!(xor, vec![w[0] ^ w[2], w[1] ^ w[3]]);
+        let w = lcg_words(2, 7);
+        let (a, b) = (<u64 as Limb>::load(&w), <u64 as Limb>::load(&w[1..]));
+        assert_eq!(Limb::and(a, b), w[0] & w[1]);
+        assert_eq!(Limb::or(a, b), w[0] | w[1]);
+        assert_eq!(Limb::xor(a, b), w[0] ^ w[1]);
         assert_eq!(
-            a.not().count_ones() + a.count_ones(),
-            128,
+            Limb::count_ones(Limb::not(a)) + Limb::count_ones(a),
+            64,
             "complement partitions the bits"
         );
-        assert!(<u128 as Limb>::ZERO.is_zero());
+        assert!(<u64 as Limb>::ZERO.is_zero());
         assert!(!a.is_zero());
     }
 
     #[test]
     fn wide_reduces_match_scalar_reduces() {
+        // The width-generic reductions at `u64` agree with the scalar ones.
         use crate::{and_xnor_reduce, or_reduce};
-        let words = lcg_words(10, 99);
-        let scalar: Vec<u64> = words.iter().step_by(2).copied().collect();
-        let wide: Vec<u128> = words.chunks(2).map(<u128 as Limb>::load).collect();
-        assert_eq!(or_reduce_limb(&wide) as u64, or_reduce(&scalar));
+        let words = lcg_words(5, 99);
+        assert_eq!(or_reduce_limb(&words), or_reduce(&words));
         for pattern in [0u128, 0b10110, 0b01101, 0b11111] {
-            let got = and_xnor_reduce_limb(u128::MAX, &wide, pattern);
             assert_eq!(
-                got as u64,
-                and_xnor_reduce(u64::MAX, &scalar, pattern),
-                "pattern {pattern:b} low words"
+                and_xnor_reduce_limb(u64::MAX, &words, pattern),
+                and_xnor_reduce(u64::MAX, &words, pattern),
+                "pattern {pattern:b}"
             );
         }
     }

@@ -32,7 +32,7 @@ use ecc::{BatchDecode, BatchDecoded, BatchEncode, BatchScratch};
 use gf2::BitSlice64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sfq_batch::{BatchCodec, KernelEnvError, KernelKind};
+use sfq_batch::BatchCodec;
 use std::collections::VecDeque;
 
 /// Full configuration of one service run. Every field participates in the
@@ -253,19 +253,6 @@ impl StreamMetrics {
 pub struct ScrubService;
 
 impl ScrubService {
-    /// Validates environment configuration a long-running service must not
-    /// start with. Codec construction itself degrades gracefully (bad
-    /// `SFQ_BATCH_KERNEL` falls back to auto with a warning); a service
-    /// entry point should call this first and refuse to start instead, so
-    /// the operator sees the config error at deploy time rather than a
-    /// warning in a log nobody reads.
-    ///
-    /// # Errors
-    /// Returns the parse error of an invalid `SFQ_BATCH_KERNEL` value.
-    pub fn check_environment() -> Result<(), KernelEnvError> {
-        KernelKind::from_env().map(|_| ())
-    }
-
     /// Runs one complete service scenario: arrivals for
     /// `config.total_cycles` cycles under the fault script, then drain.
     ///
@@ -281,9 +268,6 @@ impl ScrubService {
         );
         assert!(config.batch_messages > 0, "empty batches make no progress");
         assert!(config.coalesce >= 1 && config.widened_coalesce >= config.coalesce);
-        if let Err(error) = Self::check_environment() {
-            eprintln!("warning: scrub service starting with invalid env: {error}");
-        }
 
         let metrics = StreamMetrics::new();
         let job_queues: Vec<BoundedQueue<ExecJob>> = (0..config.threads)

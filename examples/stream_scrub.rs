@@ -11,7 +11,6 @@ fn banner(title: &str) {
 }
 
 fn main() {
-    ScrubService::check_environment().expect("SFQ_BATCH_KERNEL must be valid");
     let nominal = StreamConfig::nominal();
     println!(
         "scrub service: SEC-DED(m={}), {} messages/batch, {} shards, {} workers, \

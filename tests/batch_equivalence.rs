@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sfq_ecc::batch::{BatchCodec, KernelKind};
+use sfq_ecc::batch::BatchCodec;
 use sfq_ecc::ecc::{
     validate_code_matrices, BatchDecode, BatchEncode, BchSpec, BlockCode, DecodeOutcome, Decoded,
     Hamming74, Hamming84, HardDecoder, Repetition, Rm13, SecDed, ShortenedHamming, SyndromeClass,
@@ -266,8 +266,8 @@ fn assert_batch_matches_scalar_on<C: BlockCode + HardDecoder>(code: &C, received
 }
 
 /// Word-for-word scalar-vs-batch agreement through a caller-built codec
-/// (algebraic codes need [`BatchCodec::with_scalar_fallback`] instead of
-/// the plain constructor).
+/// (algebraic and iterative codes need their own constructors instead of
+/// the plain one).
 fn assert_codec_matches_scalar_on<C: BlockCode + HardDecoder>(
     codec: &BatchCodec,
     code: &C,
@@ -766,165 +766,146 @@ proptest! {
 /// both full 256-bit chunks *and* a ragged `u64` remainder.
 const RAGGED_BATCH_SIZES: [usize; 7] = [1, 63, 64, 65, 130, 257, 320];
 
-/// Every kernel override the dispatch layer accepts, reference first.
-const FORCED_KERNELS: [KernelKind; 4] = [
-    KernelKind::Auto,
-    KernelKind::U128,
-    KernelKind::Wide256,
-    KernelKind::Direct,
-];
-
-/// Decodes dense random noise plus guaranteed clean/single-error words
-/// through the reference `scalar-u64` walk and through every forced kernel,
-/// and demands bit-identical output — messages, codewords, flag masks, and
-/// correction masks — at every ragged batch size.
-fn assert_every_kernel_matches_the_scalar_walk<C>(code: &C, seed: u64)
-where
-    C: BlockCode + HardDecoder,
-{
+/// Decodes a mostly-clean batch (one dirty lane in 16) and an all-dirty
+/// batch of `code` at every ragged batch size through `codec`, word for word
+/// against the scalar decoder. Dirty lanes get `1..=max_weight` random
+/// flips, or dense random noise at every index ≡ 6 (mod 7). The two
+/// densities between them run every column-stage kernel tier: `direct8`'s
+/// sparse path on the mostly-clean batch, its dense and partition paths on
+/// the all-dirty one, and the walks on ragged and full 256-bit chunks.
+fn assert_sweep_matches_scalar<C: BlockCode + HardDecoder>(
+    codec: &BatchCodec,
+    code: &C,
+    max_weight: usize,
+    seed: u64,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     for batch_size in RAGGED_BATCH_SIZES {
-        let mut words: Vec<BitVec> = (0..batch_size)
-            .map(|_| {
-                (0..code.n())
-                    .map(|_| rng.random::<u64>() & 1 == 1)
-                    .collect()
-            })
-            .collect();
-        // Guarantee the accept and single-correction arms are present even
-        // at tiny batch sizes.
-        let msg: BitVec = (0..code.k())
-            .map(|_| rng.random::<u64>() & 1 == 1)
-            .collect();
-        let cw = code.encode(&msg);
-        words[0] = cw.clone();
-        if batch_size > 1 {
-            let mut single = cw.clone();
-            single.flip(rng.random_range(0..code.n()));
-            words[1] = single;
-        }
-        let batch = BitSlice64::pack(&words);
-        let reference = BatchCodec::new(code)
-            .with_kernel(KernelKind::ScalarU64)
-            .decode_batch(&batch);
-        for kind in FORCED_KERNELS {
-            let decoded = BatchCodec::new(code).with_kernel(kind).decode_batch(&batch);
-            let label = format!("{} {kind:?} batch {batch_size}", code.name());
-            assert_eq!(decoded.messages, reference.messages, "{label}: messages");
-            assert_eq!(decoded.codewords, reference.codewords, "{label}: codewords");
-            assert_eq!(decoded.flagged, reference.flagged, "{label}: flag mask");
-            assert_eq!(
-                decoded.corrected, reference.corrected,
-                "{label}: correction mask"
-            );
-        }
-    }
-}
-
-/// The forced-dispatch equivalence sweep over the whole catalog: every code
-/// × every kernel override × every ragged batch size must be bit-identical
-/// to the reference scalar walk. This is the proof that lets the dispatch
-/// layer pick kernels freely.
-#[test]
-fn every_catalog_code_decodes_identically_under_every_forced_kernel() {
-    assert_every_kernel_matches_the_scalar_walk(&Hamming74::new(), 0xD15_0001);
-    assert_every_kernel_matches_the_scalar_walk(&Hamming84::new(), 0xD15_0002);
-    assert_every_kernel_matches_the_scalar_walk(&Rm13::new(), 0xD15_0003);
-    assert_every_kernel_matches_the_scalar_walk(&Repetition::new(4, 2), 0xD15_0004);
-    assert_every_kernel_matches_the_scalar_walk(&Repetition::new(2, 3), 0xD15_0005);
-    assert_every_kernel_matches_the_scalar_walk(&Uncoded::new(4), 0xD15_0006);
-    for m in 3..=6 {
-        assert_every_kernel_matches_the_scalar_walk(&SecDed::new(m), 0xD15_0010 + m as u64);
-    }
-    assert_every_kernel_matches_the_scalar_walk(&ShortenedHamming::wide_85_64(), 0xD15_0020);
-}
-
-/// The kernel override must not change the algebraic engine's output: for
-/// every BCH registry member, the sliced codec produces bit-identical
-/// results under every forced kernel, and all of them agree with the
-/// scalar-fallback engine (which re-derives each dirty lane from scratch
-/// through the `ecc` decoder). Error weights run up to `radius + 1`, so the
-/// flag path of each member is exercised too.
-#[test]
-fn bch_sliced_engines_are_kernel_invariant_and_match_the_scalar_fallback() {
-    for (s, spec) in BchSpec::REGISTRY.into_iter().enumerate() {
-        let code = sfq_ecc::ecc::Bch::from_spec(spec);
-        let mut rng = StdRng::seed_from_u64(0xBC43_2001 + s as u64);
-        for batch_size in RAGGED_BATCH_SIZES {
+        for dirty_every in [16, 1] {
             let words: Vec<BitVec> = (0..batch_size)
                 .map(|i| {
                     let msg: BitVec = (0..code.k())
                         .map(|_| rng.random::<u64>() & 1 == 1)
                         .collect();
                     let mut w = code.encode(&msg);
-                    for _ in 0..(i % (spec.decode_radius as usize + 2)) {
-                        w.flip(rng.random_range(0..code.n()));
+                    if i % dirty_every == 0 && i % 7 == 6 {
+                        w = (0..code.n())
+                            .map(|_| rng.random::<u64>() & 1 == 1)
+                            .collect();
+                    } else if i % dirty_every == 0 {
+                        for _ in 0..=(i % max_weight) {
+                            w.flip(rng.random_range(0..code.n()));
+                        }
                     }
                     w
                 })
                 .collect();
-            let batch = BitSlice64::pack(&words);
-            let reference = BatchCodec::with_scalar_fallback(&code, code.n()).decode_batch(&batch);
-            for kind in [KernelKind::ScalarU64].into_iter().chain(FORCED_KERNELS) {
-                let decoded = BatchCodec::bch_spec(spec)
-                    .with_kernel(kind)
-                    .decode_batch(&batch);
-                let label = format!("{} {kind:?} batch {batch_size}", spec.name());
-                assert_eq!(decoded.messages, reference.messages, "{label}: messages");
-                assert_eq!(decoded.codewords, reference.codewords, "{label}: codewords");
-                assert_eq!(decoded.flagged, reference.flagged, "{label}: flag mask");
-                assert_eq!(
-                    decoded.corrected, reference.corrected,
-                    "{label}: correction mask"
-                );
-            }
+            assert_codec_matches_scalar_on(codec, code, &words);
         }
     }
 }
 
-/// The bit-flip engine through the same contract: LDPC(60,32) words with
-/// 0–3 seeded flips plus dense random noise decode identically through
-/// every forced kernel override, and agree word for word with the scalar
-/// `HardDecoder` (the same synchronous schedule and iteration cap, so the
-/// agreement is exact — including non-convergent words, which both paths
-/// must flag).
+/// The scalar decoder is the one oracle for the table-lookup codes: every
+/// coded `ColumnFlip` catalog member, the General-class repetition codes
+/// (including the r = 10 `Repetition(5,3)`, whose walk applies multi-bit
+/// flips), and the r = 0 uncoded link, through [`BatchCodec::new`] at every
+/// ragged batch size.
+#[test]
+fn table_lookup_codes_match_the_scalar_decoder_at_ragged_batch_sizes() {
+    fn sweep<C: BlockCode + HardDecoder>(code: &C, seed: u64) {
+        assert_sweep_matches_scalar(&BatchCodec::new(code), code, 3, seed);
+    }
+    sweep(&Hamming74::new(), 0xD15_0001);
+    sweep(&Hamming84::new(), 0xD15_0002);
+    sweep(&Rm13::new(), 0xD15_0003);
+    sweep(&Repetition::new(4, 2), 0xD15_0004);
+    sweep(&Repetition::new(2, 3), 0xD15_0005);
+    sweep(&Repetition::new(5, 3), 0xD15_0006);
+    sweep(&Uncoded::new(4), 0xD15_0007);
+    for m in 3..=6 {
+        sweep(&SecDed::new(m), 0xD15_0010 + m as u64);
+    }
+    sweep(&ShortenedHamming::wide_85_64(), 0xD15_0020);
+}
+
+/// Every BCH registry member through its sliced codec at every ragged batch
+/// size, word for word against the scalar decoder. Error weights run up to
+/// `radius + 1`, so each member's flag path runs too.
+#[test]
+fn bch_registry_matches_the_scalar_decoder_at_ragged_batch_sizes() {
+    for (s, spec) in BchSpec::REGISTRY.into_iter().enumerate() {
+        let code = sfq_ecc::ecc::Bch::from_spec(spec);
+        let radius = spec.decode_radius as usize;
+        assert_sweep_matches_scalar(
+            &BatchCodec::bch_spec(spec),
+            &code,
+            radius + 1,
+            0xBC43_2001 + s as u64,
+        );
+    }
+}
+
+/// The bit-flip engine behind the shared column stage: LDPC(60,32) words
+/// with 1–3 seeded flips plus dense random noise agree word for word with
+/// the scalar `HardDecoder` (the same synchronous schedule and iteration
+/// cap, so the agreement is exact — including non-convergent words, which
+/// both paths must flag). The ragged sizes run the column stage on both
+/// walks, `walk-u64` below four limb words and `walk-w256` from there, so
+/// the engine's output does not depend on the kernel.
 #[test]
 fn ldpc_bit_flip_engine_is_kernel_invariant_and_matches_scalar_decode() {
     let code = sfq_ecc::ecc::Ldpc::gallager_60_32();
-    let mut rng = StdRng::seed_from_u64(0xBC43_2002);
-    for batch_size in RAGGED_BATCH_SIZES {
-        let words: Vec<BitVec> = (0..batch_size)
-            .map(|i| {
-                if i % 5 == 4 {
-                    // Dense random noise: exercises the non-convergence flag.
-                    return (0..code.n())
-                        .map(|_| rng.random::<u64>() & 1 == 1)
-                        .collect();
-                }
-                let msg: BitVec = (0..code.k())
-                    .map(|_| rng.random::<u64>() & 1 == 1)
-                    .collect();
-                let mut w = code.encode(&msg);
-                for _ in 0..(i % 4) {
-                    w.flip(rng.random_range(0..code.n()));
-                }
-                w
-            })
-            .collect();
-        assert_codec_matches_scalar_on(&BatchCodec::ldpc(), &code, &words);
-        let batch = BitSlice64::pack(&words);
-        let reference = BatchCodec::ldpc()
-            .with_kernel(KernelKind::ScalarU64)
-            .decode_batch(&batch);
-        for kind in FORCED_KERNELS {
-            let decoded = BatchCodec::ldpc().with_kernel(kind).decode_batch(&batch);
-            let label = format!("ldpc {kind:?} batch {batch_size}");
-            assert_eq!(decoded.messages, reference.messages, "{label}: messages");
-            assert_eq!(decoded.codewords, reference.codewords, "{label}: codewords");
-            assert_eq!(decoded.flagged, reference.flagged, "{label}: flag mask");
+    let codec = BatchCodec::ldpc();
+    let kernels: std::collections::BTreeSet<String> = RAGGED_BATCH_SIZES
+        .iter()
+        .map(|&lanes| codec.selected_kernel_name(lanes))
+        .collect();
+    assert_eq!(
+        kernels,
+        ["walk-u64+bit-flip", "walk-w256+bit-flip"]
+            .map(String::from)
+            .into()
+    );
+    assert_sweep_matches_scalar(&codec, &code, 3, 0xBC43_2002);
+}
+
+/// Every column-stage kernel is reached by an input shape the sweeps above
+/// decode: the code's redundancy picks direct dispatch (`r ≤ 8`) or the
+/// walk, and the batch length picks the walk width (fewer than four limb
+/// words run the one-word walk). Algebraic and iterative codecs name their
+/// residual stage too.
+#[test]
+fn selected_kernel_names_follow_the_code_and_batch_shape() {
+    let same = |name: &str| -> [String; 3] { std::array::from_fn(|_| name.to_owned()) };
+    let walk = |residual: &str| {
+        let small = format!("walk-u64{residual}");
+        [small.clone(), small, format!("walk-w256{residual}")]
+    };
+    let cases: Vec<(BatchCodec, [String; 3])> = vec![
+        (BatchCodec::hamming74(), same("direct4")),
+        (BatchCodec::hamming84(), same("direct4")),
+        (BatchCodec::rm13(), same("direct4")),
+        (BatchCodec::repetition(4, 2), same("direct4")),
+        (BatchCodec::repetition(2, 3), same("direct4")),
+        (BatchCodec::sec_ded(3), same("direct8")),
+        (BatchCodec::sec_ded(4), same("direct8")),
+        (BatchCodec::sec_ded(5), same("direct8")),
+        (BatchCodec::sec_ded(6), same("direct8")),
+        (BatchCodec::wide_hamming_85_64(), walk("")),
+        (BatchCodec::repetition(5, 3), walk("")),
+        (BatchCodec::bch(), walk("+sliced")),
+        (BatchCodec::bch_63_51(), walk("+sliced")),
+        (BatchCodec::bch_63_45(), walk("+sliced")),
+        (BatchCodec::ldpc(), walk("+bit-flip")),
+        (BatchCodec::uncoded(4), same("none")),
+    ];
+    for (codec, expected) in cases {
+        for (lanes, name) in [64, 192, 4096].into_iter().zip(expected) {
             assert_eq!(
-                decoded.corrected, reference.corrected,
-                "{label}: correction mask"
+                codec.selected_kernel_name(lanes),
+                name,
+                "{} at {lanes} lanes",
+                codec.name()
             );
         }
     }

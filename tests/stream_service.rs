@@ -194,10 +194,3 @@ fn fault_soak_holds_the_contract_with_no_silent_loss() {
     assert!(report.flagged_rescrub > 0, "burst casualties were flagged");
     assert!(report.corrected > 0, "single flips were corrected");
 }
-
-#[test]
-fn kernel_environment_is_validated_at_startup() {
-    // The service's startup check consumes the Result-returning env parse
-    // (the batch crate no longer panics on bad values).
-    ScrubService::check_environment().expect("test env has no kernel override");
-}
