@@ -15,7 +15,7 @@
 //!   the uninstrumented decode rate (measured in-process via the
 //!   `sfq_telemetry::set_recording` kill-switch).
 
-use bench::{banner_with_fingerprint, Fingerprint};
+use bench::{banner_with_fingerprint, write_artifact, Fingerprint};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use cryolink::{BatchLink, BatchLinkContext, ChannelConfig, LinkScratch};
 use ecc::{BatchDecode, BatchDecoded, BatchEncode, BatchScratch};
@@ -25,7 +25,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sfq_batch::BatchCodec;
 use sfq_sim::FaultMap;
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// CI throughput floor for SEC-DED(72,64) batch decode (messages/second),
@@ -358,13 +357,10 @@ fn bench_batch_decode(c: &mut Criterion) {
     let measurements = measure(quick, &fingerprint);
 
     if !quick {
-        let json = render_json(&measurements, &fingerprint);
-        let out = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("..")
-            .join("..")
-            .join("BENCH_batch.json");
-        std::fs::write(&out, &json).expect("write BENCH_batch.json");
-        println!("wrote {} ({} bytes)", out.display(), json.len());
+        write_artifact(
+            "BENCH_batch.json",
+            &render_json(&measurements, &fingerprint),
+        );
     }
 
     // The committed floor is *enforced* only by the dedicated `--quick` CI

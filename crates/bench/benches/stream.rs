@@ -16,10 +16,9 @@
 //!   soak-mix at 1.0× (must hold zero deadline misses) and 1.5× (backlog
 //!   must stay bounded and drain). Also writes `BENCH_stream.json`.
 
-use bench::banner_with_fingerprint;
+use bench::{banner_with_fingerprint, write_artifact};
 use sfq_stream::{FaultScript, ScrubService, StreamConfig, StreamReport};
 use sfq_telemetry::Fingerprint;
-use std::path::PathBuf;
 
 /// CI throughput floor (messages/second) for the nominal intensity in
 /// `--quick` mode — the ISSUE's ≥ 1e7 msg/s service-rate bar. Measured
@@ -84,15 +83,6 @@ fn render_json(rows: &[(&'static str, u64, StreamReport)], fingerprint: &Fingerp
         fingerprint.to_json(),
         intensities.join(",\n")
     )
-}
-
-fn write_artifact(json: &str) {
-    let out = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_stream.json");
-    std::fs::write(&out, json).expect("write BENCH_stream.json");
-    println!("wrote {} ({} bytes)", out.display(), json.len());
 }
 
 fn print_row(slug: &str, report: &StreamReport) {
@@ -210,6 +200,6 @@ fn main() {
     }
 
     if !quick {
-        write_artifact(&render_json(&rows, &fingerprint));
+        write_artifact("BENCH_stream.json", &render_json(&rows, &fingerprint));
     }
 }

@@ -6,6 +6,7 @@
 //! Pareto sweep) so CI and the roadmap can track cost regressions
 //! numerically.
 
+use bench::write_artifact;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ecc::BlockCode;
 use encoders::{EncoderDesign, EncoderKind};
@@ -13,7 +14,6 @@ use sfq_cells::CellLibrary;
 use sfq_netlist::pass::Schedule;
 use sfq_netlist::NetlistStats;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// Slack range of the emitted Pareto sweep (matches the golden fingerprint
 /// file `tests/golden/pareto_front.txt`).
@@ -115,13 +115,7 @@ fn synth_report_json() -> String {
 }
 
 fn bench_synth(c: &mut Criterion) {
-    let json = synth_report_json();
-    let out = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_synth.json");
-    std::fs::write(&out, &json).expect("write BENCH_synth.json");
-    println!("wrote {} ({} bytes)", out.display(), json.len());
+    write_artifact("BENCH_synth.json", &synth_report_json());
 
     let code = ecc::SecDed::new(6);
     c.bench_function("synth/pipeline_secded_72_64", |b| {

@@ -27,3 +27,18 @@ pub fn banner_with_fingerprint(title: &str, fingerprint: &Fingerprint) {
     println!("  {}", fingerprint.line());
     println!("================================================================");
 }
+
+/// Writes a `BENCH_*.json` artifact to the workspace root. The document is
+/// checked with [`sfq_telemetry::json::validate`] first, so a malformed
+/// artifact panics instead of reaching disk.
+pub fn write_artifact(file_name: &str, json: &str) {
+    if let Err(e) = sfq_telemetry::json::validate(json) {
+        panic!("{file_name} is not valid JSON: {e}");
+    }
+    let out = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("..")
+        .join("..")
+        .join(file_name);
+    std::fs::write(&out, json).unwrap_or_else(|e| panic!("write {file_name}: {e}"));
+    println!("wrote {} ({} bytes)", out.display(), json.len());
+}

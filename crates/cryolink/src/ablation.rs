@@ -10,7 +10,7 @@
 //!   versus any-wrong counting (no retransmission path);
 //! * [`channel_noise_sweep`] — adding receiver noise on the cryo cable, which
 //!   shifts errors from PPV-induced to channel-induced and shows the coding
-//!   gain of each encoder in the regime reference [14] targets.
+//!   gain of each encoder in the regime reference \[14\] targets.
 
 use crate::channel::ChannelConfig;
 use crate::montecarlo::{ErrorCounting, Fig5Experiment};

@@ -22,12 +22,63 @@
 //! that *some* junction of a cell leaves its margin grows with the number of
 //! junctions, encoders with more JJs fail more often — the physical-size
 //! versus code-strength trade-off that Fig. 5 of the paper demonstrates.
+//!
+//! # Exactness contract
+//!
+//! [`PpvModel::sample_chip`] is the model written with `powf`, reproduced
+//! bit for bit: for a given RNG state it makes the same draws in the same
+//! order, and every stored bit — each `activation_failure_prob`, failure
+//! mode, and count — equals what the loop `survive *= 1.0 - (m *
+//! stress.powf(12.0)).min(1.0)` produces (`m` is
+//! [`PpvModel::marginal_failure_prob`]). `powf` costs more than the rest of
+//! the sampler, so each junction's survival factor is first formed from
+//! `q̂ = m·s¹²` with `s¹² = (s⁴)³` by repeated squaring. For `q̂ ≤ ¼`,
+//! Fast2Sum gives `hi = 1 − q̂` and its exact residual `lo`, and `hi` is
+//! kept when `|lo| + 10⁻¹³·q̂ < 2⁻⁵⁴`, half the spacing of doubles in
+//! `[½, 1)`; otherwise the `powf` expression runs. The squaring chain, the
+//! two products with `m`, and a `pow` accurate to 1 ulp put `q̂` within
+//! 15·2⁻⁵³ ≈ 1.7·10⁻¹⁵ (about 8 ulps) of the `powf` model's `q`, relative,
+//! so the `10⁻¹³` margin is about 60× that gap: the exact `1 − q` then
+//! lies less than 2⁻⁵⁴ from `hi` and rounds to it. When `s¹²` falls below
+//! the normal range the relative bound does not hold, but then both `q̂`
+//! and `q` are far below 2⁻⁵⁴ and both factors are exactly 1. About 97 %
+//! of factors at paper defaults are certified; the rest (large stresses
+//! and near-ties) take the `powf` path.
 
 use crate::fault::{CellFault, FailureMode, FaultMap};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sfq_cells::{CellLibrary, MarginSpec, ParameterClass};
 use sfq_netlist::{Netlist, NodeKind};
+
+/// Exponent of the intermittent-failure law `q = m·stress¹²`: how quickly
+/// a junction's malfunction probability falls off below its threshold
+/// (larger = only near-critical junctions misbehave). The certified path
+/// of [`certified_survival_factor`] computes this power as `(s⁴)³`.
+const STRESS_EXPONENT: f64 = 12.0;
+
+/// Relative gap allowed between the squaring chain's `q̂` and the `powf`
+/// model's `q` when certifying a survival factor (see the module docs).
+const CERTIFY_REL: f64 = 1e-13;
+
+/// Half the spacing of doubles in `[½, 1)`: `2⁻⁵⁴`.
+const HALF_ULP_BELOW_ONE: f64 = f64::EPSILON / 4.0;
+
+/// One junction parameter's survival factor `1 − min(m·s¹², 1)`, computed
+/// by squaring when its rounding is certified to equal `1.0 - (m *
+/// s.powf(12.0)).min(1.0)`; `None` means not certified.
+fn certified_survival_factor(m: f64, stress: f64) -> Option<f64> {
+    let s2 = stress * stress;
+    let s4 = s2 * s2;
+    let q = m * (s4 * s4 * s4);
+    if !(0.0..=0.25).contains(&q) {
+        return None;
+    }
+    // Fast2Sum (|1| ≥ |q|): `hi + lo` is exactly `1 − q`.
+    let hi = 1.0 - q;
+    let lo = (1.0 - hi) - q;
+    (lo.abs() + CERTIFY_REL * q < HALF_ULP_BELOW_ONE).then_some(hi)
+}
 
 /// Parameters of the PPV fault model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -43,10 +94,6 @@ pub struct PpvModel {
     /// Per-activation malfunction probability of a cell whose worst junction
     /// sits exactly at its critical threshold.
     pub marginal_failure_prob: f64,
-    /// Exponent shaping how quickly the intermittent-failure probability
-    /// falls off below the threshold (larger = only near-critical junctions
-    /// misbehave).
-    pub stress_exponent: f64,
     /// Global scale factor applied to every cell's margin envelope. This is
     /// the single calibration knob used to pin the uncoded 4-bit link to the
     /// paper's 80 % zero-error anchor point (see `cryolink::calibrate`);
@@ -72,7 +119,6 @@ impl PpvModel {
             spread: 0.20,
             margin_sigma: 0.10,
             marginal_failure_prob: 0.35,
-            stress_exponent: 12.0,
             spurious_fraction: 0.15,
             // Produced by `cargo run --release --example calibrate`: pins the
             // uncoded 4-bit link to the paper's 80.0 % zero-error anchor at
@@ -121,8 +167,9 @@ impl PpvModel {
                     hard_failed = true;
                 } else {
                     let stress = deviation / threshold;
-                    let q = self.marginal_failure_prob * stress.powf(self.stress_exponent);
-                    survive_prob *= 1.0 - q.min(1.0);
+                    let m = self.marginal_failure_prob;
+                    survive_prob *= certified_survival_factor(m, stress)
+                        .unwrap_or_else(|| 1.0 - (m * stress.powf(STRESS_EXPONENT)).min(1.0));
                 }
             }
         }
@@ -135,6 +182,12 @@ impl PpvModel {
 
     /// Samples one fabricated chip: a [`FaultMap`] for every cell of the
     /// netlist, using the per-cell JJ counts and margins of `library`.
+    ///
+    /// The draws are fixed: per junction and parameter class one deviation
+    /// and one threshold draw, then one failure-mode draw per faulty cell,
+    /// in netlist order. The result equals the `powf` formulation of the
+    /// model bit for bit (see the module docs' exactness contract), and so
+    /// does every Fig. 5 count built on it.
     pub fn sample_chip<R: Rng + ?Sized>(
         &self,
         netlist: &Netlist,
@@ -291,5 +344,98 @@ mod tests {
     fn paper_defaults_spread_is_twenty_percent() {
         let model = PpvModel::paper_defaults();
         assert!((model.spread - 0.20).abs() < 1e-12);
+    }
+
+    /// Asserts that every certified factor among `stresses` is bit-equal to
+    /// the `powf` formulation; returns how many were certified.
+    fn assert_certified_factors_exact(m: f64, stresses: impl IntoIterator<Item = f64>) -> usize {
+        let mut certified = 0;
+        for stress in stresses {
+            if let Some(factor) = certified_survival_factor(m, stress) {
+                assert_eq!(
+                    factor.to_bits(),
+                    (1.0 - (m * stress.powf(12.0)).min(1.0)).to_bits(),
+                    "certified factor differs from powf at stress {stress:e}"
+                );
+                certified += 1;
+            }
+        }
+        certified
+    }
+
+    #[test]
+    fn certified_factor_matches_powf_on_uniform_stresses() {
+        let m = PpvModel::paper_defaults().marginal_failure_prob;
+        let mut rng = StdRng::seed_from_u64(0x5eed_0012);
+        let trials = 1_000_000;
+        let certified = assert_certified_factors_exact(m, (0..trials).map(|_| rng.random::<f64>()));
+        // Stresses up to about 0.58 (q̂ below ~5e-4) certify.
+        assert!(
+            certified > trials / 2,
+            "only {certified} of {trials} uniform stresses certified"
+        );
+    }
+
+    #[test]
+    fn certified_factor_matches_powf_next_to_rounding_midpoints() {
+        // Aim m·s¹² at a midpoint (j + ½)·2⁻⁵³ between two doubles below 1,
+        // where `1 − q` is closest to a tie, then step `s` by ±1…8 ulps.
+        let m = PpvModel::paper_defaults().marginal_failure_prob;
+        let mut rng = StdRng::seed_from_u64(0x00d1_7a11);
+        let mut stresses = Vec::new();
+        for _ in 0..20_000 {
+            let bits = rng.random_range(1..=51u32);
+            let j = rng.random_range(0..1u64 << bits);
+            let midpoint = (j as f64 + 0.5) * (f64::EPSILON / 2.0);
+            let aimed = (midpoint / m).powf(1.0 / 12.0).to_bits();
+            for step in 1..=8 {
+                stresses.push(f64::from_bits(aimed + step));
+                stresses.push(f64::from_bits(aimed - step));
+            }
+        }
+        assert_certified_factors_exact(m, stresses);
+    }
+
+    #[test]
+    fn most_paper_default_stresses_take_the_certified_path() {
+        // Draw stresses the way `sample_cell` does, over the cells of the
+        // paper's Hamming(8,4) encoder (its netlist's cell counts).
+        const HAMMING_8_4_CELLS: [(CellKind, usize); 4] = [
+            (CellKind::Splitter, 23),
+            (CellKind::Dff, 8),
+            (CellKind::SfqToDc, 8),
+            (CellKind::Xor, 6),
+        ];
+        let model = PpvModel::paper_defaults();
+        let lib = CellLibrary::coldflux();
+        let mut rng = StdRng::seed_from_u64(0x0ce1_1500);
+        let (mut certified, mut total) = (0usize, 0usize);
+        for _ in 0..1_000 {
+            for (kind, count) in HAMMING_8_4_CELLS {
+                let params = lib.params(kind);
+                for _ in 0..count as u32 * params.jj_count {
+                    for class in ParameterClass::ALL {
+                        let deviation = rng.random_range(-model.spread..=model.spread).abs();
+                        let nominal_margin = params.margins.for_class(class) * model.margin_scale;
+                        let noise: f64 = rng.random_range(-1.0..=1.0);
+                        let threshold =
+                            (nominal_margin * (1.0 + model.margin_sigma * noise)).max(1e-6);
+                        if deviation < threshold {
+                            let stress = deviation / threshold;
+                            total += 1;
+                            certified += usize::from(
+                                certified_survival_factor(model.marginal_failure_prob, stress)
+                                    .is_some(),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        let share = certified as f64 / total as f64;
+        assert!(
+            share >= 0.95,
+            "only {certified} of {total} paper-default stresses certified ({share:.3})"
+        );
     }
 }

@@ -39,6 +39,17 @@ fn nominal_load_meets_the_latency_contract() {
     );
 }
 
+/// The stream report is one of the emitted artifacts (`BENCH_stream.json`
+/// embeds it), so it must pass the same JSON validator as the others.
+#[test]
+fn report_json_passes_the_artifact_validator() {
+    let report = ScrubService::run(&test_config(), &FaultScript::quiet());
+    let json = report.to_json("");
+    if let Err(e) = sfq_ecc::telemetry::json::validate(&json) {
+        panic!("stream report JSON is malformed: {e}\n{json}");
+    }
+}
+
 /// The acceptance throughput bar only means anything on an optimized
 /// build; tier-1 debug runs check the contract, the release leg checks the
 /// rate.

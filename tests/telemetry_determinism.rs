@@ -53,6 +53,29 @@ fn fig5_error_fingerprint(threads: usize) -> u64 {
 /// itself (not telemetry) intentionally changes.
 const FIG5_ERRORS_FNV: u64 = 0xf05e_74aa_1eda_9c25;
 
+/// Committed fingerprint of the per-chip error counts of all four paper
+/// designs (`EncoderKind::ALL`) through both Fig. 5 engines, the batched
+/// link and the pulse-level oracle. Chip sampling feeds both, so this pins
+/// every sampled fault map that reaches a counted message.
+const FIG5_PAPER_FNV: u64 = 0xc35d_d8b8_8d3b_1464;
+
+fn fig5_paper_fingerprint() -> u64 {
+    let library = CellLibrary::coldflux();
+    let experiment = experiment(2);
+    let mut counts = Vec::new();
+    for kind in EncoderKind::ALL {
+        let design = EncoderDesign::build(kind);
+        for curve in [
+            experiment.run_design_batched(&design, &library),
+            experiment.run_design(&design, &library),
+        ] {
+            assert_eq!(curve.errors_per_chip.len(), 40);
+            counts.extend(curve.errors_per_chip.iter().map(|&e| e as u64));
+        }
+    }
+    fnv1a(counts)
+}
+
 /// Committed fingerprint of the SEC-DED(72,64) batch-decode output below.
 const SECDED_DECODE_FNV: u64 = 0x1cbf_80f6_f8ae_c63b;
 
@@ -166,6 +189,17 @@ fn fig5_outputs_match_the_committed_fingerprint() {
         FIG5_ERRORS_FNV,
         "Fig. 5 per-chip error counts changed; if the simulation change is \
          intentional, update FIG5_ERRORS_FNV (and never because of telemetry)"
+    );
+}
+
+#[test]
+fn fig5_paper_designs_match_the_committed_fingerprint_in_both_engines() {
+    assert_eq!(
+        fig5_paper_fingerprint(),
+        FIG5_PAPER_FNV,
+        "Fig. 5 per-chip error counts of the paper designs changed; if the \
+         simulation change is intentional, update FIG5_PAPER_FNV (and never \
+         because of telemetry)"
     );
 }
 
