@@ -3,13 +3,11 @@
 //! When the whole syndrome space fits 256 values, the decoder compiles into
 //! a flat [`DirectTable`]: every syndrome maps to its action — accept,
 //! flip (≤ 2 recorded positions, or a general mask), or flag. The kernels
-//! here *index* that table instead of matching entries, which removes the
-//! per-entry AND-tree overhead entirely:
+//! here *index* that table instead of matching entries:
 //!
-//! * [`run_direct4`] (`r ≤ 4`): the successive-halving tree the bucket walk
-//!   used for prefixes already yields **all** `2^r` syndrome-equality lane
-//!   masks — so each table action applies to its whole lane mask at once,
-//!   never per lane.
+//! * [`run_direct4`] (`r ≤ 4`): a successive-halving tree over the `r`
+//!   slices yields **all** `2^r` syndrome-equality lane masks — so each
+//!   table action applies to its whole lane mask at once, never per lane.
 //! * [`run_direct8`] (`5 ≤ r ≤ 8`): dense limbs are bit-transposed into
 //!   per-lane syndrome bytes ([`gf2::syndrome_bytes`]) and each dirty lane
 //!   applies its table entry branch-free (masked XORs); sparse limbs skip
@@ -185,7 +183,7 @@ pub(crate) fn run_direct4(
         let valid = if w + 1 == words { tail } else { u64::MAX };
 
         // masks[s] = lanes whose whole syndrome equals s (partition of
-        // `valid`) — the bucket walk's prefix tree, now covering all of r.
+        // `valid`), by successive halving over all r slices.
         let mut masks = [0u64; 16];
         masks[0] = valid;
         for (t, &slice) in gather.iter().enumerate() {

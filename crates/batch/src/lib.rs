@@ -18,13 +18,14 @@
 //! [`BatchCodec`] is built from any scalar [`BlockCode`] + [`HardDecoder`]
 //! whose hard decisions are **coset-invariant**: the correction applied to a
 //! received word depends only on its syndrome. Every decode runs the same
-//! stages, in one body ([`BatchDecode::decode_batch_with`]):
+//! stages, in one body ([`BatchCodec::try_decode_batch_with`]):
 //!
 //! 1. **Syndrome** — the `r = n − k` syndrome bit-slices of the batch.
 //! 2. **Column stage** — construction compiles a *column-match program*, a
 //!    list of `(syndrome pattern, flip mask)` entries, and a kernel executes
-//!    it per 64-message limb. A limb whose syndromes are all zero (the
-//!    dominant case in Monte-Carlo traffic) skips matching entirely; lanes
+//!    it over the batch's 64-message limbs. A limb (for `tree`, a four-limb
+//!    chunk) whose syndromes are all zero (the dominant case in Monte-Carlo
+//!    traffic) skips matching entirely; lanes
 //!    whose syndrome matches an entry are flipped and marked corrected;
 //!    every other dirty lane is flagged.
 //! 3. **Residual stage** — what happens to the flagged lanes depends on the
@@ -51,22 +52,21 @@
 //! **directly from the columns of `H`**: one entry per codeword position,
 //! verified with one scalar probe per position (a syndrome equal to column
 //! `j` puts the word in the coset of `e_j`, and the probe checks that the
-//! scalar decoder answers that coset with "flip `j`"). Construction is
-//! `O(n · r)` and per-limb matching is `O(n · r)` bit-ops, independent of
+//! scalar decoder answers that coset with "flip `j`"). Construction and
+//! per-limb matching cost a polynomial in `n` and `r`, independent of
 //! `2^r` — which is what lets the engine serve codes such as the catalog's
 //! Shortened Hamming(85,64) with `r = 21`.
 //!
 //! ## Column-stage kernels
 //!
-//! One compiled program is executed by one of four interchangeable kernels
-//! (see the crate's `kernel` module), chosen by the code's redundancy and
-//! the batch length alone: for codes whose whole syndrome fits one byte
-//! (`r ≤ 8`), *direct dispatch* — `direct4` / `direct8` index a flat
-//! 256-entry syndrome→action table per lane, with dense limbs bit-transposed
-//! into per-lane syndrome bytes ([`gf2::syndrome_bytes`]); for wider codes,
-//! the prefix-bucket AND-tree walk on a 256-bit software-SIMD limb
-//! (`walk-w256`), with the one-word `walk-u64` walk on ragged tails and on
-//! batches shorter than four limbs. Every kernel is bit-identical;
+//! One compiled program is executed by one of three kernels (see the
+//! crate's `kernel` module), chosen by the code's redundancy alone. For
+//! codes whose whole syndrome fits one byte (`r ≤ 8`), *direct dispatch*:
+//! `direct4` / `direct8` index a flat 256-entry syndrome→action table per
+//! lane, with dense limbs bit-transposed into per-lane syndrome bytes
+//! ([`gf2::syndrome_bytes`]). For wider codes, `tree`: a binary decision
+//! tree over syndrome slices, run bit-sliced on dense 256-lane chunks and
+//! walked per dirty lane on sparse ones. Every kernel is bit-identical;
 //! [`BatchCodec::selected_kernel_name`] and the `batch.kernel.*` counters
 //! show which one ran.
 //!
@@ -100,7 +100,7 @@ mod kernel;
 use kernel::bitflip::{run_bit_flip, BitFlipStats};
 use kernel::direct::{run_direct4, run_direct8, DirectTable};
 use kernel::sliced::{run_sliced, SlicedStats};
-use kernel::wide::run_walk_chunked;
+use kernel::tree::{run_tree, DecisionTree};
 use kernel::{KernelChoice, KernelStats};
 
 /// Largest supported codeword length: syndrome patterns, column supports,
@@ -123,33 +123,18 @@ struct MatchEntry {
 
 /// The compiled column stage: match entries for correctable syndromes. The
 /// zero syndrome accepts, and any other unmatched syndrome is flagged for
-/// the residual stage.
-///
-/// Entries are bucketed by the low [`ColumnMatchProgram::prefix_bits`] bits
-/// of their pattern. The walk kernel builds all `2^prefix_bits`
-/// prefix-match masks of a limb once (a shared AND-tree instead of
-/// per-entry re-computation), then each entry only matches its bucket's
-/// remaining high bits — and whole buckets with no matching lanes are
-/// skipped without touching their entries, which is the common case for
-/// sparse-error Monte-Carlo traffic.
+/// the residual stage. Construction compiles the entries into the form the
+/// code's kernel executes: a flat table for `r ≤ 8`, a decision tree above.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ColumnMatchProgram {
-    /// Number of low syndrome bits used as the bucket index
-    /// (`min(4, n - k)`, so the kernel's mask table fits a fixed array).
-    prefix_bits: usize,
-    /// Entries sorted by the low `prefix_bits` of their pattern.
+    /// The entries, in compilation order.
     entries: Vec<MatchEntry>,
-    /// `(prefix value, start, end)` ranges into `entries` — **non-empty
-    /// buckets only**, so the kernel never branches over prefix values no
-    /// entry uses.
-    buckets: Vec<(u8, u32, u32)>,
     /// The flat syndrome→action table the `direct4`/`direct8` kernels
     /// index, compiled whenever `1 ≤ r ≤ 8`.
     direct: Option<DirectTable>,
+    /// The decision tree the `tree` kernel runs, compiled whenever `r > 8`.
+    tree: Option<DecisionTree>,
 }
-
-/// Upper bound of the per-limb prefix-mask table (`2^4`).
-const PREFIX_SLOTS: usize = 16;
 
 /// The type-erased per-lane algebra of the sliced residual stage:
 /// `(power syndromes, full syndrome) → action`.
@@ -291,24 +276,22 @@ struct DecodeMetrics {
     calls: sfq_telemetry::Counter,
     /// 64-lane limbs processed.
     limbs: sfq_telemetry::Counter,
-    /// Limbs whose syndromes were all zero (short-circuited past matching).
+    /// Limbs that skipped matching because their syndromes (for `tree`,
+    /// those of their whole chunk) were all zero.
     clean_limbs: sfq_telemetry::Counter,
-    /// Prefix buckets entered with at least one lane in play.
-    buckets_visited: sfq_telemetry::Counter,
-    /// Prefix buckets skipped because no lane carried their prefix.
-    buckets_skipped: sfq_telemetry::Counter,
-    /// Match entries tested against a limb.
-    entries_tested: sfq_telemetry::Counter,
     /// Lanes corrected (by the column or the residual stage).
     lanes_matched: sfq_telemetry::Counter,
     /// Lanes flagged detected-uncorrectable.
     lanes_flagged: sfq_telemetry::Counter,
     /// `batch.kernel.selected.<name>`, indexed by [`KernelChoice::index`] —
     /// decode calls each column-stage kernel served.
-    kernel_selected: [sfq_telemetry::Counter; 4],
+    kernel_selected: [sfq_telemetry::Counter; 3],
     /// `batch.kernel.<name>.limbs`, indexed by [`KernelChoice::index`] —
     /// limbs each column-stage kernel processed.
-    kernel_limbs: [sfq_telemetry::Counter; 4],
+    kernel_limbs: [sfq_telemetry::Counter; 3],
+    /// `batch.kernel.tree.{dense,sparse}_chunks` — dirty 256-lane chunks
+    /// each tier of the `tree` kernel ran.
+    tree_chunks: [sfq_telemetry::Counter; 2],
     /// Detection-only calls (one per [`BatchCodec::detect_batch_with`]).
     detect_calls: sfq_telemetry::Counter,
     /// Limbs screened by detection-only calls.
@@ -324,15 +307,14 @@ impl DecodeMetrics {
             calls: registry.counter("batch.decode.calls"),
             limbs: registry.counter("batch.decode.limbs"),
             clean_limbs: registry.counter("batch.decode.clean_limbs"),
-            buckets_visited: registry.counter("batch.decode.buckets_visited"),
-            buckets_skipped: registry.counter("batch.decode.buckets_skipped"),
-            entries_tested: registry.counter("batch.decode.entries_tested"),
             lanes_matched: registry.counter("batch.decode.lanes_matched"),
             lanes_flagged: registry.counter("batch.decode.lanes_flagged"),
             kernel_selected: KernelChoice::ALL
                 .map(|c| registry.counter(&format!("batch.kernel.selected.{}", c.name()))),
             kernel_limbs: KernelChoice::ALL
                 .map(|c| registry.counter(&format!("batch.kernel.{}.limbs", c.name()))),
+            tree_chunks: ["dense", "sparse"]
+                .map(|tier| registry.counter(&format!("batch.kernel.tree.{tier}_chunks"))),
             detect_calls: registry.counter("batch.detect.calls"),
             detect_limbs: registry.counter("batch.detect.limbs"),
             detect_dirty_lanes: registry.counter("batch.detect.dirty_lanes"),
@@ -341,33 +323,18 @@ impl DecodeMetrics {
 }
 
 impl ColumnMatchProgram {
-    /// Buckets a finished entry list by syndrome prefix, and compiles the
-    /// flat direct-dispatch table when the syndrome fits a byte.
-    fn new(mut entries: Vec<MatchEntry>, redundancy: usize) -> Self {
-        let prefix_bits = redundancy.min(4);
-        debug_assert!(1 << prefix_bits <= PREFIX_SLOTS);
-        let prefix_mask = (1u128 << prefix_bits) - 1;
-        entries.sort_by_key(|e| e.pattern & prefix_mask);
-        let mut buckets = Vec::new();
-        let mut start = 0usize;
-        while start < entries.len() {
-            let prefix = entries[start].pattern & prefix_mask;
-            let end = start
-                + entries[start..]
-                    .iter()
-                    .take_while(|e| e.pattern & prefix_mask == prefix)
-                    .count();
-            buckets.push((prefix as u8, start as u32, end as u32));
-            start = end;
-        }
+    /// Compiles a finished entry list for the code's kernel: the flat
+    /// direct-dispatch table when the syndrome fits a byte, the decision
+    /// tree when it does not.
+    fn new(entries: Vec<MatchEntry>, redundancy: usize) -> Self {
         let direct = (1..=8)
             .contains(&redundancy)
             .then(|| DirectTable::compile(&entries, redundancy));
+        let tree = (redundancy > 8).then(|| DecisionTree::compile(&entries, redundancy));
         ColumnMatchProgram {
-            prefix_bits,
             entries,
-            buckets,
             direct,
+            tree,
         }
     }
 
@@ -379,6 +346,26 @@ impl ColumnMatchProgram {
             .expect("r ≤ 8 programs compile a direct table")
     }
 }
+
+/// A received batch whose lane count is not the code's block length `n`:
+/// the error [`BatchCodec::try_decode_batch_with`] and
+/// [`BatchCodec::try_detect_batch_with`] return instead of panicking.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ShapeError {
+    /// The code's block length `n`.
+    pub expected: usize,
+    /// The received batch's lane count.
+    pub got: usize,
+}
+
+impl std::fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (got, n) = (self.got, self.expected);
+        write!(f, "received lanes must equal n: got {got} lanes, n = {n}")
+    }
+}
+
+impl std::error::Error for ShapeError {}
 
 /// Outcome counts of one detection-only screen
 /// ([`BatchCodec::detect_batch_with`]).
@@ -571,16 +558,17 @@ impl BatchCodec {
         }
     }
 
-    /// The kernels a decode of `batch` messages runs: the column-stage
-    /// kernel (`direct4`, `direct8`, `walk-u64`, or `walk-w256`), joined
-    /// with `+` to the residual stage where there is one (`sliced`,
-    /// `bit-flip`) — e.g. `walk-w256+sliced`. `none` when `r = 0`: there
-    /// is nothing to match. Used by benches and reports; decode results
-    /// never depend on it.
+    /// The kernels a decode of a batch of any length runs: the
+    /// column-stage kernel (`direct4`, `direct8`, or `tree`), joined with
+    /// `+` to the residual stage where there is one (`sliced`,
+    /// `bit-flip`) — e.g. `tree+sliced`. `none` when `r = 0`: there is
+    /// nothing to match. The choice depends on the code alone: `_batch` is
+    /// unused, and kept only so the benchmark harness (`sfqbench`) still
+    /// builds. Used by benches and reports; decode results never depend on
+    /// it.
     #[must_use]
-    pub fn selected_kernel_name(&self, batch: usize) -> String {
-        let column = kernel::select(self.syndrome_masks.len(), batch.div_ceil(64))
-            .map_or("none", KernelChoice::name);
+    pub fn selected_kernel_name(&self, _batch: usize) -> String {
+        let column = kernel::select(self.syndrome_masks.len()).map_or("none", KernelChoice::name);
         match &self.residual {
             Residual::Flag => column.to_owned(),
             Residual::Sliced(_) => format!("{column}+sliced"),
@@ -699,14 +687,31 @@ impl BatchCodec {
     /// error — detection-only mode trades that correction away for latency.
     ///
     /// # Panics
-    /// Panics if `received.bits() != self.n()`.
+    /// Panics if `received.bits() != self.n()`; a service that screens
+    /// untrusted frames calls [`BatchCodec::try_detect_batch_with`].
     pub fn detect_batch_with(
         &self,
         received: &BitSlice64,
         scratch: &mut BatchScratch,
         dirty: &mut Vec<u64>,
     ) -> DetectSummary {
-        assert_eq!(received.bits(), self.n, "received lanes must equal n");
+        self.try_detect_batch_with(received, scratch, dirty)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`BatchCodec::detect_batch_with`] that returns a [`ShapeError`]
+    /// instead of panicking when `received.bits() != self.n()`; nothing is
+    /// screened and `dirty` is left untouched.
+    ///
+    /// # Errors
+    /// [`ShapeError`] when the batch's lane count is not `n`.
+    pub fn try_detect_batch_with(
+        &self,
+        received: &BitSlice64,
+        scratch: &mut BatchScratch,
+        dirty: &mut Vec<u64>,
+    ) -> Result<DetectSummary, ShapeError> {
+        self.check_shape(received)?;
         let redundancy = self.syndrome_masks.len();
         let words = received.words();
         let tail = received.tail_mask();
@@ -732,10 +737,124 @@ impl BatchCodec {
         self.metrics.detect_limbs.add(words as u64);
         self.metrics.detect_dirty_lanes.add(dirty_lanes);
 
-        DetectSummary {
+        Ok(DetectSummary {
             clean: received.batch() as u64 - dirty_lanes,
             dirty: dirty_lanes,
+        })
+    }
+
+    /// [`BatchDecode::decode_batch_with`] that returns a [`ShapeError`]
+    /// instead of panicking when `received.bits() != self.n()`; nothing is
+    /// decoded and `out` is left untouched. The panicking form calls this.
+    ///
+    /// This is the decode pipeline (see the crate docs): syndrome, the
+    /// shared column stage, the per-class residual stage, one stats flush,
+    /// and message extraction.
+    ///
+    /// # Errors
+    /// [`ShapeError`] when the batch's lane count is not `n`.
+    pub fn try_decode_batch_with(
+        &self,
+        received: &BitSlice64,
+        scratch: &mut BatchScratch,
+        out: &mut BatchDecoded,
+    ) -> Result<(), ShapeError> {
+        self.check_shape(received)?;
+        let words = received.words();
+
+        self.syndrome_batch_into(received, &mut scratch.syndromes);
+        out.codewords.copy_from(received);
+        out.flagged.clear();
+        out.flagged.resize(words, 0);
+        out.corrected.clear();
+        out.corrected.resize(words, 0);
+
+        // Column stage: matched lanes are corrected, unmatched dirty lanes
+        // flagged. Telemetry accumulates in locals and flushes once below,
+        // so the limb loops perform no atomic operations.
+        let mut stats = KernelStats::default();
+        let column = kernel::select(self.syndrome_masks.len());
+        let syndromes = &scratch.syndromes;
+        match column {
+            None => stats.clean_limbs = words as u64,
+            Some(KernelChoice::Direct4) => {
+                run_direct4(self.program.direct_table(), syndromes, out, &mut stats);
+            }
+            Some(KernelChoice::Direct8) => {
+                run_direct8(self.program.direct_table(), syndromes, out, &mut stats);
+            }
+            Some(KernelChoice::Tree) => {
+                let tree = (self.program.tree.as_ref()).expect("r > 8 programs compile a tree");
+                let buffer = &mut scratch.gather;
+                run_tree(tree, syndromes, buffer, out, &mut stats, tree.sparse_below);
+            }
         }
+
+        // Residual stage: only the lanes the column stage left flagged.
+        let mut sliced = SlicedStats::default();
+        let mut flip = BitFlipStats::default();
+        match &self.residual {
+            Residual::Flag => {}
+            Residual::Sliced(engine) => {
+                let action = engine.action.as_ref();
+                run_sliced(&engine.plan, action, received, syndromes, out, &mut sliced);
+            }
+            Residual::BitFlip(engine) => run_bit_flip(&engine.plan, received, out, &mut flip),
+        }
+
+        // One stats flush. Residual corrections turn lanes the column stage
+        // flagged into corrected ones.
+        let residual_corrected = sliced.corrected + flip.corrected;
+        self.metrics.calls.inc();
+        self.metrics.limbs.add(words as u64);
+        self.metrics.clean_limbs.add(stats.clean_limbs);
+        self.metrics
+            .lanes_matched
+            .add(stats.lanes_matched + residual_corrected);
+        self.metrics
+            .lanes_flagged
+            .add(stats.lanes_flagged - residual_corrected);
+        if let Some(choice) = column {
+            self.metrics.kernel_selected[choice.index()].inc();
+            self.metrics.kernel_limbs[choice.index()].add(words as u64);
+        }
+        self.metrics.tree_chunks[0].add(stats.dense_chunks);
+        self.metrics.tree_chunks[1].add(stats.sparse_chunks);
+        match &self.residual {
+            Residual::Flag => {}
+            Residual::Sliced(engine) => {
+                let m = &engine.metrics;
+                m.dirty_lanes.add(sliced.dirty_lanes);
+                m.fallback_corrected.add(sliced.corrected);
+                m.fallback_flagged.add(sliced.flagged);
+                m.locator_evals.add(sliced.locator_evals);
+                m.sliced_syndrome_limbs.add(sliced.sliced_limbs);
+                m.kernel_selected.inc();
+                m.kernel_limbs.add(words as u64);
+            }
+            Residual::BitFlip(engine) => {
+                let m = &engine.metrics;
+                m.dirty_lanes.add(flip.dirty_lanes);
+                m.corrected.add(flip.corrected);
+                m.flagged.add(flip.flagged);
+                m.rounds.add(flip.rounds);
+                m.flips.add(flip.flips);
+                m.flip_limbs.add(flip.flip_limbs);
+                m.kernel_selected.inc();
+                m.kernel_limbs.add(words as u64);
+            }
+        }
+
+        self.extract_message_lanes(received.batch(), out);
+        Ok(())
+    }
+
+    /// `Ok` when `received` has one lane per codeword position.
+    fn check_shape(&self, received: &BitSlice64) -> Result<(), ShapeError> {
+        let (expected, got) = (self.n, received.bits());
+        (got == expected)
+            .then_some(())
+            .ok_or(ShapeError { expected, got })
     }
 
     /// Allocating convenience form of [`BatchCodec::detect_batch_with`].
@@ -825,101 +944,16 @@ impl BatchDecode for BatchCodec {
         out
     }
 
-    /// The decode pipeline (see the crate docs): syndrome, the shared
-    /// column stage, the per-class residual stage, one stats flush, and
-    /// message extraction.
+    /// Runs [`BatchCodec::try_decode_batch_with`], panicking on a
+    /// [`ShapeError`].
     fn decode_batch_with(
         &self,
         received: &BitSlice64,
         scratch: &mut BatchScratch,
         out: &mut BatchDecoded,
     ) {
-        assert_eq!(received.bits(), self.n, "received lanes must equal n");
-        let words = received.words();
-
-        self.syndrome_batch_into(received, &mut scratch.syndromes);
-        out.codewords.copy_from(received);
-        out.flagged.clear();
-        out.flagged.resize(words, 0);
-        out.corrected.clear();
-        out.corrected.resize(words, 0);
-
-        // Column stage: matched lanes are corrected, unmatched dirty lanes
-        // flagged. Telemetry accumulates in locals and flushes once below,
-        // so the limb loops perform no atomic operations.
-        let mut stats = KernelStats::default();
-        let column = kernel::select(self.syndrome_masks.len(), words);
-        let syndromes = &scratch.syndromes;
-        match column {
-            None => stats.clean_limbs = words as u64,
-            Some(KernelChoice::Direct4) => {
-                run_direct4(self.program.direct_table(), syndromes, out, &mut stats);
-            }
-            Some(KernelChoice::Direct8) => {
-                run_direct8(self.program.direct_table(), syndromes, out, &mut stats);
-            }
-            Some(KernelChoice::Walk64 | KernelChoice::Walk256) => {
-                run_walk_chunked(&self.program, syndromes, out, &mut stats);
-            }
-        }
-
-        // Residual stage: only the lanes the column stage left flagged.
-        let mut sliced = SlicedStats::default();
-        let mut flip = BitFlipStats::default();
-        match &self.residual {
-            Residual::Flag => {}
-            Residual::Sliced(engine) => {
-                let action = engine.action.as_ref();
-                run_sliced(&engine.plan, action, received, syndromes, out, &mut sliced);
-            }
-            Residual::BitFlip(engine) => run_bit_flip(&engine.plan, received, out, &mut flip),
-        }
-
-        // One stats flush. Residual corrections turn lanes the column stage
-        // flagged into corrected ones.
-        let residual_corrected = sliced.corrected + flip.corrected;
-        self.metrics.calls.inc();
-        self.metrics.limbs.add(words as u64);
-        self.metrics.clean_limbs.add(stats.clean_limbs);
-        self.metrics.buckets_visited.add(stats.buckets_visited);
-        self.metrics.buckets_skipped.add(stats.buckets_skipped);
-        self.metrics.entries_tested.add(stats.entries_tested);
-        self.metrics
-            .lanes_matched
-            .add(stats.lanes_matched + residual_corrected);
-        self.metrics
-            .lanes_flagged
-            .add(stats.lanes_flagged - residual_corrected);
-        if let Some(choice) = column {
-            self.metrics.kernel_selected[choice.index()].inc();
-            self.metrics.kernel_limbs[choice.index()].add(words as u64);
-        }
-        match &self.residual {
-            Residual::Flag => {}
-            Residual::Sliced(engine) => {
-                let m = &engine.metrics;
-                m.dirty_lanes.add(sliced.dirty_lanes);
-                m.fallback_corrected.add(sliced.corrected);
-                m.fallback_flagged.add(sliced.flagged);
-                m.locator_evals.add(sliced.locator_evals);
-                m.sliced_syndrome_limbs.add(sliced.sliced_limbs);
-                m.kernel_selected.inc();
-                m.kernel_limbs.add(words as u64);
-            }
-            Residual::BitFlip(engine) => {
-                let m = &engine.metrics;
-                m.dirty_lanes.add(flip.dirty_lanes);
-                m.corrected.add(flip.corrected);
-                m.flagged.add(flip.flagged);
-                m.rounds.add(flip.rounds);
-                m.flips.add(flip.flips);
-                m.flip_limbs.add(flip.flip_limbs);
-                m.kernel_selected.inc();
-                m.kernel_limbs.add(words as u64);
-            }
-        }
-
-        self.extract_message_lanes(received.batch(), out);
+        self.try_decode_batch_with(received, scratch, out)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 }
 
@@ -1072,6 +1106,7 @@ fn interrogated_entries<C: BlockCode + HardDecoder>(code: &C) -> Vec<MatchEntry>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1256,6 +1291,23 @@ mod tests {
     }
 
     #[test]
+    fn checked_entry_points_reject_a_wrong_lane_count() {
+        let codec = BatchCodec::sec_ded(6);
+        let (mut scratch, mut out, mut dirty) =
+            (BatchScratch::new(), BatchDecoded::empty(), vec![7]);
+        for got in [71, 73] {
+            let malformed = BitSlice64::zeros(got, 100);
+            let expected = ShapeError { expected: 72, got };
+            let decode = codec.try_decode_batch_with(&malformed, &mut scratch, &mut out);
+            assert_eq!(decode, Err(expected));
+            let detect = codec.try_detect_batch_with(&malformed, &mut scratch, &mut dirty);
+            assert_eq!(detect, Err(expected));
+        }
+        // Nothing was decoded or screened.
+        assert_eq!((out, dirty), (BatchDecoded::empty(), vec![7]));
+    }
+
+    #[test]
     fn uncoded_codec_passes_everything_through() {
         let codec = BatchCodec::uncoded(4);
         let messages = random_messages(4, 70, 21);
@@ -1338,89 +1390,262 @@ mod tests {
         assert_eq!(BatchCodec::repetition(2, 3).program_len(), 15);
     }
 
-    /// Runs only the column stage of `codec` over `received`, through
-    /// `kernel` whatever the selection would pick (`Walk64` walks the whole
-    /// batch one word at a time).
-    fn forced_column_stage(
-        codec: &BatchCodec,
-        received: &BitSlice64,
-        kernel: KernelChoice,
-    ) -> BatchDecoded {
-        let syndromes = codec.syndrome_batch(received);
-        let words = received.words();
+    /// A column stage's starting point: the received words, no lane marked.
+    fn column_output(received: &BitSlice64) -> BatchDecoded {
         let mut out = BatchDecoded::empty();
         out.codewords.copy_from(received);
-        out.flagged = vec![0; words];
-        out.corrected = vec![0; words];
-        let mut stats = KernelStats::default();
-        let program = &codec.program;
-        match kernel {
-            KernelChoice::Direct4 => {
-                run_direct4(program.direct_table(), &syndromes, &mut out, &mut stats);
+        out.flagged = vec![0; received.words()];
+        out.corrected = vec![0; received.words()];
+        out
+    }
+
+    /// The brute-force column stage, lane by lane: a syndrome equal to an
+    /// entry's pattern flips that entry's mask and marks the lane
+    /// corrected, a zero syndrome accepts, and anything else is flagged.
+    fn brute_force_column_stage(
+        entries: &[MatchEntry],
+        syndromes: &BitSlice64,
+        received: &BitSlice64,
+    ) -> BatchDecoded {
+        let mut out = column_output(received);
+        for lane in 0..received.batch() {
+            let key = (0..syndromes.bits()).fold(0u128, |key, t| {
+                key | (u128::from(syndromes.get(lane, t)) << t)
+            });
+            let bit = 1u64 << (lane % 64);
+            match entries.iter().find(|e| e.pattern == key) {
+                _ if key == 0 => {}
+                Some(entry) => {
+                    out.corrected[lane / 64] |= bit;
+                    for p in (0..received.bits()).filter(|&p| (entry.flip >> p) & 1 == 1) {
+                        out.codewords.set(lane, p, !out.codewords.get(lane, p));
+                    }
+                }
+                None => out.flagged[lane / 64] |= bit,
             }
-            KernelChoice::Direct8 => {
-                run_direct8(program.direct_table(), &syndromes, &mut out, &mut stats);
-            }
-            KernelChoice::Walk64 => {
-                kernel::wide::run_walk::<u64>(program, &syndromes, 0, words, &mut out, &mut stats);
-            }
-            KernelChoice::Walk256 => run_walk_chunked(program, &syndromes, &mut out, &mut stats),
         }
         out
     }
 
+    /// Every column-stage run forced on `syndromes`, whatever the selection
+    /// would pick: both tree tiers always (a program with `r ≤ 8` compiles
+    /// a tree here), and direct4/direct8 where `r` fits.
+    fn forced_column_stages(
+        program: &ColumnMatchProgram,
+        syndromes: &BitSlice64,
+        received: &BitSlice64,
+    ) -> Vec<(&'static str, BatchDecoded)> {
+        let r = syndromes.bits();
+        let tree =
+            (program.tree.clone()).unwrap_or_else(|| DecisionTree::compile(&program.entries, r));
+        let (mut stats, mut masks, mut runs) = (KernelStats::default(), Vec::new(), Vec::new());
+        for (tier, sparse_below) in [("tree dense", 0), ("tree sparse", 257)] {
+            let mut out = column_output(received);
+            run_tree(
+                &tree,
+                syndromes,
+                &mut masks,
+                &mut out,
+                &mut stats,
+                sparse_below,
+            );
+            runs.push((tier, out));
+        }
+        if let Some(table) = &program.direct {
+            let mut out = column_output(received);
+            if r <= 4 {
+                run_direct4(table, syndromes, &mut out, &mut stats);
+            } else {
+                run_direct8(table, syndromes, &mut out, &mut stats);
+            }
+            runs.push(("direct", out));
+        }
+        runs
+    }
+
     #[test]
     fn forced_kernels_are_bit_identical() {
-        // Every column-stage kernel a code is eligible for, forced on the
-        // same syndromes, must reproduce the one-word walk over the whole
-        // batch word-for-word — on all-dirty dense noise and on mostly-clean
-        // batches, at ragged batch sizes — and so must the pipeline's own
-        // column stage (these codes have no residual stage).
-        let builders: [fn() -> BatchCodec; 5] = [
+        // Every forced column-stage run, and the pipeline of codes without
+        // a residual stage, must equal the brute-force column stage word
+        // for word, at ragged sizes and four densities. Dirty lanes take
+        // one flip (matched), two flips, or a random word, in turn.
+        let builders: [fn() -> BatchCodec; 10] = [
+            BatchCodec::wide_hamming_85_64,
+            BatchCodec::bch,
+            BatchCodec::bch_63_51,
+            BatchCodec::bch_63_45,
+            BatchCodec::ldpc,
+            // r = 10, General class: 1023 entries with multi-bit flips.
+            || BatchCodec::repetition(5, 3),
+            // r = 9 with no entries: every dirty lane is flagged.
+            || BatchCodec::repetition(9, 2),
             BatchCodec::hamming74,
             || BatchCodec::sec_ded(6),
             || BatchCodec::repetition(2, 3),
-            || BatchCodec::repetition(5, 3),
-            BatchCodec::wide_hamming_85_64,
         ];
         let mut rng = StdRng::seed_from_u64(0xF0CE);
         for build in builders {
             let codec = build();
-            let direct = kernel::select(codec.n() - codec.k(), 1)
-                .filter(|c| matches!(c, KernelChoice::Direct4 | KernelChoice::Direct8));
-            for batch_size in [1usize, 64, 65, 250, 320] {
-                for dirty_every in [1usize, 16] {
+            let (n, k) = (codec.n(), codec.k());
+            for batch_size in [1usize, 63, 64, 65, 250, 257, 320] {
+                for dirty_every in [1usize, 16, 64, usize::MAX] {
                     let messages: Vec<BitVec> = (0..batch_size)
-                        .map(|_| {
-                            (0..codec.k())
-                                .map(|_| rng.random::<u64>() & 1 == 1)
-                                .collect()
-                        })
+                        .map(|_| (0..k).map(|_| rng.random::<bool>()).collect())
                         .collect();
                     let mut words = codec.encode_batch(&BitSlice64::pack(&messages)).unpack();
-                    for w in words.iter_mut().step_by(dirty_every) {
-                        *w = (0..codec.n())
-                            .map(|_| rng.random::<u64>() & 1 == 1)
-                            .collect();
+                    for (i, w) in words.iter_mut().step_by(dirty_every).enumerate() {
+                        if i % 3 == 2 {
+                            *w = (0..n).map(|_| rng.random::<bool>()).collect();
+                        }
+                        for _ in 0..(i % 3 + 1) % 3 {
+                            let p = rng.random_range(0..n);
+                            w.set(p, !w.get(p));
+                        }
                     }
-                    let batch = BitSlice64::pack(&words);
-                    let reference = forced_column_stage(&codec, &batch, KernelChoice::Walk64);
-                    let pipeline = codec.decode_batch(&batch);
-                    let forced = std::iter::once(KernelChoice::Walk256)
-                        .chain(direct)
-                        .map(|kind| (kind.name(), forced_column_stage(&codec, &batch, kind)));
-                    for (kind, got) in forced.chain([("pipeline", pipeline)]) {
-                        let label = format!(
+                    let received = BitSlice64::pack(&words);
+                    let syndromes = codec.syndrome_batch(&received);
+                    let want =
+                        brute_force_column_stage(&codec.program.entries, &syndromes, &received);
+                    let pipeline = matches!(codec.residual, Residual::Flag)
+                        .then(|| ("pipeline", codec.decode_batch(&received)));
+                    let runs = forced_column_stages(&codec.program, &syndromes, &received);
+                    for (kind, got) in runs.into_iter().chain(pipeline) {
+                        assert_eq!(
+                            (&got.codewords, &got.flagged, &got.corrected),
+                            (&want.codewords, &want.flagged, &want.corrected),
                             "{} {kind} batch {batch_size} dirty 1/{dirty_every}",
                             codec.name()
                         );
-                        assert_eq!(got.codewords, reference.codewords, "{label}");
-                        assert_eq!(got.flagged, reference.flagged, "{label}");
-                        assert_eq!(got.corrected, reference.corrected, "{label}");
                     }
                 }
             }
         }
+    }
+
+    proptest! {
+        /// Both tree tiers equal the brute-force column stage on random
+        /// programs: 1–128 distinct nonzero patterns at `r ∈ 9..=127`, with
+        /// flips of weight 1–3, over syndromes that mix exact patterns,
+        /// zero, near misses, and random values. One entry makes the root a
+        /// leaf.
+        #[test]
+        fn tree_tiers_match_brute_force_on_random_programs(
+            seed in any::<u64>(),
+            r in 9usize..=127,
+            count in 1usize..=128,
+            batch in 1usize..=320,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut random = |width: usize| {
+                let value = u128::from(rng.random::<u64>()) | u128::from(rng.random::<u64>()) << 64;
+                value >> (128 - width)
+            };
+            let mut entries: Vec<MatchEntry> = Vec::new();
+            while entries.len() < count {
+                let pattern = random(r);
+                let flip = (0..3).fold(0, |flip, _| flip | 1u128 << (random(7) as u32));
+                if pattern != 0 && entries.iter().all(|e| e.pattern != pattern) {
+                    entries.push(MatchEntry { pattern, flip });
+                }
+            }
+            let mut syndromes = BitSlice64::zeros(r, batch);
+            for lane in 0..batch {
+                let entry = entries[random(64) as usize % count].pattern;
+                let value = match random(2) {
+                    0 => 0,
+                    1 => entry,
+                    2 => entry ^ 1 << (random(64) as usize % r),
+                    _ => random(r),
+                };
+                for t in (0..r).filter(|&t| (value >> t) & 1 == 1) {
+                    syndromes.set(lane, t, true);
+                }
+            }
+            let words: Vec<BitVec> = (0..batch)
+                .map(|_| (0..MAX_BLOCK_LENGTH).map(|_| rng.random::<bool>()).collect())
+                .collect();
+            let received = BitSlice64::pack(&words);
+            let want = brute_force_column_stage(&entries, &syndromes, &received);
+            let program = ColumnMatchProgram::new(entries, r);
+            for (_, got) in forced_column_stages(&program, &syndromes, &received) {
+                prop_assert_eq!(
+                    (&got.codewords, &got.flagged, &got.corrected),
+                    (&want.codewords, &want.flagged, &want.corrected)
+                );
+            }
+        }
+    }
+
+    /// A measurement of the tree's crossover, not of results: times both
+    /// tiers forced on the catalog's five `r > 8` codes, at 4096 lanes with
+    /// 1 to 256 dirty lanes per 256-lane chunk and on one-word batches of
+    /// 40 lanes (the multi-error Fig. 5 comparison's shape), one single-bit
+    /// error per dirty lane. Wherever one tier is more than 1.5× faster,
+    /// the crossover must pick it. The bound is loose because the size
+    /// model can miss a crossover by a quarter: LDPC(60,32) picks sparse at
+    /// 10 dirty lanes, where it reads 1.2–1.4× the dense cost. Run it
+    /// optimized:
+    /// `cargo test --release -p sfq-batch -- --ignored tree_tiers_win --nocapture`.
+    #[test]
+    #[ignore = "timing measurement; run with --release"]
+    fn tree_tiers_win_on_their_own_side() {
+        let builders: [fn() -> BatchCodec; 5] = [
+            BatchCodec::wide_hamming_85_64,
+            BatchCodec::bch,
+            BatchCodec::bch_63_51,
+            BatchCodec::bch_63_45,
+            BatchCodec::ldpc,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x7133);
+        let mut misses = Vec::new();
+        for codec in builders.map(|build| build()) {
+            let tree = codec.program.tree.as_ref().expect("r > 8");
+            println!("{}: sparse below {}", codec.name(), tree.sparse_below);
+            let shapes = [1, 4, 16, 64, 256].map(|every| (4096, every));
+            for (lanes, every) in shapes.into_iter().chain([(40, 4), (40, 1)]) {
+                let messages: Vec<BitVec> = (0..lanes)
+                    .map(|_| (0..codec.k()).map(|_| rng.random::<bool>()).collect())
+                    .collect();
+                let mut received = codec.encode_batch(&BitSlice64::pack(&messages));
+                for lane in (0..lanes).step_by(every) {
+                    let p = rng.random_range(0..codec.n());
+                    received.set(lane, p, !received.get(lane, p));
+                }
+                let syndromes = codec.syndrome_batch(&received);
+                let (mut out, mut stats, mut buffer) =
+                    (column_output(&received), KernelStats::default(), Vec::new());
+                // Best of 15 runs of about 100 000 lanes each, in ns/lane.
+                let mut best = |tier: u64| {
+                    let reps = 100_000usize.div_ceil(lanes);
+                    let mut best = f64::INFINITY;
+                    for _ in 0..15 {
+                        let start = std::time::Instant::now();
+                        for _ in 0..reps {
+                            let syndromes = std::hint::black_box(&syndromes);
+                            run_tree(tree, syndromes, &mut buffer, &mut out, &mut stats, tier);
+                            std::hint::black_box(&mut out);
+                        }
+                        let ns = start.elapsed().as_secs_f64() * 1e9;
+                        best = best.min(ns / (reps * lanes) as f64);
+                    }
+                    best
+                };
+                let (dense, sparse) = (best(0), best(257));
+                let dirty = lanes.min(256).div_ceil(every) as u64;
+                let (tier, picked, other) = match dirty < tree.sparse_below {
+                    true => ("sparse", sparse, dense),
+                    false => ("dense", dense, sparse),
+                };
+                println!(
+                    "  {lanes:>4} lanes, {dirty:>3} dirty per chunk: dense {dense:6.2} \
+                     sparse {sparse:6.2} ns/lane, picks {tier}"
+                );
+                if picked > 1.5 * other {
+                    misses.push(format!("{} {lanes} lanes 1/{every}", codec.name()));
+                }
+            }
+        }
+        assert!(misses.is_empty(), "the slower tier was picked: {misses:?}");
     }
 
     #[test]

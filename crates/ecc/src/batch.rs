@@ -28,7 +28,9 @@ use gf2::BitSlice64;
 pub struct BatchScratch {
     /// `(n-k)`-lane syndrome slices of the batch being decoded.
     pub syndromes: BitSlice64,
-    /// Per-limb gather buffer (one limb per syndrome lane).
+    /// Kernel work buffer: the detection screen's per-limb gather (one
+    /// limb per syndrome lane) and the `sfq-batch` decision-tree kernel's
+    /// chunk of syndrome slices and per-node lane masks.
     pub gather: Vec<u64>,
 }
 

@@ -37,12 +37,9 @@ pub mod slice;
 pub mod vec;
 
 pub use field::Gf2m;
-pub use limb::{
-    and_xnor_reduce_limb, byte_transpose_8x8, or_reduce_limb, syndrome_bytes,
-    syndrome_bytes_inverse, transpose8x8, Limb,
-};
+pub use limb::{byte_transpose_8x8, syndrome_bytes, syndrome_bytes_inverse, transpose8x8};
 pub use mat::BitMat;
-pub use slice::{and_xnor_reduce, or_reduce, BitSlice64};
+pub use slice::{or_reduce, BitSlice64};
 pub use vec::BitVec;
 
 /// Number of bits stored per limb.

@@ -1,155 +1,12 @@
-//! Limb abstraction and bit-transpose primitives for wide decode kernels.
+//! Bit-transpose primitives for the direct-dispatch decode kernels.
 //!
 //! [`BitSlice64`](crate::BitSlice64) stores batches as `u64` limbs — 64
-//! messages per word. The batch decode kernels in `sfq-batch` want to chew
-//! through *several* of those words per reduction step: one AND/XNOR over a
-//! 4-word software-SIMD limb processes 256 messages (lowered to vector
-//! instructions by the backend). The [`Limb`] trait is the abstraction those
-//! kernels are generic over: a fixed number of consecutive `u64` words
-//! loaded, combined with bitwise ops, and stored back. The one-word `u64`
-//! implementation lives here; wider software-SIMD limbs live next to the
-//! kernels that use them (the 256-bit limb in `sfq-batch`'s kernel module)
-//! and only need to implement this trait.
-//!
-//! The transpose primitives serve the *direct-dispatch* kernels for codes
-//! with redundancy `r ≤ 8`: per `u64` limb, the `r` syndrome bit-slices are
-//! bit-transposed into one syndrome **byte per lane** (the classic 8×8
-//! bit-matrix transpose, applied blockwise), which then indexes a 256-entry
-//! action table directly — no per-entry pattern matching at all.
-
-/// A decode-kernel limb: [`Self::WORDS`] consecutive `u64` words of a
-/// [`BitSlice64`](crate::BitSlice64) lane, combined with bitwise operations.
-///
-/// All operations are lane-wise (no carries cross word boundaries), so a
-/// kernel written against `Limb` produces bit-identical results at every
-/// width — the property the workspace's batch equivalence suite checks
-/// against the scalar decoders.
-pub trait Limb: Copy + Eq {
-    /// Number of consecutive `u64` words this limb covers.
-    const WORDS: usize;
-    /// The all-zero limb.
-    const ZERO: Self;
-
-    /// Loads [`Self::WORDS`] words from the front of `words`.
-    ///
-    /// # Panics
-    /// Panics if `words` is shorter than [`Self::WORDS`].
-    fn load(words: &[u64]) -> Self;
-
-    /// Stores the limb into the front of `words`.
-    ///
-    /// # Panics
-    /// Panics if `words` is shorter than [`Self::WORDS`].
-    fn store(self, words: &mut [u64]);
-
-    /// XORs the limb into the front of `words`.
-    ///
-    /// # Panics
-    /// Panics if `words` is shorter than [`Self::WORDS`].
-    fn xor_into(self, words: &mut [u64]);
-
-    /// Bitwise AND.
-    #[must_use]
-    fn and(self, other: Self) -> Self;
-
-    /// Bitwise OR.
-    #[must_use]
-    fn or(self, other: Self) -> Self;
-
-    /// Bitwise XOR.
-    #[must_use]
-    fn xor(self, other: Self) -> Self;
-
-    /// Bitwise complement.
-    #[must_use]
-    fn not(self) -> Self;
-
-    /// `true` when no bit is set (the kernels' early-exit test).
-    fn is_zero(self) -> bool;
-
-    /// Number of set bits (lane-count telemetry).
-    fn count_ones(self) -> u32;
-}
-
-impl Limb for u64 {
-    const WORDS: usize = 1;
-    const ZERO: Self = 0;
-
-    #[inline]
-    fn load(words: &[u64]) -> Self {
-        words[0]
-    }
-
-    #[inline]
-    fn store(self, words: &mut [u64]) {
-        words[0] = self;
-    }
-
-    #[inline]
-    fn xor_into(self, words: &mut [u64]) {
-        words[0] ^= self;
-    }
-
-    #[inline]
-    fn and(self, other: Self) -> Self {
-        self & other
-    }
-
-    #[inline]
-    fn or(self, other: Self) -> Self {
-        self | other
-    }
-
-    #[inline]
-    fn xor(self, other: Self) -> Self {
-        self ^ other
-    }
-
-    #[inline]
-    fn not(self) -> Self {
-        !self
-    }
-
-    #[inline]
-    fn is_zero(self) -> bool {
-        self == 0
-    }
-
-    #[inline]
-    fn count_ones(self) -> u32 {
-        u64::count_ones(self)
-    }
-}
-
-/// AND-reduction of XNOR matches across bit-slices, generic over the limb
-/// width — the wide-limb counterpart of
-/// [`and_xnor_reduce`](crate::and_xnor_reduce). Starting from `init`, folds
-/// `acc &= if pattern bit t { slices[t] } else { !slices[t] }`, early-exiting
-/// when the accumulator empties.
-#[inline]
-#[must_use]
-pub fn and_xnor_reduce_limb<L: Limb>(init: L, slices: &[L], pattern: u128) -> L {
-    let mut acc = init;
-    for (t, &slice) in slices.iter().enumerate() {
-        acc = acc.and(if (pattern >> t) & 1 == 1 {
-            slice
-        } else {
-            slice.not()
-        });
-        if acc.is_zero() {
-            return acc;
-        }
-    }
-    acc
-}
-
-/// OR-reduction across bit-slices, generic over the limb width — the
-/// wide-limb counterpart of [`or_reduce`](crate::or_reduce).
-#[inline]
-#[must_use]
-pub fn or_reduce_limb<L: Limb>(slices: &[L]) -> L {
-    slices.iter().fold(L::ZERO, |acc, &s| acc.or(s))
-}
+//! messages per word, one word per bit position. The direct-dispatch
+//! kernels in `sfq-batch` serve codes with redundancy `r ≤ 8`: per `u64`
+//! limb, the `r` syndrome bit-slices are bit-transposed into one syndrome
+//! **byte per lane** (the classic 8×8 bit-matrix transpose, applied
+//! blockwise), which then indexes a 256-entry action table directly — no
+//! per-entry pattern matching at all.
 
 /// Exchanges the bits of `x` selected by `mask` with the bits `shift`
 /// positions above them (a delta swap, the primitive step of in-register
@@ -255,49 +112,6 @@ mod tests {
                 state
             })
             .collect()
-    }
-
-    #[test]
-    fn u64_limb_roundtrips_loads_and_stores() {
-        let words = lcg_words(2, 1);
-        let a = <u64 as Limb>::load(&words);
-        assert_eq!(a, words[0]);
-        let mut out = vec![0u64; 2];
-        a.store(&mut out);
-        assert_eq!(out, vec![words[0], 0]);
-        a.xor_into(&mut out);
-        assert_eq!(out, vec![0, 0]);
-    }
-
-    #[test]
-    fn limb_bit_ops_match_word_ops() {
-        let w = lcg_words(2, 7);
-        let (a, b) = (<u64 as Limb>::load(&w), <u64 as Limb>::load(&w[1..]));
-        assert_eq!(Limb::and(a, b), w[0] & w[1]);
-        assert_eq!(Limb::or(a, b), w[0] | w[1]);
-        assert_eq!(Limb::xor(a, b), w[0] ^ w[1]);
-        assert_eq!(
-            Limb::count_ones(Limb::not(a)) + Limb::count_ones(a),
-            64,
-            "complement partitions the bits"
-        );
-        assert!(<u64 as Limb>::ZERO.is_zero());
-        assert!(!a.is_zero());
-    }
-
-    #[test]
-    fn wide_reduces_match_scalar_reduces() {
-        // The width-generic reductions at `u64` agree with the scalar ones.
-        use crate::{and_xnor_reduce, or_reduce};
-        let words = lcg_words(5, 99);
-        assert_eq!(or_reduce_limb(&words), or_reduce(&words));
-        for pattern in [0u128, 0b10110, 0b01101, 0b11111] {
-            assert_eq!(
-                and_xnor_reduce_limb(u64::MAX, &words, pattern),
-                and_xnor_reduce(u64::MAX, &words, pattern),
-                "pattern {pattern:b}"
-            );
-        }
     }
 
     /// Naive reference: bit (8r + c) of the transposed word is bit (8c + r).

@@ -248,36 +248,6 @@ impl BitSlice64 {
     }
 }
 
-/// AND-reduction of XNOR matches across bit-slices: starting from `init`,
-/// folds `acc &= if pattern bit t { slices[t] } else { !slices[t] }` over all
-/// slices, returning the 64-wide indicator of "this position's bits equal
-/// `pattern`". Early-exits when the accumulator empties, which is the common
-/// case for non-matching patterns.
-///
-/// This is the inner kernel of the column-matching batch decoder: `slices`
-/// are the syndrome bit-slices of one limb and `pattern` is a column of the
-/// parity-check matrix.
-///
-/// # Panics
-/// Panics if more than 128 slices are passed (patterns are `u128`s).
-#[inline]
-#[must_use]
-pub fn and_xnor_reduce(init: u64, slices: &[u64], pattern: u128) -> u64 {
-    assert!(slices.len() <= 128, "patterns are u128: at most 128 slices");
-    let mut acc = init;
-    for (t, &slice) in slices.iter().enumerate() {
-        acc &= if (pattern >> t) & 1 == 1 {
-            slice
-        } else {
-            !slice
-        };
-        if acc == 0 {
-            return 0;
-        }
-    }
-    acc
-}
-
 /// OR-reduction across bit-slices: the 64-wide indicator of "any of these
 /// bits is set". Used as the all-zero-syndrome fast path of the batch
 /// decoder.
@@ -427,29 +397,6 @@ mod tests {
                 assert_eq!(limb, s.lane(bit)[w], "word {w} bit {bit}");
             }
         }
-    }
-
-    #[test]
-    fn and_xnor_reduce_matches_per_position_equality() {
-        let vectors = sample_batch(5, 64);
-        let s = BitSlice64::pack(&vectors);
-        let mut slices = vec![0u64; 5];
-        s.gather_word(0, &mut slices);
-        for pattern in 0u128..32 {
-            let mask = and_xnor_reduce(u64::MAX, &slices, pattern);
-            for (i, v) in vectors.iter().enumerate() {
-                let value = (0..5).fold(0u128, |acc, b| acc | (u128::from(v.get(b)) << b));
-                assert_eq!(
-                    (mask >> i) & 1 == 1,
-                    value == pattern,
-                    "pattern {pattern:05b} position {i}"
-                );
-            }
-        }
-        // The init mask gates the result.
-        assert_eq!(and_xnor_reduce(0, &slices, 3), 0);
-        // Zero slices: every position matches the (empty) pattern.
-        assert_eq!(and_xnor_reduce(u64::MAX, &[], 0), u64::MAX);
     }
 
     #[test]

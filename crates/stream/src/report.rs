@@ -86,7 +86,8 @@ pub struct StreamReport {
     /// Batches shed under [`ServiceMode::ShedAndRescrub`] — every one
     /// flagged for rescrub, none silently dropped.
     pub shed_batches: u64,
-    /// Poisoned batches rejected by frame validation.
+    /// Poisoned batches rejected with a shape error by the codec's checked
+    /// entry point (`try_decode_batch_with` / `try_detect_batch_with`).
     pub poisoned_rejected: u64,
     /// Completed batches whose latency exceeded the cycle budget.
     pub deadline_misses: u64,

@@ -629,13 +629,6 @@ fn fill_random(frame: &mut BitSlice64, rng: &mut StdRng) {
     }
 }
 
-/// A received frame is structurally valid when its lane count matches the
-/// code's block length (poisoned batches fail here and are rejected, never
-/// decoded).
-fn frame_valid(codec: &BatchCodec, frame: &BitSlice64) -> bool {
-    frame.bits() == codec.n() && frame.batch() > 0
-}
-
 /// One worker: owns a codec + scratch, regenerates each batch from the
 /// seed, injects the scripted errors, decodes in the scheduler-chosen mode,
 /// classifies every message, and reports counts per job.
@@ -661,9 +654,17 @@ fn worker_loop(
         for ticket in &job.tickets {
             if ticket.poisoned {
                 // The link delivered a malformed frame: wrong lane count.
-                // Validation rejects it; the decode path is never entered.
+                // The job mode's checked entry point rejects it with a
+                // shape error before any stage runs.
                 let malformed = BitSlice64::zeros(n - 1, config.batch_messages);
-                assert!(!frame_valid(&codec, &malformed));
+                match job.mode {
+                    ServiceMode::FullCorrection | ServiceMode::WidenedAdmission => codec
+                        .try_decode_batch_with(&malformed, &mut scratch, &mut decoded)
+                        .expect_err("a wrong-lane-count frame is rejected"),
+                    ServiceMode::DetectionOnly | ServiceMode::ShedAndRescrub => codec
+                        .try_detect_batch_with(&malformed, &mut scratch, &mut dirty)
+                        .expect_err("a wrong-lane-count frame is rejected"),
+                };
                 counts.poisoned += 1;
                 continue;
             }

@@ -849,58 +849,41 @@ fn bch_registry_matches_the_scalar_decoder_at_ragged_batch_sizes() {
 /// with 1–3 seeded flips plus dense random noise agree word for word with
 /// the scalar `HardDecoder` (the same synchronous schedule and iteration
 /// cap, so the agreement is exact — including non-convergent words, which
-/// both paths must flag). The ragged sizes run the column stage on both
-/// walks, `walk-u64` below four limb words and `walk-w256` from there, so
-/// the engine's output does not depend on the kernel.
+/// both paths must flag). The ragged sizes run the `tree` column stage on
+/// one-word batches, a zero-padded tail chunk, and full 256-lane chunks, so
+/// the engine's output does not depend on the chunk shape.
 #[test]
 fn ldpc_bit_flip_engine_is_kernel_invariant_and_matches_scalar_decode() {
     let code = sfq_ecc::ecc::Ldpc::gallager_60_32();
-    let codec = BatchCodec::ldpc();
-    let kernels: std::collections::BTreeSet<String> = RAGGED_BATCH_SIZES
-        .iter()
-        .map(|&lanes| codec.selected_kernel_name(lanes))
-        .collect();
-    assert_eq!(
-        kernels,
-        ["walk-u64+bit-flip", "walk-w256+bit-flip"]
-            .map(String::from)
-            .into()
-    );
-    assert_sweep_matches_scalar(&codec, &code, 3, 0xBC43_2002);
+    assert_sweep_matches_scalar(&BatchCodec::ldpc(), &code, 3, 0xBC43_2002);
 }
 
-/// Every column-stage kernel is reached by an input shape the sweeps above
-/// decode: the code's redundancy picks direct dispatch (`r ≤ 8`) or the
-/// walk, and the batch length picks the walk width (fewer than four limb
-/// words run the one-word walk). Algebraic and iterative codecs name their
+/// Every column-stage kernel is reached by a code the sweeps above decode:
+/// the code's redundancy picks direct dispatch (`r ≤ 8`) or the decision
+/// tree, at every batch length. Algebraic and iterative codecs name their
 /// residual stage too.
 #[test]
 fn selected_kernel_names_follow_the_code_and_batch_shape() {
-    let same = |name: &str| -> [String; 3] { std::array::from_fn(|_| name.to_owned()) };
-    let walk = |residual: &str| {
-        let small = format!("walk-u64{residual}");
-        [small.clone(), small, format!("walk-w256{residual}")]
-    };
-    let cases: Vec<(BatchCodec, [String; 3])> = vec![
-        (BatchCodec::hamming74(), same("direct4")),
-        (BatchCodec::hamming84(), same("direct4")),
-        (BatchCodec::rm13(), same("direct4")),
-        (BatchCodec::repetition(4, 2), same("direct4")),
-        (BatchCodec::repetition(2, 3), same("direct4")),
-        (BatchCodec::sec_ded(3), same("direct8")),
-        (BatchCodec::sec_ded(4), same("direct8")),
-        (BatchCodec::sec_ded(5), same("direct8")),
-        (BatchCodec::sec_ded(6), same("direct8")),
-        (BatchCodec::wide_hamming_85_64(), walk("")),
-        (BatchCodec::repetition(5, 3), walk("")),
-        (BatchCodec::bch(), walk("+sliced")),
-        (BatchCodec::bch_63_51(), walk("+sliced")),
-        (BatchCodec::bch_63_45(), walk("+sliced")),
-        (BatchCodec::ldpc(), walk("+bit-flip")),
-        (BatchCodec::uncoded(4), same("none")),
+    let cases = [
+        (BatchCodec::hamming74(), "direct4"),
+        (BatchCodec::hamming84(), "direct4"),
+        (BatchCodec::rm13(), "direct4"),
+        (BatchCodec::repetition(4, 2), "direct4"),
+        (BatchCodec::repetition(2, 3), "direct4"),
+        (BatchCodec::sec_ded(3), "direct8"),
+        (BatchCodec::sec_ded(4), "direct8"),
+        (BatchCodec::sec_ded(5), "direct8"),
+        (BatchCodec::sec_ded(6), "direct8"),
+        (BatchCodec::wide_hamming_85_64(), "tree"),
+        (BatchCodec::repetition(5, 3), "tree"),
+        (BatchCodec::bch(), "tree+sliced"),
+        (BatchCodec::bch_63_51(), "tree+sliced"),
+        (BatchCodec::bch_63_45(), "tree+sliced"),
+        (BatchCodec::ldpc(), "tree+bit-flip"),
+        (BatchCodec::uncoded(4), "none"),
     ];
-    for (codec, expected) in cases {
-        for (lanes, name) in [64, 192, 4096].into_iter().zip(expected) {
+    for (codec, name) in cases {
+        for lanes in [64, 192, 4096] {
             assert_eq!(
                 codec.selected_kernel_name(lanes),
                 name,
