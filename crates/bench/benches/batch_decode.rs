@@ -6,7 +6,7 @@
 //! Modes:
 //!
 //! * `cargo bench -p bench --bench batch_decode` — full measurement, writes
-//!   `BENCH_batch.json`, runs the Criterion kernels.
+//!   `BENCH_batch.json`.
 //! * `cargo bench -p bench --bench batch_decode -- --quick` — reduced
 //!   measurement used as the CI throughput smoke check: fails (exit 1) if
 //!   SEC-DED(72,64) batch decode falls below [`SECDED_72_64_DECODE_FLOOR`],
@@ -15,8 +15,7 @@
 //!   the uninstrumented decode rate (measured in-process via the
 //!   `sfq_telemetry::set_recording` kill-switch).
 
-use bench::{banner_with_fingerprint, write_artifact, Fingerprint};
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use bench::banner_with_fingerprint;
 use cryolink::{BatchLink, BatchLinkContext, ChannelConfig, LinkScratch};
 use ecc::{BatchDecode, BatchDecoded, BatchEncode, BatchScratch};
 use encoders::{EncoderDesign, EncoderKind};
@@ -25,6 +24,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sfq_batch::BatchCodec;
 use sfq_sim::FaultMap;
+use sfq_telemetry::json::{self, JsonWriter};
+use sfq_telemetry::Fingerprint;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// CI throughput floor for SEC-DED(72,64) batch decode (messages/second),
@@ -273,35 +275,42 @@ fn measure(quick: bool, fingerprint: &Fingerprint) -> Vec<Measurement> {
 }
 
 fn render_json(measurements: &[Measurement], fingerprint: &Fingerprint) -> String {
-    let rows: Vec<String> = measurements
-        .iter()
-        .map(|m| {
-            let link = m.link.map_or("null".to_string(), |v| format!("{v:.1}"));
-            format!(
-                "    {{\"code\": \"{}\", \"n\": {}, \"k\": {}, \"match_entries\": {}, \
-                 \"kernel\": \"{}\", \
-                 \"encode_msgs_per_s\": {:.1}, \"decode_msgs_per_s\": {:.1}, \
-                 \"link_msgs_per_s\": {link}}}",
-                m.slug, m.n, m.k, m.program_len, m.kernel, m.encode, m.decode
-            )
-        })
-        .collect();
-    let sha = fingerprint
-        .git_sha
-        .as_deref()
-        .map_or("null".to_string(), |s| format!("\"{s}\""));
-    format!(
-        "{{\n  \"fingerprint\": {{\"code\": \"{}\", \"chips\": {}, \"messages\": {}, \
-         \"seed\": {}, \"threads\": {}, \"git_sha\": {sha}}},\n  \
-         \"lanes\": {LANES},\n  \"input\": \"one random single-bit error per word\",\n  \
-         \"codes\": [\n{}\n  ]\n}}\n",
-        fingerprint.code,
-        fingerprint.chips,
-        fingerprint.messages,
-        fingerprint.seed,
-        fingerprint.threads,
-        rows.join(",\n")
-    )
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("fingerprint");
+    fingerprint.write_json(&mut w);
+    w.key("lanes");
+    w.uint(LANES as u64);
+    w.key("input");
+    w.string("one random single-bit error per word");
+    w.key("codes");
+    w.begin_array();
+    for m in measurements {
+        w.begin_object();
+        w.key("code");
+        w.string(m.slug);
+        w.key("n");
+        w.uint(m.n as u64);
+        w.key("k");
+        w.uint(m.k as u64);
+        w.key("match_entries");
+        w.uint(m.program_len as u64);
+        w.key("kernel");
+        w.string(&m.kernel);
+        w.key("encode_msgs_per_s");
+        w.float(m.encode);
+        w.key("decode_msgs_per_s");
+        w.float(m.decode);
+        w.key("link_msgs_per_s");
+        match m.link {
+            Some(rate) => w.float(rate),
+            None => w.null(),
+        }
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+    w.finish()
 }
 
 /// Measures the compiled-in telemetry's own cost on the hottest kernel:
@@ -336,16 +345,16 @@ fn telemetry_overhead(quick: bool) -> (f64, f64) {
     (on, off)
 }
 
-fn bench_batch_decode(c: &mut Criterion) {
+fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let fingerprint = Fingerprint::new("batch_suite(11 codes)", 0, LANES, SEED, 1);
     let measurements = measure(quick, &fingerprint);
 
     if !quick {
-        write_artifact(
-            "BENCH_batch.json",
-            &render_json(&measurements, &fingerprint),
-        );
+        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batch.json");
+        let doc = render_json(&measurements, &fingerprint);
+        json::write_artifact(out, &doc).unwrap_or_else(|e| panic!("{e}"));
+        println!("wrote {out} ({} bytes)", doc.len());
     }
 
     // The committed floor is *enforced* only by the dedicated `--quick` CI
@@ -409,51 +418,5 @@ fn bench_batch_decode(c: &mut Criterion) {
         } else {
             println!("telemetry overhead: skipped (built without instrumentation)");
         }
-        return;
     }
-
-    // Criterion kernels for the flagship codes.
-    let code = ecc::SecDed::new(6);
-    let codec = BatchCodec::new(&code);
-    let mut rng = StdRng::seed_from_u64(2);
-    let messages: Vec<BitVec> = (0..LANES)
-        .map(|_| BitVec::from_u64(64, rng.random::<u64>()))
-        .collect();
-    let mut received = codec.encode_batch(&BitSlice64::pack(&messages));
-    for i in 0..LANES {
-        let pos = rng.random_range(0..72usize);
-        received.set(i, pos, !received.get(i, pos));
-    }
-    let mut scratch = BatchScratch::new();
-    let mut decoded = BatchDecoded::empty();
-    c.bench_function("batch_decode/secded_72_64_column_match_4096", |b| {
-        b.iter(|| {
-            codec.decode_batch_with(&received, &mut scratch, &mut decoded);
-            decoded.corrected_count()
-        })
-    });
-
-    let wide = ecc::ShortenedHamming::wide_85_64();
-    let wide_codec = BatchCodec::new(&wide);
-    let wide_messages: Vec<BitVec> = (0..LANES)
-        .map(|_| BitVec::from_u64(64, rng.random::<u64>()))
-        .collect();
-    let mut wide_received = wide_codec.encode_batch(&BitSlice64::pack(&wide_messages));
-    for i in 0..LANES {
-        let pos = rng.random_range(0..85usize);
-        wide_received.set(i, pos, !wide_received.get(i, pos));
-    }
-    c.bench_function("batch_decode/shamming_85_64_column_match_4096", |b| {
-        b.iter(|| {
-            wide_codec.decode_batch_with(&wide_received, &mut scratch, &mut decoded);
-            decoded.corrected_count()
-        })
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_batch_decode
-}
-criterion_main!(benches);

@@ -16,8 +16,9 @@
 //!   soak-mix at 1.0× (must hold zero deadline misses) and 1.5× (backlog
 //!   must stay bounded and drain). Also writes `BENCH_stream.json`.
 
-use bench::{banner_with_fingerprint, write_artifact};
+use bench::banner_with_fingerprint;
 use sfq_stream::{FaultScript, ScrubService, StreamConfig, StreamReport};
+use sfq_telemetry::json::{self, JsonWriter};
 use sfq_telemetry::Fingerprint;
 
 /// CI throughput floor (messages/second) for the nominal intensity in
@@ -71,18 +72,27 @@ fn run_intensity(intensity: &Intensity, total_cycles: u64) -> StreamReport {
 }
 
 fn render_json(rows: &[(&'static str, u64, StreamReport)], fingerprint: &Fingerprint) -> String {
-    let mut intensities = Vec::new();
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("fingerprint");
+    fingerprint.write_json(&mut w);
+    w.key("config");
+    w.string("StreamConfig::nominal() scaled per intensity");
+    w.key("intensities");
+    w.begin_array();
     for (slug, factor_milli, report) in rows {
-        intensities.push(format!(
-            "    {{\n      \"intensity\": \"{slug}\",\n      \"rate_factor_milli\": {factor_milli},\n      \"report\": {}\n    }}",
-            report.to_json("      ")
-        ));
+        w.begin_object();
+        w.key("intensity");
+        w.string(slug);
+        w.key("rate_factor_milli");
+        w.uint(*factor_milli);
+        w.key("report");
+        report.write_json(&mut w);
+        w.end_object();
     }
-    format!(
-        "{{\n  \"fingerprint\": {},\n  \"config\": \"StreamConfig::nominal() scaled per intensity\",\n  \"intensities\": [\n{}\n  ]\n}}\n",
-        fingerprint.to_json(),
-        intensities.join(",\n")
-    )
+    w.end_array();
+    w.end_object();
+    w.finish()
 }
 
 fn print_row(slug: &str, report: &StreamReport) {
@@ -200,6 +210,9 @@ fn main() {
     }
 
     if !quick {
-        write_artifact("BENCH_stream.json", &render_json(&rows, &fingerprint));
+        let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stream.json");
+        let doc = render_json(&rows, &fingerprint);
+        json::write_artifact(out, &doc).unwrap_or_else(|e| panic!("{e}"));
+        println!("wrote {out} ({} bytes)", doc.len());
     }
 }

@@ -6,8 +6,7 @@
 //! Josephson junctions (JJs), the static power dissipation, and the layout
 //! area. This crate provides the per-cell constants needed to perform the
 //! same bookkeeping, together with timing parameters and operating margins
-//! used by the gate-level simulator (`sfq-sim`) and the analog simulator
-//! (`josim-lite`).
+//! used by the gate-level simulator (`sfq-sim`) and its PPV fault model.
 //!
 //! Per-cell JJ count, power, and area are *calibrated* so that the three
 //! encoder netlists of the paper reproduce Table II exactly (the calibration

@@ -2,9 +2,9 @@
 //!
 //! The paper's encoders target the MIT Lincoln Laboratory SFQ5ee process with
 //! a critical current density of 10 kA/cm². The process record carries the
-//! constants that the analog simulator (`josim-lite`) and the thermal-noise
-//! model need: junction critical current density, characteristic voltage,
-//! shunt resistance scaling, and the operating temperature.
+//! junction and wiring constants (critical current density, characteristic
+//! voltage, shunt resistance scaling, operating temperature) from which the
+//! Fig. 3 waveform renderer derives its pulse width and thermal noise.
 
 use serde::{Deserialize, Serialize};
 

@@ -12,7 +12,6 @@
 //! | [`cells`] | `sfq-cells` | RSFQ standard-cell library model (JJ count, power, area, margins) |
 //! | [`netlist`] | `sfq-netlist` | gate-level netlist IR, synthesis passes, design-rule checks |
 //! | [`sim`] | `sfq-sim` | pulse-level simulator and the PPV fault model |
-//! | [`analog`] | `josim-lite` | RCSJ/MNA transient simulator (the JoSIM stand-in) |
 //! | [`encoders`] | `encoders` | the code catalog: the paper's encoder circuits, synthesized SEC-DED encoders, Table II |
 //! | [`batch`] | `sfq-batch` | bit-sliced batch codec engine (64 codewords per `u64` limb) |
 //! | [`link`] | `cryolink` | the Fig. 1 data link, the Fig. 5 Monte-Carlo experiments, and the batch link driver |
@@ -31,9 +30,12 @@
 //! ```
 //!
 //! The runnable examples under `examples/` exercise the public API on the
-//! paper's scenarios: `quickstart`, `encoder_waveforms` (Fig. 3),
-//! `ppv_sweep` (Fig. 5), `design_explorer` (Tables I and II), and
-//! `link_demo` (the end-to-end Fig. 1 link).
+//! paper's scenarios, one per artifact: `design_explorer` (Tables I and
+//! II), `encoder_waveforms` (Fig. 3), and `ppv_sweep` (Fig. 5). Around them
+//! sit `quickstart`, `link_demo` (the end-to-end Fig. 1 link), `ablations`
+//! (spread, counting-policy and channel-noise sweeps), `synth_report`
+//! (`BENCH_synth.json`), and the catalog, batch, scrub-service and
+//! run-report tours.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +44,6 @@ pub use cryolink as link;
 pub use ecc;
 pub use encoders;
 pub use gf2;
-pub use josim_lite as analog;
 pub use sfq_batch as batch;
 pub use sfq_cells as cells;
 pub use sfq_netlist as netlist;

@@ -3,6 +3,7 @@
 //! wall-clock section (real throughput, machine-dependent).
 
 use crate::degrade::{ServiceMode, Transition};
+use sfq_telemetry::json::JsonWriter;
 
 /// Latency percentiles over completed batches, in simulated cycles —
 /// computed from an exact per-cycle histogram, so deterministic.
@@ -215,70 +216,76 @@ impl StreamReport {
         )
     }
 
-    /// Renders the report as a JSON object (hand-rolled; the workspace's
-    /// `serde` is an offline no-op shim). Used by the bench artifact and
-    /// the example.
+    /// Writes the report as a JSON object through the given writer. Used by
+    /// the bench artifact (`BENCH_stream.json`) and the example.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object();
+        for (key, value) in [
+            ("arrivals", self.arrivals),
+            ("completed_batches", self.completed_batches),
+            ("shed_batches", self.shed_batches),
+            ("poisoned_rejected", self.poisoned_rejected),
+            ("deadline_misses", self.deadline_misses),
+            ("max_backlog", self.max_backlog as u64),
+            ("time_to_drain", self.time_to_drain),
+        ] {
+            w.key(key);
+            w.uint(value);
+        }
+        w.key("drained");
+        w.bool(self.drained);
+        w.key("final_mode");
+        w.string(self.final_mode.name());
+        w.key("latency_cycles");
+        w.begin_object();
+        for (key, value) in [
+            ("p50", self.latency.p50),
+            ("p99", self.latency.p99),
+            ("max", self.latency.max),
+        ] {
+            w.key(key);
+            w.uint(value);
+        }
+        w.end_object();
+        for (key, value) in [
+            ("messages_decoded", self.messages_decoded),
+            ("delivered_ok", self.delivered_ok),
+            ("corrected", self.corrected),
+            ("flagged_rescrub", self.flagged_rescrub),
+            ("detect_rescrub", self.detect_rescrub),
+            ("silent_wrong", self.silent_wrong),
+        ] {
+            w.key(key);
+            w.uint(value);
+        }
+        w.key("transitions");
+        w.begin_array();
+        for t in &self.transitions {
+            w.begin_object();
+            w.key("cycle");
+            w.uint(t.cycle);
+            w.key("from");
+            w.string(t.from.name());
+            w.key("to");
+            w.string(t.to.name());
+            w.end_object();
+        }
+        w.end_array();
+        w.key("threads");
+        w.uint(self.threads as u64);
+        w.key("wall_ns");
+        w.uint(self.wall_ns);
+        w.key("throughput_msgs_per_sec");
+        w.float(self.throughput_msgs_per_sec);
+        w.end_object();
+    }
+
+    /// The report as a standalone JSON document.
     #[must_use]
-    pub fn to_json(&self, indent: &str) -> String {
-        let i = indent;
-        let transitions: Vec<String> = self
-            .transitions
-            .iter()
-            .map(|t| {
-                format!(
-                    "{{\"cycle\": {}, \"from\": \"{}\", \"to\": \"{}\"}}",
-                    t.cycle,
-                    t.from.name(),
-                    t.to.name()
-                )
-            })
-            .collect();
-        format!(
-            "{{\n\
-             {i}  \"arrivals\": {},\n\
-             {i}  \"completed_batches\": {},\n\
-             {i}  \"shed_batches\": {},\n\
-             {i}  \"poisoned_rejected\": {},\n\
-             {i}  \"deadline_misses\": {},\n\
-             {i}  \"max_backlog\": {},\n\
-             {i}  \"time_to_drain\": {},\n\
-             {i}  \"drained\": {},\n\
-             {i}  \"final_mode\": \"{}\",\n\
-             {i}  \"latency_cycles\": {{\"p50\": {}, \"p99\": {}, \"max\": {}}},\n\
-             {i}  \"messages_decoded\": {},\n\
-             {i}  \"delivered_ok\": {},\n\
-             {i}  \"corrected\": {},\n\
-             {i}  \"flagged_rescrub\": {},\n\
-             {i}  \"detect_rescrub\": {},\n\
-             {i}  \"silent_wrong\": {},\n\
-             {i}  \"transitions\": [{}],\n\
-             {i}  \"threads\": {},\n\
-             {i}  \"wall_ns\": {},\n\
-             {i}  \"throughput_msgs_per_sec\": {:.1}\n\
-             {i}}}",
-            self.arrivals,
-            self.completed_batches,
-            self.shed_batches,
-            self.poisoned_rejected,
-            self.deadline_misses,
-            self.max_backlog,
-            self.time_to_drain,
-            self.drained,
-            self.final_mode.name(),
-            self.latency.p50,
-            self.latency.p99,
-            self.latency.max,
-            self.messages_decoded,
-            self.delivered_ok,
-            self.corrected,
-            self.flagged_rescrub,
-            self.detect_rescrub,
-            self.silent_wrong,
-            transitions.join(", "),
-            self.threads,
-            self.wall_ns,
-            self.throughput_msgs_per_sec,
-        )
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::new();
+        self.write_json(&mut w);
+        w.finish()
     }
 }
 

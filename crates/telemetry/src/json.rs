@@ -1,8 +1,10 @@
 //! Hand-rolled JSON emission and validation. The workspace's serde shim is
 //! a no-op marker, so every JSON artifact (BENCH files, `RUN_REPORT.json`)
-//! is written by hand; [`JsonWriter`] keeps that correct (escaping, comma
-//! placement) and [`validate`] lets examples and CI check the result
-//! without a JSON dependency.
+//! is built with [`JsonWriter`], which keeps escaping and comma placement
+//! correct, and reaches disk through [`write_artifact`], which checks it
+//! with [`validate`] first — all without a JSON dependency.
+
+use std::path::Path;
 
 /// Escapes a string for inclusion inside a JSON string literal (without the
 /// surrounding quotes).
@@ -171,6 +173,18 @@ pub fn validate(input: &str) -> Result<(), String> {
         return Err(format!("trailing content at byte {pos}"));
     }
     Ok(())
+}
+
+/// Writes a JSON artifact to `path` after checking it with [`validate`], so
+/// a malformed document never reaches disk.
+///
+/// # Errors
+/// Returns a message naming `path` if `json` is not valid JSON (nothing is
+/// written) or if the write fails.
+pub fn write_artifact(path: impl AsRef<Path>, json: &str) -> Result<(), String> {
+    let path = path.as_ref();
+    validate(json).map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?;
+    std::fs::write(path, json).map_err(|e| format!("write {}: {e}", path.display()))
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -391,6 +405,40 @@ mod tests {
         ] {
             validate(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
         }
+    }
+
+    /// A per-test path in the system temp directory, removed up front so a
+    /// leftover from an earlier run cannot satisfy an assertion.
+    fn temp_artifact(name: &str) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("sfq-telemetry-{}-{name}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    #[test]
+    fn write_artifact_refuses_an_invalid_document_and_writes_nothing() {
+        let path = temp_artifact("invalid");
+        let err = write_artifact(&path, "{\"a\": 1,}").unwrap_err();
+        assert!(err.contains("not valid JSON"), "{err}");
+        assert!(!path.exists(), "an invalid document must not reach disk");
+    }
+
+    #[test]
+    fn write_artifact_writes_a_valid_document_byte_for_byte() {
+        let path = temp_artifact("valid");
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("escaped");
+        w.string("a\"b\u{e9}");
+        w.key("x");
+        w.float(0.1);
+        w.end_object();
+        let doc = w.finish();
+        write_artifact(&path, &doc).expect("valid document is written");
+        let written = std::fs::read(&path).expect("artifact exists");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(written, doc.as_bytes());
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //!   as a JSON document (the workspace's `RUN_REPORT.json`) or a
 //!   human-readable table. The serde shim in this workspace is a no-op
 //!   marker, so JSON is emitted by hand through [`json`], which also ships
-//!   a validator used by the report example and CI.
+//!   the validator and the validated artifact writer
+//!   ([`json::write_artifact`]) that every emitted document goes through.
 //! * [`Fingerprint`] identifies the configuration that produced an
 //!   artifact (code, chips, messages, seed, threads, git SHA), so BENCH
 //!   and RUN_REPORT files are attributable to a configuration.

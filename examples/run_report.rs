@@ -1,20 +1,21 @@
 //! Structured run report: exercises the batched Fig. 5 Monte-Carlo driver
 //! and the synthesis planner with telemetry recording, then writes the
-//! merged metrics snapshot — fingerprint, batch-decoder bucket statistics,
-//! per-chip latency percentiles, per-worker utilization, Fig. 5 zero-error
-//! rate with its Wilson interval, and per-pass synthesis timings — to
-//! `RUN_REPORT.json` at the workspace root.
+//! merged metrics snapshot — fingerprint, batch-decoder kernel and stage
+//! counters, per-chip latency percentiles, per-worker utilization, Fig. 5
+//! zero-error rate with its Wilson interval, and per-pass synthesis
+//! timings — to `RUN_REPORT.json` at the workspace root.
 //!
-//! Run with `cargo run --example run_report`. The emitted document is
-//! validated with the telemetry crate's own JSON parser before it is
-//! written, and CI re-validates the artifact it uploads. Without the
-//! default `telemetry` feature the example still runs and emits a valid
-//! (mostly empty) report — instrumentation never influences results.
+//! Run with `cargo run --example run_report`. The document goes through
+//! `sfq_telemetry::json::write_artifact`, which validates it with the
+//! telemetry crate's own JSON parser before writing, and CI checks that the
+//! uploaded artifact is non-empty. Without the default `telemetry` feature
+//! the example still runs and emits a valid (mostly empty) report —
+//! instrumentation never influences results.
 
 use sfq_ecc::cells::CellLibrary;
 use sfq_ecc::encoders::{EncoderDesign, EncoderKind};
 use sfq_ecc::link::{Fig5Curve, Fig5Experiment};
-use sfq_telemetry::json::JsonWriter;
+use sfq_telemetry::json::{self, JsonWriter};
 use sfq_telemetry::{Fingerprint, Snapshot};
 
 /// Chips in the report's Monte-Carlo run. Small enough to finish in
@@ -119,9 +120,7 @@ fn main() {
     println!("{}", snapshot.to_table());
 
     let report = write_report(&fingerprint, &curve, &snapshot);
-    sfq_telemetry::json::validate(&report).expect("RUN_REPORT.json validates");
-
-    let out = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("RUN_REPORT.json");
-    std::fs::write(&out, &report).expect("write RUN_REPORT.json");
+    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("RUN_REPORT.json");
+    json::write_artifact(&out, &report).unwrap_or_else(|e| panic!("{e}"));
     println!("wrote {} ({} bytes)", out.display(), report.len());
 }

@@ -27,7 +27,7 @@ fn main() {
     banner("nominal load, no faults");
     let report = ScrubService::run(&nominal, &FaultScript::quiet());
     report.validate().expect("contract held");
-    println!("{}", report.to_json(""));
+    print!("{}", report.to_json());
 
     banner("1.5x overload window (cycles 8192..40960)");
     let overload = FaultScript::quiet().with(
@@ -44,11 +44,11 @@ fn main() {
     for t in &report.transitions {
         println!("cycle {:>6}: {} -> {}", t.cycle, t.from.name(), t.to.name());
     }
-    println!("{}", report.to_json(""));
+    print!("{}", report.to_json());
 
     banner("fault soak: stalls + bursts + poisoned batches");
     let soak = FaultScript::soak_mix(nominal.total_cycles, nominal.shards, 3);
     let report = ScrubService::run(&nominal, &soak);
     report.validate().expect("faults absorbed");
-    println!("{}", report.to_json(""));
+    print!("{}", report.to_json());
 }

@@ -44,7 +44,7 @@ fn nominal_load_meets_the_latency_contract() {
 #[test]
 fn report_json_passes_the_artifact_validator() {
     let report = ScrubService::run(&test_config(), &FaultScript::quiet());
-    let json = report.to_json("");
+    let json = report.to_json();
     if let Err(e) = sfq_ecc::telemetry::json::validate(&json) {
         panic!("stream report JSON is malformed: {e}\n{json}");
     }
