@@ -29,10 +29,13 @@
 
 pub mod cancel;
 pub mod drc;
+mod fxhash;
 pub mod ir;
 pub mod pass;
 pub mod stats;
 pub mod synth;
+#[cfg(test)]
+mod testkit;
 
 pub use cancel::CancellationFactoringPass;
 pub use drc::{check, DrcViolation};

@@ -60,12 +60,14 @@
 //! same cycle ([`InputDiscipline::Align`]); alignment chains are shared per
 //! (signal, depth) and fanned out, as in the paper's schematic.
 
+use crate::fxhash::FxHashMap;
 use crate::ir::{Factor, IrEquivalenceError, ParityIr, SignalId};
 use crate::synth::{build_clock_tree, dff_chain, fanout};
 use crate::{Netlist, PortRef};
 use gf2::BitMat;
 use serde::{Deserialize, Serialize};
 use sfq_cells::{CellKind, CellLibrary, CircuitCost};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 
 /// How XOR operands with unequal logic depths are reconciled.
@@ -125,6 +127,25 @@ pub enum FactoringKind {
     None,
 }
 
+impl FactoringKind {
+    /// Every factoring kind, in the order the planner weighs them (most
+    /// conservative first).
+    const ALL: [FactoringKind; 3] = [
+        FactoringKind::Paar,
+        FactoringKind::Cancellation,
+        FactoringKind::None,
+    ];
+
+    /// The pass that fills the pipeline's factoring slot for this kind.
+    fn pass(self) -> Box<dyn Pass> {
+        match self {
+            FactoringKind::Paar => Box::new(GreedyFactoringPass),
+            FactoringKind::Cancellation => Box::new(crate::cancel::CancellationFactoringPass),
+            FactoringKind::None => Box::new(NoFactoringPass),
+        }
+    }
+}
+
 /// The schedule decisions a [`SynthPlanner`] makes per design: which
 /// factoring algorithm runs and how XOR trees are shaped.
 ///
@@ -168,17 +189,15 @@ impl Schedule {
     /// does not distinguish the candidates gets the historical pipeline.
     #[must_use]
     pub fn candidates() -> Vec<Schedule> {
-        let mut all = Vec::with_capacity(6);
-        for factoring in [
-            FactoringKind::Paar,
-            FactoringKind::Cancellation,
-            FactoringKind::None,
-        ] {
-            for stretch in [true, false] {
-                all.push(Schedule { factoring, stretch });
-            }
-        }
-        all
+        FactoringKind::ALL
+            .into_iter()
+            .flat_map(Schedule::shapings)
+            .collect()
+    }
+
+    /// The tree shapings weighed for one factoring kind, stretch first.
+    fn shapings(factoring: FactoringKind) -> [Schedule; 2] {
+        [true, false].map(|stretch| Schedule { factoring, stretch })
     }
 
     /// Short label for reports and benchmark JSON, e.g. `"paar+stretch"`.
@@ -411,13 +430,8 @@ impl PassManager {
     /// the given [`Schedule`] (normally chosen by a [`SynthPlanner`]).
     #[must_use]
     pub fn with_schedule(options: PipelineOptions, schedule: Schedule) -> Self {
-        let factoring: Box<dyn Pass> = match schedule.factoring {
-            FactoringKind::Paar => Box::new(GreedyFactoringPass),
-            FactoringKind::Cancellation => Box::new(crate::cancel::CancellationFactoringPass),
-            FactoringKind::None => Box::new(NoFactoringPass),
-        };
         let passes: Vec<Box<dyn Pass>> = vec![
-            factoring,
+            schedule.factoring.pass(),
             Box::new(TreeBalancePass),
             Box::new(FanoutPlanPass),
             Box::new(EmitNetlistPass),
@@ -425,9 +439,7 @@ impl PassManager {
         ];
         let pass_timers = passes
             .iter()
-            .map(|pass| {
-                sfq_telemetry::global().histogram(&format!("synth.pass.{}.ns", pass.name()))
-            })
+            .map(|pass| pass_timer(pass.as_ref()))
             .collect();
         PassManager {
             options,
@@ -510,6 +522,11 @@ impl PassManager {
     }
 }
 
+/// A fresh shard of the `synth.pass.<name>.ns` span-timer histogram.
+fn pass_timer(pass: &dyn Pass) -> sfq_telemetry::Histogram {
+    sfq_telemetry::global().histogram(&format!("synth.pass.{}.ns", pass.name()))
+}
+
 /// Planned cost of the unit in its current state: actual cell counts once the
 /// netlist exists, otherwise the exact cost a faithful lowering of the
 /// current IR would produce (computed by simulating tree balancing and
@@ -556,69 +573,101 @@ impl Pass for GreedyFactoringPass {
             return Ok("disabled by options".to_string());
         }
         let budget = unit.ir.depth_budget() + unit.options.depth_slack;
-        let mut cache = factor_cache(&unit.ir);
-        let mut extracted = 0usize;
-        loop {
-            // Count, per candidate pair, the equations where substitution is
-            // depth-feasible. BTreeMap keeps the tie-break deterministic
-            // (smallest pair wins among equal counts).
-            let mut candidates: BTreeMap<(SignalId, SignalId), Vec<usize>> = BTreeMap::new();
-            for j in 0..unit.ir.num_outputs() {
-                let terms = unit.ir.output_terms(j);
-                if terms.len() < 2 {
-                    continue;
-                }
-                for x in 0..terms.len() {
-                    for y in (x + 1)..terms.len() {
-                        let (a, b) = (terms[x], terms[y]);
-                        if substitution_fits(&unit.ir, j, a, b, budget) {
-                            candidates.entry((a, b)).or_default().push(j);
-                        }
-                    }
-                }
-            }
-            // Term-occurrence frequency, used as a secondary criterion: when
-            // several pairs are shared by the same number of equations,
-            // extracting the one built from the *least*-used signals commits
-            // the rare signals first and keeps the widely-shared signals
-            // available for later, larger extractions — measurably better on
-            // the SEC-DED family than frequency-greedy, while the paper's
-            // three small encoders (whose optima are forced) are unaffected.
-            // Remaining ties fall back to the smallest pair, which BTreeMap
-            // iteration order provides.
-            let mut freq: BTreeMap<SignalId, usize> = BTreeMap::new();
-            for j in 0..unit.ir.num_outputs() {
-                let terms = unit.ir.output_terms(j);
-                if terms.len() < 2 {
-                    continue;
-                }
-                for &t in terms {
-                    *freq.entry(t).or_insert(0) += 1;
-                }
-            }
-            let mut best: Option<((SignalId, SignalId), &Vec<usize>, usize)> = None;
-            for (pair, outs) in &candidates {
-                if outs.len() < 2 {
-                    continue;
-                }
-                let tiebreak = usize::MAX - (freq[&pair.0] + freq[&pair.1]);
-                if best.is_none_or(|(_, b, bt)| (outs.len(), tiebreak) > (b.len(), bt)) {
-                    best = Some((*pair, outs, tiebreak));
-                }
-            }
-            let Some(((a, b), outs, _)) = best else { break };
-            let outs = outs.clone();
-            let factor = *cache
-                .entry((a, b))
-                .or_insert_with(|| unit.ir.add_factor(a, b));
-            for j in outs {
-                unit.ir.substitute(j, a, b, factor);
-            }
-            extracted += 1;
-        }
+        let extracted = factor_common_pairs(&mut unit.ir, budget);
         Ok(format!(
             "{extracted} shared factors (depth budget {budget})"
         ))
+    }
+}
+
+/// The body of [`GreedyFactoringPass`]: extracts shared pairs until no pair
+/// is shared by two equations, and returns how many were extracted.
+fn factor_common_pairs(ir: &mut ParityIr, budget: usize) -> usize {
+    let mut cache = factor_cache(ir);
+    // Per candidate pair, the number of equations where substitution is
+    // depth-feasible. A substitution changes only the equations it rewrites,
+    // so only their pairs are re-tallied.
+    let mut tally: FxHashMap<(SignalId, SignalId), usize> = FxHashMap::default();
+    for j in 0..ir.num_outputs() {
+        tally_pairs(ir, j, budget, &mut tally, true);
+    }
+    let mut extracted = 0usize;
+    loop {
+        // Term-occurrence frequency, used as a secondary criterion: when
+        // several pairs are shared by the same number of equations,
+        // extracting the one built from the *least*-used signals commits
+        // the rare signals first and keeps the widely-shared signals
+        // available for later, larger extractions — measurably better on
+        // the SEC-DED family than frequency-greedy, while the paper's
+        // three small encoders (whose optima are forced) are unaffected.
+        // Remaining ties fall back to the smallest pair. That is a total
+        // order, so the tally's iteration order cannot change the choice.
+        let mut freq = vec![0usize; ir.num_signals()];
+        for j in 0..ir.num_outputs() {
+            let terms = ir.output_terms(j);
+            if terms.len() >= 2 {
+                terms.iter().for_each(|&t| freq[t] += 1);
+            }
+        }
+        let best = (tally.iter())
+            .filter(|&(_, &equations)| equations >= 2)
+            .max_by_key(|&(&(a, b), &equations)| {
+                (equations, Reverse(freq[a] + freq[b]), Reverse((a, b)))
+            });
+        let Some((&(a, b), _)) = best else { break };
+        let takers: Vec<usize> = (0..ir.num_outputs())
+            .filter(|&j| {
+                let terms = ir.output_terms(j);
+                terms.binary_search(&a).is_ok()
+                    && terms.binary_search(&b).is_ok()
+                    && join_fits(capacity(ir, terms), ir.depth(a), ir.depth(b), budget)
+            })
+            .collect();
+        let factor = *cache.entry((a, b)).or_insert_with(|| ir.add_factor(a, b));
+        for j in takers {
+            tally_pairs(ir, j, budget, &mut tally, false);
+            ir.substitute(j, a, b, factor);
+            tally_pairs(ir, j, budget, &mut tally, true);
+        }
+        extracted += 1;
+    }
+    extracted
+}
+
+/// `Σ 2^depth` over a term list: its share of the `2^budget` leaf capacity.
+fn capacity(ir: &ParityIr, terms: &[SignalId]) -> u128 {
+    terms.iter().map(|&t| 1u128 << ir.depth(t)).sum()
+}
+
+/// Counts output `j`'s depth-feasible term pairs into `tally` (or, with
+/// `add` false, out of it, dropping pairs no equation can take any more).
+fn tally_pairs(
+    ir: &ParityIr,
+    j: usize,
+    budget: usize,
+    tally: &mut FxHashMap<(SignalId, SignalId), usize>,
+    add: bool,
+) {
+    let terms = ir.output_terms(j);
+    if terms.len() < 2 {
+        return;
+    }
+    let capacity = capacity(ir, terms);
+    for (x, &a) in terms.iter().enumerate() {
+        for &b in &terms[x + 1..] {
+            if !join_fits(capacity, ir.depth(a), ir.depth(b), budget) {
+                continue;
+            }
+            if add {
+                *tally.entry((a, b)).or_insert(0) += 1;
+            } else {
+                let equations = tally.get_mut(&(a, b)).expect("tallied when added");
+                *equations -= 1;
+                if *equations == 0 {
+                    tally.remove(&(a, b));
+                }
+            }
+        }
     }
 }
 
@@ -645,17 +694,13 @@ fn factor_cache(ir: &ParityIr) -> BTreeMap<(SignalId, SignalId), SignalId> {
         .collect()
 }
 
-/// Would replacing `{a, b}` with their factor keep output `j` within the
-/// depth budget?
-fn substitution_fits(ir: &ParityIr, j: usize, a: SignalId, b: SignalId, budget: usize) -> bool {
-    let factor_depth = ir.depth(a).max(ir.depth(b)) + 1;
-    let depths = ir
-        .output_terms(j)
-        .iter()
-        .filter(|&&t| t != a && t != b)
-        .map(|&t| ir.depth(t))
-        .chain(std::iter::once(factor_depth));
-    crate::ir::achievable_depth_of(depths) <= budget
+/// Would replacing two terms of depths `da` and `db` with their factor keep
+/// an output within the depth budget, given the output's capacity sum
+/// `Σ 2^depth` over its terms? An output is realizable at depth `budget`
+/// iff its capacity sum is at most `2^budget` (Kraft's inequality), so this
+/// is `achievable_depth_of(rest ∪ {max(da, db) + 1}) ≤ budget` in O(1).
+fn join_fits(capacity: u128, da: usize, db: usize, budget: usize) -> bool {
+    capacity - (1u128 << da) - (1u128 << db) + (1u128 << (da.max(db) + 1)) <= 1u128 << budget
 }
 
 // ---------------------------------------------------------------------------
@@ -1067,35 +1112,41 @@ impl Pass for ClockTreePass {
 // Cost-model-driven schedule planning and the latency/area Pareto sweep.
 // ---------------------------------------------------------------------------
 
-/// Exact planned cost of running the pipeline with `schedule` on
-/// `generator`, computed at the IR level (the factoring pass runs for real;
-/// tree balancing and fan-out planning are simulated by [`planned_cost`],
-/// which matches emission exactly). No netlist is built.
+/// Exact planned cost of running the pipeline on `generator` with
+/// `factoring` under each tree shaping (stretch, then compact), computed at
+/// the IR level: the factoring pass runs once, for real, timed into its
+/// `synth.pass.<name>.ns` histogram like a [`PassManager`] pass; tree
+/// balancing and fan-out planning are simulated per shaping by
+/// [`planned_cost`], which matches emission exactly. One factored IR prices
+/// both shapings because no factoring pass reads [`Schedule::stretch`]. No
+/// netlist is built.
 #[must_use]
 pub fn plan_schedule(
     generator: &BitMat,
     options: &PipelineOptions,
-    schedule: Schedule,
-) -> PlannedCost {
+    factoring: FactoringKind,
+) -> [(Schedule, PlannedCost); 2] {
+    let shapings = Schedule::shapings(factoring);
     let mut unit = SynthUnit {
         name: "plan".to_string(),
         generator: generator.clone(),
         options: *options,
-        schedule,
+        schedule: shapings[0],
         ir: ParityIr::from_generator(generator),
         plan: None,
         netlist: None,
     };
-    let factoring: Box<dyn Pass> = match schedule.factoring {
-        FactoringKind::Paar => Box::new(GreedyFactoringPass),
-        FactoringKind::Cancellation => Box::new(crate::cancel::CancellationFactoringPass),
-        FactoringKind::None => Box::new(NoFactoringPass),
-    };
-    factoring
-        .run(&mut unit)
-        .expect("IR factoring passes are infallible");
+    let pass = factoring.pass();
+    {
+        let _span = sfq_telemetry::SpanTimer::start(pass_timer(pass.as_ref()));
+        pass.run(&mut unit)
+            .expect("IR factoring passes are infallible");
+    }
     debug_assert!(unit.ir.verify_against(generator).is_ok());
-    planned_cost(&unit)
+    shapings.map(|schedule| {
+        unit.schedule = schedule;
+        (schedule, planned_cost(&unit))
+    })
 }
 
 /// One priced schedule candidate from a [`SynthPlanner`] evaluation.
@@ -1169,10 +1220,14 @@ pub fn record_plan_metrics(plan: &SchedulePlan, result: &SynthResult, library: &
     registry
         .counter("synth.plan.candidates_priced")
         .add(plan.candidates.len() as u64);
+    // Both outcomes are registered, so a clean run still shows
+    // `synth.plan.mismatched` at 0.
+    let exact = registry.counter("synth.plan.exact");
+    let mismatched = registry.counter("synth.plan.mismatched");
     if planned == emitted {
-        registry.counter("synth.plan.exact").inc();
+        exact.inc();
     } else {
-        registry.counter("synth.plan.mismatched").inc();
+        mismatched.inc();
     }
     registry
         .gauge("synth.plan.last_delta_jj")
@@ -1217,15 +1272,13 @@ impl<'lib> SynthPlanner<'lib> {
     /// cheapest (by JJ count, then by candidate order on ties).
     #[must_use]
     pub fn plan(&self, generator: &BitMat) -> SchedulePlan {
-        let candidates: Vec<PlannedCandidate> = Schedule::candidates()
+        let candidates: Vec<PlannedCandidate> = FactoringKind::ALL
             .into_iter()
-            .map(|schedule| {
-                let planned = plan_schedule(generator, &self.options, schedule);
-                PlannedCandidate {
-                    schedule,
-                    planned,
-                    jj: planned.jj(self.library),
-                }
+            .flat_map(|factoring| plan_schedule(generator, &self.options, factoring))
+            .map(|(schedule, planned)| PlannedCandidate {
+                schedule,
+                planned,
+                jj: planned.jj(self.library),
             })
             .collect();
         let chosen = candidates
@@ -1415,6 +1468,123 @@ mod tests {
             // cell existed — planning and emission must never drift apart.
             let planned = result.report.passes[2].after;
             assert_eq!(planned, final_cost, "discipline {discipline:?}");
+        }
+    }
+
+    /// The rescanning form of `factor_common_pairs`: every round re-counts
+    /// every output's pairs into a `BTreeMap`. Kept as the oracle of the
+    /// incremental tally.
+    fn rescanning_common_pairs(ir: &mut ParityIr, budget: usize) -> usize {
+        let mut cache = factor_cache(ir);
+        let mut extracted = 0usize;
+        loop {
+            // Count, per candidate pair, the equations where substitution is
+            // depth-feasible. BTreeMap keeps the tie-break deterministic
+            // (smallest pair wins among equal counts).
+            let mut candidates: BTreeMap<(SignalId, SignalId), Vec<usize>> = BTreeMap::new();
+            for j in 0..ir.num_outputs() {
+                let terms = ir.output_terms(j);
+                if terms.len() < 2 {
+                    continue;
+                }
+                let capacity: u128 = terms.iter().map(|&t| 1u128 << ir.depth(t)).sum();
+                for x in 0..terms.len() {
+                    for y in (x + 1)..terms.len() {
+                        let (a, b) = (terms[x], terms[y]);
+                        if join_fits(capacity, ir.depth(a), ir.depth(b), budget) {
+                            candidates.entry((a, b)).or_default().push(j);
+                        }
+                    }
+                }
+            }
+            // Term-occurrence frequency, used as a secondary criterion: when
+            // several pairs are shared by the same number of equations,
+            // extracting the one built from the *least*-used signals commits
+            // the rare signals first and keeps the widely-shared signals
+            // available for later, larger extractions — measurably better on
+            // the SEC-DED family than frequency-greedy, while the paper's
+            // three small encoders (whose optima are forced) are unaffected.
+            // Remaining ties fall back to the smallest pair, which BTreeMap
+            // iteration order provides.
+            let mut freq: BTreeMap<SignalId, usize> = BTreeMap::new();
+            for j in 0..ir.num_outputs() {
+                let terms = ir.output_terms(j);
+                if terms.len() < 2 {
+                    continue;
+                }
+                for &t in terms {
+                    *freq.entry(t).or_insert(0) += 1;
+                }
+            }
+            let mut best: Option<((SignalId, SignalId), &Vec<usize>, usize)> = None;
+            for (pair, outs) in &candidates {
+                if outs.len() < 2 {
+                    continue;
+                }
+                let tiebreak = usize::MAX - (freq[&pair.0] + freq[&pair.1]);
+                if best.is_none_or(|(_, b, bt)| (outs.len(), tiebreak) > (b.len(), bt)) {
+                    best = Some((*pair, outs, tiebreak));
+                }
+            }
+            let Some(((a, b), outs, _)) = best else { break };
+            let outs = outs.clone();
+            let factor = *cache.entry((a, b)).or_insert_with(|| ir.add_factor(a, b));
+            for j in outs {
+                ir.substitute(j, a, b, factor);
+            }
+            extracted += 1;
+        }
+        extracted
+    }
+
+    #[test]
+    fn incremental_pair_tally_matches_the_rescanning_oracle() {
+        for seed in 0..48u64 {
+            let mut state = seed;
+            let k = 3 + crate::testkit::splitmix(&mut state) as usize % 22;
+            let outputs = 2 + crate::testkit::splitmix(&mut state) as usize % 15;
+            let g = crate::testkit::random_parity_system(state, k, outputs);
+            for slack in 0..=2 {
+                let mut fast = ParityIr::from_generator(&g);
+                let budget = fast.depth_budget() + slack;
+                let mut slow = fast.clone();
+                assert_eq!(
+                    factor_common_pairs(&mut fast, budget),
+                    rescanning_common_pairs(&mut slow, budget),
+                    "seed {seed}, slack {slack}"
+                );
+                assert_eq!(fast, slow, "seed {seed}, slack {slack}");
+            }
+        }
+    }
+
+    #[test]
+    fn kraft_join_check_matches_the_achievable_depth() {
+        // SplitMix64 over random depth lists: the O(1) capacity test must
+        // agree with recomputing the rewritten list's achievable depth.
+        let mut state = 0x4A01_4F17_u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound) as usize
+        };
+        for _ in 0..5000 {
+            let depths: Vec<usize> = (0..2 + next(14)).map(|_| next(7)).collect();
+            let x = next(depths.len() as u64);
+            let y = (x + 1 + next(depths.len() as u64 - 1)) % depths.len();
+            let budget = next(10);
+            let capacity: u128 = depths.iter().map(|&d| 1u128 << d).sum();
+            let rewritten = (depths.iter().enumerate())
+                .filter(|&(i, _)| i != x && i != y)
+                .map(|(_, &d)| d)
+                .chain([depths[x].max(depths[y]) + 1]);
+            assert_eq!(
+                join_fits(capacity, depths[x], depths[y], budget),
+                crate::ir::achievable_depth_of(rewritten) <= budget,
+                "depths {depths:?}, join {x} and {y}, budget {budget}"
+            );
         }
     }
 

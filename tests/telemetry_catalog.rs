@@ -1,45 +1,97 @@
-//! The `batch.*` rows of the metric catalog in `docs/OBSERVABILITY.md` name
-//! exactly the metrics `sfq-batch` registers, in both directions: a renamed
-//! or deleted metric fails here until the catalog follows, and so does a
-//! catalog row nothing records.
+//! The metric catalog in `docs/OBSERVABILITY.md` names exactly the metrics
+//! a layer registers, in both directions: a renamed or deleted metric fails
+//! here until the catalog follows, and so does a catalog row nothing
+//! records. Covered: the `batch.*` rows (`sfq-batch`), and the `synth.*`
+//! and `encoders.*` rows (`sfq-netlist`, `encoders`) after a catalog build.
 
 use sfq_ecc::batch::BatchCodec;
 use sfq_ecc::ecc::{BatchDecode, BatchEncode};
-use sfq_ecc::encoders::EncoderKind;
+use sfq_ecc::encoders::{EncoderDesign, EncoderKind};
 use sfq_ecc::gf2::BitSlice64;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Backticked tokens of a table cell.
 fn ticked(cell: &str) -> impl Iterator<Item = &str> {
     cell.split('`').skip(1).step_by(2)
 }
 
-/// The catalog's `batch.*` names, each `<kernel>` row expanded over the
-/// plain names its meaning lists in backticks.
-fn catalog_batch_names() -> BTreeSet<String> {
-    let rows: Vec<(&str, &str)> = include_str!("../docs/OBSERVABILITY.md")
+/// The `<placeholder>` of a catalog name, if it has one.
+fn placeholder(name: &str) -> Option<&str> {
+    let open = name.find('<')?;
+    let close = open + name[open..].find('>')?;
+    Some(&name[open..=close])
+}
+
+/// A catalog name with every `{a,b}` alternation expanded.
+fn expand_braces(name: &str) -> Vec<String> {
+    match (name.find('{'), name.find('}')) {
+        (Some(open), Some(close)) if open < close => name[open + 1..close]
+            .split(',')
+            .flat_map(|alt| expand_braces(&format!("{}{alt}{}", &name[..open], &name[close + 1..])))
+            .collect(),
+        _ => vec![name.to_owned()],
+    }
+}
+
+/// The catalog's names under `prefixes`: every backticked name of a row's
+/// name cell, with `{a,b}` expanded and each `<placeholder>` expanded over
+/// the plain names (letters, digits, `-`) that the meanings of that
+/// placeholder's rows list in backticks.
+fn catalog_names(prefixes: &[&str]) -> BTreeSet<String> {
+    let rows: Vec<(Vec<&str>, &str)> = include_str!("../docs/OBSERVABILITY.md")
         .lines()
         .filter_map(|line| {
             let cells: Vec<&str> = line.split('|').collect();
-            let name = ticked(cells.get(1)?).next()?;
-            name.starts_with("batch.")
-                .then(|| (name, cells.get(4).copied().unwrap_or_default()))
+            let names: Vec<&str> = ticked(cells.get(1)?)
+                .filter(|name| prefixes.iter().any(|p| name.starts_with(p)))
+                .collect();
+            (!names.is_empty()).then(|| (names, cells.get(4).copied().unwrap_or_default()))
         })
         .collect();
-    let kernels: BTreeSet<&str> = (rows.iter())
-        .filter(|(name, _)| name.contains("<kernel>"))
-        .flat_map(|(_, meaning)| ticked(meaning))
-        .filter(|t| t.chars().all(|c| c.is_ascii_alphanumeric() || c == '-'))
-        .collect();
-    let mut names = BTreeSet::new();
-    for (name, _) in rows {
-        if name.contains("<kernel>") {
-            names.extend(kernels.iter().map(|k| name.replace("<kernel>", k)));
-        } else {
-            names.insert(name.to_owned());
+    let mut values: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for (names, meaning) in &rows {
+        for placeholder in names.iter().filter_map(|name| placeholder(name)) {
+            values.entry(placeholder).or_default().extend(
+                ticked(meaning)
+                    .filter(|t| t.chars().all(|c| c.is_ascii_alphanumeric() || c == '-')),
+            );
         }
     }
-    names
+    let mut expanded = BTreeSet::new();
+    for name in rows.iter().flat_map(|(names, _)| names) {
+        for name in expand_braces(name) {
+            match placeholder(&name) {
+                Some(p) => expanded.extend(values[p].iter().map(|v| name.replace(p, v))),
+                None => {
+                    expanded.insert(name);
+                }
+            }
+        }
+    }
+    expanded
+}
+
+/// Every metric name registered so far under `prefixes`.
+fn registered_names(prefixes: &[&str]) -> BTreeSet<String> {
+    let snapshot = sfq_ecc::telemetry::global().snapshot();
+    (snapshot.counters.iter().map(|c| &c.name))
+        .chain(snapshot.gauges.iter().map(|g| &g.name))
+        .chain(snapshot.histograms.iter().map(|h| &h.name))
+        .filter(|name| prefixes.iter().any(|p| name.starts_with(p)))
+        .cloned()
+        .collect()
+}
+
+fn assert_catalog_matches(prefixes: &[&str]) {
+    let registered = registered_names(prefixes);
+    let catalog = catalog_names(prefixes);
+    assert!(
+        registered == catalog,
+        "docs/OBSERVABILITY.md drifted from the {prefixes:?} metrics: registered but not in \
+         the catalog {:?}; in the catalog but never registered {:?}",
+        registered.difference(&catalog).collect::<Vec<_>>(),
+        catalog.difference(&registered).collect::<Vec<_>>()
+    );
 }
 
 #[test]
@@ -68,20 +120,16 @@ fn batch_metric_names_match_the_observability_catalog() {
         let _ = codec.decode_batch(&received);
         let _ = codec.detect_batch(&received);
     }
+    assert_catalog_matches(&["batch."]);
+}
 
-    let snapshot = sfq_ecc::telemetry::global().snapshot();
-    let registered: BTreeSet<String> = (snapshot.counters.iter().map(|c| &c.name))
-        .chain(snapshot.gauges.iter().map(|g| &g.name))
-        .chain(snapshot.histograms.iter().map(|h| &h.name))
-        .filter(|name| name.starts_with("batch."))
-        .cloned()
-        .collect();
-    let catalog = catalog_batch_names();
-    assert!(
-        registered == catalog,
-        "docs/OBSERVABILITY.md drifted from sfq-batch: registered but not in the catalog \
-         {:?}; in the catalog but never registered {:?}",
-        registered.difference(&catalog).collect::<Vec<_>>(),
-        catalog.difference(&registered).collect::<Vec<_>>()
-    );
+#[test]
+fn synthesis_metric_names_match_the_observability_catalog() {
+    if !sfq_ecc::telemetry::is_enabled() {
+        return;
+    }
+    // Planning prices every factoring kind, and the catalog's chosen
+    // schedules replay at least one memoized cancellation search.
+    let _ = EncoderDesign::build_catalog();
+    assert_catalog_matches(&["synth.", "encoders."]);
 }

@@ -141,6 +141,38 @@ fn registry_decode_fingerprint() -> u64 {
     fnv1a(words)
 }
 
+/// Committed fingerprint of everything synthesis emits for the catalog:
+/// each design's netlist text, its pass reports, its schedule plan (the
+/// chosen schedule and every priced candidate) and its `depth_slack` 0–2
+/// Pareto sweep. The golden cost files pin cell counts only; this pins the
+/// wiring, so a netlist rewired at equal cost fails here.
+const CATALOG_SYNTH_FNV: u64 = 0x6575_6ad6_91fb_2a92;
+
+fn catalog_synth_fingerprint() -> u64 {
+    let library = CellLibrary::coldflux();
+    let mut text = String::new();
+    for design in EncoderDesign::build_catalog() {
+        text.push_str(&design.netlist().to_text());
+        text.push_str(&format!("{:?}\n", design.synthesis_report()));
+        text.push_str(&format!("{:?}\n", design.schedule_plan()));
+        for point in design.kind().pareto_sweep(&library, 2) {
+            text.push_str(&format!("{point:?}\n"));
+        }
+    }
+    fnv1a(text.bytes().map(u64::from))
+}
+
+#[test]
+fn catalog_synthesis_matches_the_committed_fingerprint() {
+    assert_eq!(
+        catalog_synth_fingerprint(),
+        CATALOG_SYNTH_FNV,
+        "synthesized catalog netlists, schedule plans or Pareto points \
+         changed; if the synthesis change is intentional, update \
+         CATALOG_SYNTH_FNV (and never because of telemetry)"
+    );
+}
+
 #[test]
 fn registry_batch_decode_matches_the_committed_fingerprint() {
     assert_eq!(
