@@ -7,8 +7,8 @@
 //!
 //! * **SPSC job queues** — one per worker, producer = the scheduler,
 //!   consumer = that worker. The scheduler's *non-blocking* push is the
-//!   admission-control edge: a full job queue exerts backpressure on the
-//!   dispatch loop instead of buffering unboundedly.
+//!   execution backpressure edge: when a job queue is full, the scheduler
+//!   runs the job itself instead of buffering unboundedly or waiting.
 //! * **MPSC completion queue** — producers = every worker, consumer = the
 //!   scheduler loop. Workers block on push (the scheduler is guaranteed to
 //!   drain), the scheduler never blocks on pop.

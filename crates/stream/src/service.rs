@@ -12,15 +12,18 @@
 //! scenario replays bit-identically on any machine.
 //!
 //! Real parallelism lives one layer below: every dispatched job is *also*
-//! pushed through a bounded SPSC queue to a decode worker thread (shard `s`
-//! is served by worker `s % threads`), which regenerates the batch from the
-//! seed, injects the scripted errors, runs the real [`BatchCodec`] in the
-//! mode the scheduler chose, classifies every message, and reports counts
-//! over the MPSC completion queue. Outcome counts are pure functions of
-//! `(seed, batch id, mode, faults)` and addition is commutative, so the
-//! totals are bit-identical across 1, 2, or 4 workers — that is exactly
-//! what the determinism tests assert. Only the wall-clock throughput
-//! numbers are machine-dependent, and the report labels them as such.
+//! executed. It is pushed through a bounded SPSC queue to a decode worker
+//! thread (shard `s` is served by worker `s % threads`); when that queue is
+//! full, the scheduler thread runs the job itself instead of waiting for
+//! room (caller-runs backpressure). Either way one job body regenerates the
+//! batch from the seed, injects the scripted errors, runs the real
+//! [`BatchCodec`] in the mode the scheduler chose, and classifies every
+//! message; workers report the counts over the MPSC completion queue.
+//! Outcome counts are pure functions of `(seed, batch id, mode, faults)`
+//! and addition is commutative, so the totals are bit-identical across 1,
+//! 2, or 4 workers and whichever thread ran a job — that is exactly what
+//! the determinism tests assert. Only the wall-clock throughput numbers are
+//! machine-dependent, and the report labels them as such.
 
 use crate::clock::ArrivalProcess;
 use crate::degrade::{Ladder, LadderConfig, ServiceMode};
@@ -47,8 +50,10 @@ pub struct StreamConfig {
     pub secded_m: usize,
     /// Simulated decode shards — these set the service's capacity.
     pub shards: usize,
-    /// Real worker threads executing the decode work (must divide into the
-    /// shards: worker `w` serves shards `s` with `s % threads == w`).
+    /// Worker threads executing the decode work, `1..=shards` (worker `w`
+    /// serves shards `s` with `s % threads == w`). The scheduler thread also
+    /// decodes every job it finds no queue room for, so up to `threads + 1`
+    /// threads decode.
     pub threads: usize,
     /// The latency contract: a batch must complete within this many cycles
     /// of its arrival.
@@ -57,8 +62,9 @@ pub struct StreamConfig {
     pub intake_capacity: usize,
     /// Per-shard job-queue depth (jobs).
     pub shard_queue_capacity: usize,
-    /// Real per-worker job-queue depth (jobs) — the execution backpressure
-    /// edge.
+    /// Per-worker job-queue depth (jobs) — the execution backpressure edge:
+    /// a job that finds its worker's queue full runs on the scheduler thread
+    /// instead.
     pub exec_queue_capacity: usize,
     /// Nominal arrival rate: batches per 1024 cycles.
     pub arrivals_per_1024: u64,
@@ -168,16 +174,18 @@ struct SimShard {
     inflight: usize,
 }
 
-/// A job as shipped to a real worker thread.
+/// A job as executed by a worker thread or the scheduler.
 struct ExecJob {
     mode: ServiceMode,
     tickets: Vec<TicketSpec>,
 }
 
-/// Message-outcome counts a worker reports per job. Pure sums, so merging
-/// is order-independent — the root of cross-thread determinism.
+/// Message-outcome counts an executor reports per job. Pure sums, so
+/// merging is order-independent — the root of cross-thread determinism.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct ExecCounts {
+    /// Executed jobs these counts cover.
+    jobs: u64,
     batches: u64,
     messages: u64,
     delivered_ok: u64,
@@ -190,6 +198,7 @@ struct ExecCounts {
 
 impl ExecCounts {
     fn merge(&mut self, other: ExecCounts) {
+        self.jobs += other.jobs;
         self.batches += other.batches;
         self.messages += other.messages;
         self.delivered_ok += other.delivered_ok;
@@ -221,6 +230,8 @@ struct StreamMetrics {
     msgs_flagged: sfq_telemetry::Counter,
     msgs_detect_rescrub: sfq_telemetry::Counter,
     msgs_silent_wrong: sfq_telemetry::Counter,
+    jobs_worker: sfq_telemetry::Counter,
+    jobs_scheduler: sfq_telemetry::Counter,
 }
 
 impl StreamMetrics {
@@ -245,6 +256,8 @@ impl StreamMetrics {
             msgs_flagged: registry.counter("stream.msgs.flagged_rescrub"),
             msgs_detect_rescrub: registry.counter("stream.msgs.detect_rescrub"),
             msgs_silent_wrong: registry.counter("stream.msgs.silent_wrong"),
+            jobs_worker: registry.counter("stream.jobs.worker"),
+            jobs_scheduler: registry.counter("stream.jobs.scheduler"),
         }
     }
 }
@@ -325,9 +338,9 @@ impl ScrubService {
         let mut max_backlog = 0usize;
         let mut transitions = Vec::new();
 
+        let mut executor = Executor::new(config);
         let mut agg = ExecCounts::default();
         let mut dispatched_jobs = 0u64;
-        let mut received_jobs = 0u64;
 
         let drain_deadline = config.total_cycles + config.drain_limit;
         let mut cycle = 0u64;
@@ -427,13 +440,19 @@ impl ScrubService {
                     finish,
                     tickets: tickets.clone(),
                 });
-                push_with_drain(
+                let ran_here = push_with_drain(
                     &job_queues[shard_idx % config.threads],
                     ExecJob { mode, tickets },
                     completion_queue,
+                    &mut executor,
+                    config,
                     &mut agg,
-                    &mut received_jobs,
                 );
+                if ran_here {
+                    metrics.jobs_scheduler.inc();
+                } else {
+                    metrics.jobs_worker.inc();
+                }
                 dispatched_jobs += 1;
             }
 
@@ -477,7 +496,6 @@ impl ScrubService {
             // 7. Opportunistic completion drain (keeps workers unblocked).
             while let Some(c) = completion_queue.try_pop() {
                 agg.merge(c);
-                received_jobs += 1;
             }
 
             // 8. Termination: arrivals over, pipeline empty, ladder
@@ -501,12 +519,11 @@ impl ScrubService {
         for queue in job_queues {
             queue.close();
         }
-        while received_jobs < dispatched_jobs {
+        while agg.jobs < dispatched_jobs {
             let counts = completion_queue
                 .pop_blocking()
                 .expect("workers exit only after flushing completions");
             agg.merge(counts);
-            received_jobs += 1;
         }
         let wall_ns = u64::try_from(wall_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
@@ -572,41 +589,36 @@ fn pick_shard(shards: &[SimShard], queue_capacity: usize, cycle: u64) -> Option<
         .map(|(i, _)| i)
 }
 
-/// Non-blocking job push that drains completions while waiting — the
-/// scheduler never deadlocks against a worker blocked on the completion
-/// queue.
+/// Ships `job` to its worker without blocking. When the worker's queue is
+/// full, the scheduler drains the completion queue (so a worker blocked on
+/// it moves again) and runs the job on its own executor instead of waiting
+/// for room (caller-runs backpressure), merging the counts into `agg`.
+/// Returns whether the scheduler ran the job.
 fn push_with_drain(
     queue: &BoundedQueue<ExecJob>,
     job: ExecJob,
     completion_queue: &BoundedQueue<ExecCounts>,
+    executor: &mut Executor,
+    config: &StreamConfig,
     agg: &mut ExecCounts,
-    received_jobs: &mut u64,
-) {
-    let mut job = job;
-    loop {
-        match queue.try_push(job) {
-            Ok(()) => return,
-            Err(TryPushError::Full(j)) => {
-                job = j;
-                let mut drained_any = false;
-                while let Some(c) = completion_queue.try_pop() {
-                    agg.merge(c);
-                    *received_jobs += 1;
-                    drained_any = true;
-                }
-                if !drained_any {
-                    std::thread::yield_now();
-                }
+) -> bool {
+    match queue.try_push(job) {
+        Ok(()) => false,
+        Err(TryPushError::Full(job)) => {
+            while let Some(c) = completion_queue.try_pop() {
+                agg.merge(c);
             }
-            Err(TryPushError::Closed(_)) => {
-                unreachable!("job queues close only after the scheduler loop")
-            }
+            agg.merge(executor.run(config, &job));
+            true
+        }
+        Err(TryPushError::Closed(_)) => {
+            unreachable!("job queues close only after the scheduler loop")
         }
     }
 }
 
 /// SplitMix64-style per-ticket seed derivation: batch `id`'s content is a
-/// pure function of `(master seed, id)`, independent of which worker
+/// pure function of `(master seed, id)`, independent of which thread
 /// regenerates it.
 fn ticket_seed(master: u64, id: u64) -> u64 {
     let mut z = master ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -629,69 +641,109 @@ fn fill_random(frame: &mut BitSlice64, rng: &mut StdRng) {
     }
 }
 
-/// One worker: owns a codec + scratch, regenerates each batch from the
-/// seed, injects the scripted errors, decodes in the scheduler-chosen mode,
-/// classifies every message, and reports counts per job.
-fn worker_loop(
-    config: &StreamConfig,
-    jobs: &BoundedQueue<ExecJob>,
-    completion_queue: &BoundedQueue<ExecCounts>,
-) {
-    let codec = BatchCodec::sec_ded(config.secded_m);
-    let k = codec.k();
-    let n = codec.n();
-    let flips = SparseFlipSource::new(config.flip_prob);
+/// The one job body, shared by the worker threads and the scheduler: a
+/// codec plus every buffer a job touches, allocated once per thread.
+struct Executor {
+    codec: BatchCodec,
+    flips: SparseFlipSource,
+    scratch: BatchScratch,
+    decoded: BatchDecoded,
+    dirty: Vec<u64>,
+    messages: BitSlice64,
+    clean: BitSlice64,
+    received: BitSlice64,
+    /// What a poisoned ticket delivers: a frame one lane short.
+    malformed: BitSlice64,
+}
 
-    let mut scratch = BatchScratch::new();
-    let mut decoded = BatchDecoded::empty();
-    let mut dirty: Vec<u64> = Vec::new();
-    let mut messages = BitSlice64::zeros(k, config.batch_messages);
-    let mut clean = BitSlice64::default();
-    let mut received = BitSlice64::default();
+impl Executor {
+    fn new(config: &StreamConfig) -> Self {
+        let codec = BatchCodec::sec_ded(config.secded_m);
+        Executor {
+            flips: SparseFlipSource::new(config.flip_prob),
+            scratch: BatchScratch::new(),
+            decoded: BatchDecoded::empty(),
+            dirty: Vec::new(),
+            messages: BitSlice64::zeros(codec.k(), config.batch_messages),
+            clean: BitSlice64::default(),
+            received: BitSlice64::default(),
+            malformed: BitSlice64::zeros(codec.n() - 1, config.batch_messages),
+            codec,
+        }
+    }
 
-    while let Some(job) = jobs.pop_blocking() {
-        let mut counts = ExecCounts::default();
+    /// Regenerates each ticket's batch from the seed, injects the scripted
+    /// errors, decodes in the scheduler-chosen mode, and classifies every
+    /// message.
+    fn run(&mut self, config: &StreamConfig, job: &ExecJob) -> ExecCounts {
+        let Executor {
+            codec,
+            flips,
+            scratch,
+            decoded,
+            dirty,
+            messages,
+            clean,
+            received,
+            malformed,
+        } = self;
+        let (k, n) = (codec.k(), codec.n());
+        let mut counts = ExecCounts {
+            jobs: 1,
+            ..ExecCounts::default()
+        };
         for ticket in &job.tickets {
             if ticket.poisoned {
                 // The link delivered a malformed frame: wrong lane count.
                 // The job mode's checked entry point rejects it with a
                 // shape error before any stage runs.
-                let malformed = BitSlice64::zeros(n - 1, config.batch_messages);
                 match job.mode {
                     ServiceMode::FullCorrection | ServiceMode::WidenedAdmission => codec
-                        .try_decode_batch_with(&malformed, &mut scratch, &mut decoded)
+                        .try_decode_batch_with(malformed, scratch, decoded)
                         .expect_err("a wrong-lane-count frame is rejected"),
                     ServiceMode::DetectionOnly | ServiceMode::ShedAndRescrub => codec
-                        .try_detect_batch_with(&malformed, &mut scratch, &mut dirty)
+                        .try_detect_batch_with(malformed, scratch, dirty)
                         .expect_err("a wrong-lane-count frame is rejected"),
                 };
                 counts.poisoned += 1;
                 continue;
             }
             let mut rng = StdRng::seed_from_u64(ticket_seed(config.seed, ticket.id));
-            fill_random(&mut messages, &mut rng);
-            codec.encode_batch_into(&messages, &mut clean);
-            received.copy_from(&clean);
-            flips.inject(&mut rng, &mut received);
+            fill_random(messages, &mut rng);
+            codec.encode_batch_into(messages, clean);
+            received.copy_from(clean);
+            flips.inject(&mut rng, received);
             if ticket.burst_width > 0 {
-                BurstSource::new(usize::from(ticket.burst_width), 1.0)
-                    .strike(&mut rng, &mut received);
+                BurstSource::new(usize::from(ticket.burst_width), 1.0).strike(&mut rng, received);
             }
             match job.mode {
                 ServiceMode::FullCorrection | ServiceMode::WidenedAdmission => {
-                    codec.decode_batch_with(&received, &mut scratch, &mut decoded);
-                    classify_full(&decoded, &messages, k, &mut counts);
+                    codec.decode_batch_with(received, scratch, decoded);
+                    classify_full(decoded, messages, k, &mut counts);
                 }
                 ServiceMode::DetectionOnly | ServiceMode::ShedAndRescrub => {
-                    codec.detect_batch_with(&received, &mut scratch, &mut dirty);
-                    classify_detect(&received, &clean, &dirty, n, &mut counts);
+                    codec.detect_batch_with(received, scratch, dirty);
+                    classify_detect(received, clean, dirty, n, &mut counts);
                 }
             }
             counts.batches += 1;
             counts.messages += config.batch_messages as u64;
         }
+        counts
+    }
+}
+
+/// One worker thread: runs each job its queue delivers and reports the
+/// counts over the completion queue.
+fn worker_loop(
+    config: &StreamConfig,
+    jobs: &BoundedQueue<ExecJob>,
+    completion_queue: &BoundedQueue<ExecCounts>,
+) {
+    let mut executor = Executor::new(config);
+    while let Some(job) = jobs.pop_blocking() {
         completion_queue
-            .push_blocking(counts)
+            .push_blocking(executor.run(config, &job))
             .expect("completion queue outlives the workers");
     }
 }
@@ -807,6 +859,81 @@ mod tests {
             report.latency.max >= quiet.latency.max,
             "stalls must not make latency better"
         );
+    }
+
+    /// A job in `mode` whose tickets are a clean batch, a poisoned batch and
+    /// a batch struck by a width-2 clock-tree burst.
+    fn mixed_job(mode: ServiceMode, first_id: u64) -> ExecJob {
+        let ticket = |offset: u64, burst_width: u8, poisoned: bool| TicketSpec {
+            id: first_id + offset,
+            arrival: 0,
+            burst_width,
+            poisoned,
+        };
+        ExecJob {
+            mode,
+            tickets: vec![ticket(0, 0, false), ticket(1, 0, true), ticket(2, 2, false)],
+        }
+    }
+
+    #[test]
+    fn a_full_job_queue_makes_the_scheduler_run_the_job() {
+        let config = small_config();
+        let mut executor = Executor::new(&config);
+        for mode in [ServiceMode::FullCorrection, ServiceMode::DetectionOnly] {
+            // No worker consumes this queue: the pushes fill it to capacity.
+            let queue = BoundedQueue::new(config.exec_queue_capacity);
+            let completions = BoundedQueue::new(2);
+            let mut agg = ExecCounts::default();
+            for i in 0..config.exec_queue_capacity as u64 {
+                let job = mixed_job(mode, 100 * i);
+                assert!(!push_with_drain(
+                    &queue,
+                    job,
+                    &completions,
+                    &mut executor,
+                    &config,
+                    &mut agg
+                ));
+            }
+            assert_eq!(agg, ExecCounts::default(), "queued jobs run nowhere yet");
+
+            // One finished worker job waits in the completion queue.
+            let pending = ExecCounts {
+                jobs: 1,
+                batches: 5,
+                ..ExecCounts::default()
+            };
+            completions.try_push(pending).expect("room");
+            let overflow = mixed_job(mode, 7_000);
+            assert!(push_with_drain(
+                &queue,
+                overflow,
+                &completions,
+                &mut executor,
+                &config,
+                &mut agg
+            ));
+
+            let fresh = Executor::new(&config).run(&config, &mixed_job(mode, 7_000));
+            assert_eq!((fresh.jobs, fresh.batches, fresh.poisoned), (1, 2, 1));
+            match mode {
+                ServiceMode::FullCorrection => assert!(fresh.flagged > 0, "{fresh:?}"),
+                _ => assert!(fresh.detect_rescrub > 0, "{fresh:?}"),
+            }
+            let mut expected = pending;
+            expected.merge(fresh);
+            assert_eq!(agg, expected, "drained the completion, then ran the job");
+            assert_eq!(agg.jobs, 2, "the job the scheduler ran counts as received");
+            assert!(completions.is_empty());
+            let queued: Vec<u64> = std::iter::from_fn(|| queue.try_pop())
+                .map(|job| job.tickets[0].id)
+                .collect();
+            let filled: Vec<u64> = (0..config.exec_queue_capacity as u64)
+                .map(|i| 100 * i)
+                .collect();
+            assert_eq!(queued, filled, "the full queue is untouched");
+        }
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! The metric catalog in `docs/OBSERVABILITY.md` names exactly the metrics
 //! a layer registers, in both directions: a renamed or deleted metric fails
 //! here until the catalog follows, and so does a catalog row nothing
-//! records. Covered: the `batch.*` rows (`sfq-batch`), and the `synth.*`
-//! and `encoders.*` rows (`sfq-netlist`, `encoders`) after a catalog build.
+//! records. Covered: the `batch.*` rows (`sfq-batch`); the `synth.*` and
+//! `encoders.*` rows (`sfq-netlist`, `encoders`) after a catalog build; the
+//! `stream.*` rows (`sfq-stream`) after a scrub-service run; and the
+//! `link.*` and `fig5.*` rows (`cryolink`) after a batched Fig. 5 run.
 
 use sfq_ecc::batch::BatchCodec;
+use sfq_ecc::cells::CellLibrary;
 use sfq_ecc::ecc::{BatchDecode, BatchEncode};
 use sfq_ecc::encoders::{EncoderDesign, EncoderKind};
 use sfq_ecc::gf2::BitSlice64;
+use sfq_ecc::link::Fig5Experiment;
+use sfq_ecc::stream::{FaultScript, ScrubService, StreamConfig};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Backticked tokens of a table cell.
@@ -132,4 +137,36 @@ fn synthesis_metric_names_match_the_observability_catalog() {
     // schedules replay at least one memoized cancellation search.
     let _ = EncoderDesign::build_catalog();
     assert_catalog_matches(&["synth.", "encoders."]);
+}
+
+#[test]
+fn stream_metric_names_match_the_observability_catalog() {
+    if !sfq_ecc::telemetry::is_enabled() {
+        return;
+    }
+    // The service registers its whole `stream.*` family at start-up, so a
+    // short quiet run covers every row.
+    let config = StreamConfig {
+        batch_messages: 256,
+        total_cycles: 1 << 12,
+        ..StreamConfig::nominal()
+    };
+    let _ = ScrubService::run(&config, &FaultScript::quiet());
+    assert_catalog_matches(&["stream."]);
+}
+
+#[test]
+fn link_and_fig5_metric_names_match_the_observability_catalog() {
+    if !sfq_ecc::telemetry::is_enabled() {
+        return;
+    }
+    let design = EncoderDesign::build(EncoderKind::Hamming74);
+    let _ = Fig5Experiment {
+        chips: 4,
+        messages_per_chip: 20,
+        threads: 2,
+        ..Fig5Experiment::paper_setup()
+    }
+    .run_design_batched(&design, &CellLibrary::coldflux());
+    assert_catalog_matches(&["link.", "fig5."]);
 }

@@ -15,6 +15,7 @@ use sfq_ecc::ecc::{BatchDecode, BatchEncode, BchSpec};
 use sfq_ecc::encoders::{EncoderDesign, EncoderKind};
 use sfq_ecc::gf2::{BitSlice64, BitVec};
 use sfq_ecc::link::Fig5Experiment;
+use sfq_ecc::stream::{FaultScript, ScrubService, StreamConfig};
 
 /// FNV-1a over a stream of `u64` words, used to pin outputs as committed
 /// constants that both CI feature legs assert against.
@@ -160,6 +161,48 @@ fn catalog_synth_fingerprint() -> u64 {
         }
     }
     fnv1a(text.bytes().map(u64::from))
+}
+
+/// Committed fingerprint of the scrub service's deterministic reports:
+/// `FaultScript::soak_mix` runs at 1.0× and 1.5× the nominal arrival rate,
+/// at `tests/stream_service.rs`'s 512-message scale. It pins every batch
+/// count, latency quantile, ladder transition and per-message outcome, so
+/// a scheduler change that moves which thread decodes a job must leave it
+/// alone.
+const SCRUB_REPORT_FNV: u64 = 0x093b_4201_a46c_60a7;
+
+fn scrub_report_fingerprint(threads: usize) -> u64 {
+    let mut text = String::new();
+    for factor_milli in [1000, 1500] {
+        let config = StreamConfig {
+            batch_messages: 512,
+            total_cycles: 1 << 14,
+            drain_limit: 1 << 15,
+            threads,
+            ..StreamConfig::nominal()
+        }
+        .with_rate_factor(factor_milli);
+        let script = FaultScript::soak_mix(config.total_cycles, config.shards, 2);
+        let report = ScrubService::run(&config, &script);
+        report.validate().expect("soak invariants hold");
+        text.push_str(&report.deterministic_digest());
+        text.push('\n');
+    }
+    fnv1a(text.bytes().map(u64::from))
+}
+
+#[test]
+fn scrub_reports_match_the_committed_fingerprint_at_every_worker_count() {
+    for threads in [1, 2, 4] {
+        assert_eq!(
+            scrub_report_fingerprint(threads),
+            SCRUB_REPORT_FNV,
+            "{threads}-worker scrub reports changed; if the service's \
+             simulation or decode outcomes change on purpose, update \
+             SCRUB_REPORT_FNV (and never because of telemetry or the thread \
+             that ran a job)"
+        );
+    }
 }
 
 #[test]
