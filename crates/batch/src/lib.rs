@@ -268,8 +268,7 @@ impl BitFlipMetrics {
 /// `batch.decode.*` names (each codec is a shard of the global registry;
 /// see `docs/OBSERVABILITY.md`). The stages accumulate into plain locals
 /// and [`BatchCodec::decode_batch_with`] flushes once per call, so the
-/// per-limb loops see no atomics. With the `telemetry` feature off these
-/// handles are zero-sized no-ops.
+/// per-limb loops see no atomics.
 #[derive(Debug, Clone)]
 struct DecodeMetrics {
     /// Decode calls (one per batch).

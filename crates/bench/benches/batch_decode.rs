@@ -10,9 +10,9 @@
 //! * `cargo bench -p bench --bench batch_decode -- --quick` — reduced
 //!   measurement used as the CI throughput smoke check: fails (exit 1) if
 //!   SEC-DED(72,64) batch decode falls below [`SECDED_72_64_DECODE_FLOOR`],
-//!   if any `r > 8` code falls below its all-dirty floor, or if the
-//!   compiled-in telemetry costs more than [`TELEMETRY_OVERHEAD_FLOOR`] of
-//!   the uninstrumented decode rate (measured in-process via the
+//!   if any `r > 8` code falls below its all-dirty floor, or if telemetry
+//!   recording costs more than [`TELEMETRY_OVERHEAD_FLOOR`] of the
+//!   recording-off decode rate (measured in-process via the
 //!   `sfq_telemetry::set_recording` kill-switch).
 
 use bench::banner_with_fingerprint;
@@ -313,10 +313,10 @@ fn render_json(measurements: &[Measurement], fingerprint: &Fingerprint) -> Strin
     w.finish()
 }
 
-/// Measures the compiled-in telemetry's own cost on the hottest kernel:
+/// Measures telemetry's own cost on the hottest kernel:
 /// SEC-DED(72,64) batch decode with the runtime recording kill-switch off
-/// (uninstrumented baseline — handles still exist, every recording call
-/// early-outs) versus on (normal operation). Returns `(on, off)` rates in
+/// (baseline — handles still exist, every recording call early-outs)
+/// versus on (normal operation). Returns `(on, off)` rates in
 /// messages/second, leaving recording enabled.
 fn telemetry_overhead(quick: bool) -> (f64, f64) {
     let mut rng = StdRng::seed_from_u64(SEED);
@@ -398,25 +398,19 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        // Telemetry overhead smoke gate: only meaningful when the
-        // instrumentation is actually compiled in.
-        if sfq_telemetry::is_enabled() {
-            let (on, off) = telemetry_overhead(quick);
-            let ratio = on / off;
-            println!(
-                "telemetry overhead: recording on {on:.3e} msg/s, off {off:.3e} msg/s \
-                 (ratio {ratio:.3}, floor {TELEMETRY_OVERHEAD_FLOOR})"
+        let (on, off) = telemetry_overhead(quick);
+        let ratio = on / off;
+        println!(
+            "telemetry overhead: recording on {on:.3e} msg/s, off {off:.3e} msg/s \
+             (ratio {ratio:.3}, floor {TELEMETRY_OVERHEAD_FLOOR})"
+        );
+        if ratio < TELEMETRY_OVERHEAD_FLOOR {
+            eprintln!(
+                "TELEMETRY OVERHEAD REGRESSION: SEC-DED(72,64) batch decode with \
+                 recording on runs at {ratio:.3}x the recording-off rate, below the \
+                 {TELEMETRY_OVERHEAD_FLOOR} floor"
             );
-            if ratio < TELEMETRY_OVERHEAD_FLOOR {
-                eprintln!(
-                    "TELEMETRY OVERHEAD REGRESSION: SEC-DED(72,64) batch decode with \
-                     recording on runs at {ratio:.3}x the recording-off rate, below the \
-                     {TELEMETRY_OVERHEAD_FLOOR} floor"
-                );
-                std::process::exit(1);
-            }
-        } else {
-            println!("telemetry overhead: skipped (built without instrumentation)");
+            std::process::exit(1);
         }
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::channel::ChannelConfig;
 use crate::montecarlo::{ErrorCounting, Fig5Experiment};
-use encoders::{EncoderDesign, EncoderKind};
+use encoders::EncoderKind;
 use serde::{Deserialize, Serialize};
 use sfq_cells::CellLibrary;
 
@@ -108,29 +108,6 @@ pub fn channel_noise_sweep(
         .collect()
 }
 
-/// Per-design sensitivity: zero-error probability of one design across
-/// several spreads (used by the per-encoder ablation bench).
-#[must_use]
-pub fn design_spread_sensitivity(
-    base: &Fig5Experiment,
-    kind: EncoderKind,
-    spreads: &[f64],
-    library: &CellLibrary,
-) -> Vec<(f64, f64)> {
-    let design = EncoderDesign::build(kind);
-    spreads
-        .iter()
-        .map(|&spread| {
-            let experiment = Fig5Experiment {
-                ppv: base.ppv.with_spread(spread),
-                ..*base
-            };
-            let curve = experiment.run_design(&design, library);
-            (spread, curve.zero_error_probability())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,14 +153,5 @@ mod tests {
             hamming84 >= uncoded,
             "Hamming(8,4) {hamming84} should not be worse than uncoded {uncoded}"
         );
-    }
-
-    #[test]
-    fn design_sensitivity_returns_one_point_per_spread() {
-        let lib = CellLibrary::coldflux();
-        let sens =
-            design_spread_sensitivity(&tiny_base(), EncoderKind::Hamming84, &[0.0, 0.2], &lib);
-        assert_eq!(sens.len(), 2);
-        assert!((sens[0].1 - 1.0).abs() < 1e-12);
     }
 }

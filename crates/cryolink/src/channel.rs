@@ -135,36 +135,6 @@ impl CryoCable {
             })
             .collect()
     }
-
-    /// Transports a word and also returns per-channel log-likelihood ratios
-    /// (positive = more likely 0) for soft-decision decoding experiments.
-    ///
-    /// # Panics
-    /// Panics if the word length differs from the channel count.
-    pub fn transport_soft<R: Rng + ?Sized>(
-        &self,
-        word: &BitVec,
-        rng: &mut R,
-    ) -> (BitVec, Vec<f64>) {
-        assert_eq!(
-            word.len(),
-            self.channels,
-            "word width must match channel count"
-        );
-        let signal = self.config.high_level_mv * self.config.attenuation;
-        let sigma = self.config.noise_rms_mv.max(1e-12);
-        let mut hard = BitVec::zeros(word.len());
-        let mut llrs = Vec::with_capacity(word.len());
-        for i in 0..word.len() {
-            let level = if word.get(i) { signal } else { 0.0 };
-            let observed = level + gaussian(rng) * self.config.noise_rms_mv;
-            hard.set(i, observed > self.config.threshold_mv);
-            // LLR = log P(obs | 0) / P(obs | 1) for Gaussian noise.
-            let llr = (signal * (signal - 2.0 * observed)) / (2.0 * sigma * sigma);
-            llrs.push(llr.clamp(-50.0, 50.0));
-        }
-        (hard, llrs)
-    }
 }
 
 /// Standard-normal sample via the Box–Muller transform.
@@ -216,22 +186,6 @@ mod tests {
             (measured - predicted).abs() < 0.02 + predicted * 0.3,
             "measured {measured}, predicted {predicted}"
         );
-    }
-
-    #[test]
-    fn soft_output_sign_matches_hard_decision_on_clean_channel() {
-        let cable = CryoCable::new(4, ChannelConfig::ideal());
-        let mut rng = StdRng::seed_from_u64(9);
-        let word = BitVec::from_str01("1010");
-        let (hard, llrs) = cable.transport_soft(&word, &mut rng);
-        assert_eq!(hard, word);
-        for (i, llr) in llrs.iter().enumerate() {
-            if word.get(i) {
-                assert!(*llr < 0.0, "bit {i} is 1, LLR should be negative");
-            } else {
-                assert!(*llr > 0.0, "bit {i} is 0, LLR should be positive");
-            }
-        }
     }
 
     #[test]

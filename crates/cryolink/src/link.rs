@@ -50,12 +50,6 @@ impl TransmissionResult {
     pub fn is_silent_error(&self) -> bool {
         self.outcome == LinkOutcome::SilentError
     }
-
-    /// `true` when the outcome is either flagged or silently wrong.
-    #[must_use]
-    pub fn is_erroneous(&self) -> bool {
-        self.outcome != LinkOutcome::Correct
-    }
 }
 
 /// One encoder chip connected to the room-temperature receiver.

@@ -327,8 +327,8 @@ pub struct Parallelism {
     /// Chips processed by each worker, in worker order.
     pub chips_per_worker: Vec<usize>,
     /// Wall time each worker spent in its chip loop, nanoseconds. All zeros
-    /// when telemetry is compiled out or recording is off — utilization is
-    /// telemetry, never an input to results.
+    /// when recording is off — utilization is telemetry, never an input to
+    /// results.
     pub busy_ns_per_worker: Vec<u64>,
 }
 
@@ -502,13 +502,6 @@ impl Fig5Curve {
         }
         self.errors_per_chip.iter().sum::<usize>() as f64 / self.errors_per_chip.len() as f64
     }
-
-    /// Samples the CDF at the given x-axis points (e.g. `0, 10, 20, … 90` as
-    /// in the paper's plot).
-    #[must_use]
-    pub fn cdf_series(&self, points: &[usize]) -> Vec<(usize, f64)> {
-        points.iter().map(|&n| (n, self.cdf(n))).collect()
-    }
 }
 
 /// The complete Fig. 5 dataset: one curve per design.
@@ -609,9 +602,7 @@ mod tests {
         assert!((curve.cdf(5) - 4.0 / 6.0).abs() < 1e-12);
         assert!((curve.cdf(100) - 1.0).abs() < 1e-12);
         assert!((curve.mean_errors() - 155.0 / 6.0).abs() < 1e-12);
-        let series = curve.cdf_series(&[0, 50]);
-        assert_eq!(series.len(), 2);
-        assert!((series[1].1 - 5.0 / 6.0).abs() < 1e-12);
+        assert!((curve.cdf(50) - 5.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

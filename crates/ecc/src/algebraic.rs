@@ -1,6 +1,6 @@
 //! Syndrome-only algebraic decoding contracts for batch engines.
 //!
-//! A scalar [`HardDecoder`](crate::HardDecoder) consumes a full received
+//! A scalar [`HardDecoder`] consumes a full received
 //! word. That forces a batch engine to *un-transpose* every dirty lane —
 //! allocate a [`BitVec`](gf2::BitVec), gather `n` bits, decode, diff the
 //! result back — which dominates the all-dirty cost of algebraic codes. For

@@ -72,24 +72,6 @@ impl ErrorPatternStats {
         }
         (self.corrected + self.detected) as f64 / self.total as f64
     }
-
-    /// Fraction of patterns corrected back to the transmitted message.
-    #[must_use]
-    pub fn corrected_fraction(&self) -> f64 {
-        if self.total == 0 {
-            return 1.0;
-        }
-        self.corrected as f64 / self.total as f64
-    }
-
-    /// Fraction of patterns that were flagged as uncorrectable.
-    #[must_use]
-    pub fn detected_fraction(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        self.detected as f64 / self.total as f64
-    }
 }
 
 /// Complete error-pattern analysis of one code under one decoding policy.

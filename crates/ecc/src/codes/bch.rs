@@ -286,14 +286,6 @@ impl Bch {
         codeword.slice(0..self.k)
     }
 
-    /// The number of Chien-search evaluations one scalar decode of a dirty
-    /// word performs (one locator evaluation per codeword position). Batch
-    /// engines use this to meter locator-evaluation work.
-    #[must_use]
-    pub fn locator_evaluations_per_word(&self) -> usize {
-        self.n
-    }
-
     /// Power-sum syndromes `S_1 … S_{2t}` of a received word over GF(2^m).
     fn power_syndromes(&self, received: &BitVec) -> Vec<u16> {
         let f = &self.field;
@@ -596,7 +588,6 @@ mod tests {
         assert_eq!(code.correction_radius(), 2);
         assert_eq!(code.designed_distance(), 7);
         assert_eq!(code.field_degree(), 5);
-        assert_eq!(code.locator_evaluations_per_word(), 31);
         // Exhaustive: the designed distance is met with equality.
         assert_eq!(code.min_distance(), 7);
     }

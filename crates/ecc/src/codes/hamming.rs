@@ -1,7 +1,7 @@
 //! Hamming codes: the (7,4) code, the extended (8,4) code exactly as given in
 //! Eq. (1) of the paper, the general (2^r − 1, 2^r − 1 − r) family, and the
 //! shortened (38,32) code used by the prior-art SFQ encoder of Peng et al.
-//! (reference [14] of the paper).
+//! (reference \[14\] of the paper).
 
 use crate::decoder::{Decoded, SyndromeClass};
 use crate::{validate_code_matrices, BlockCode, HardDecoder};
@@ -375,7 +375,7 @@ impl HardDecoder for HammingCode {
 }
 
 /// The (38,32) linear block code of the prior-art SFQ error-correction encoder
-/// (Peng et al., reference [14] of the paper): a Hamming(63,57) code shortened
+/// (Peng et al., reference \[14\] of the paper): a Hamming(63,57) code shortened
 /// to a 32-bit message with six parity bits, detecting 2-bit and correcting
 /// 1-bit errors.
 #[derive(Debug, Clone)]

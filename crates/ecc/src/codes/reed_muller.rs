@@ -11,7 +11,7 @@
 //! by the paper's encoder together with its FHT decoder.
 
 use crate::decoder::Decoded;
-use crate::{validate_code_matrices, BlockCode, HardDecoder, SoftDecoder};
+use crate::{validate_code_matrices, BlockCode, HardDecoder};
 use gf2::{BitMat, BitVec};
 
 /// A binary Reed–Muller code RM(r,m) of length `2^m`.
@@ -147,7 +147,7 @@ impl BlockCode for ReedMuller {
 ///
 /// The length of `values` must be a power of two. This is the "Green machine"
 /// decoder kernel for first-order Reed–Muller codes (Be'ery & Snyders,
-/// reference [34] of the paper).
+/// reference \[34\] of the paper).
 pub fn fast_hadamard_transform(values: &mut [f64]) {
     let n = values.len();
     assert!(n.is_power_of_two(), "FHT length must be a power of two");
@@ -165,7 +165,7 @@ pub fn fast_hadamard_transform(values: &mut [f64]) {
     }
 }
 
-/// First-order Reed–Muller decoding shared by hard and soft decoders.
+/// First-order Reed–Muller decoding shared by both hard decoders.
 ///
 /// `channel_values[i]` is positive when bit `i` is more likely `0`. Returns
 /// `(message, codeword, unique)` where `unique` is false when the Hadamard
@@ -258,25 +258,6 @@ impl HardDecoder for ReedMuller {
     }
 }
 
-impl SoftDecoder for ReedMuller {
-    /// Soft-decision FHT decoding from per-bit LLRs (positive = bit 0 likely).
-    ///
-    /// # Panics
-    /// Panics if the order is not 1.
-    fn decode_soft(&self, llrs: &[f64]) -> Decoded {
-        assert_eq!(
-            self.r, 1,
-            "soft decoding is implemented for first-order RM codes"
-        );
-        assert_eq!(llrs.len(), self.n(), "LLR length mismatch");
-        let (message, codeword, unique) = rm1_fht_decode(self, llrs);
-        if !unique {
-            return Decoded::detected();
-        }
-        Decoded::corrected(codeword, message, 0)
-    }
-}
-
 /// The RM(1,3) code used by the paper's third encoder: length 8, dimension 4,
 /// minimum distance 4, decoded with the fast Hadamard transform.
 #[derive(Debug, Clone)]
@@ -291,12 +272,6 @@ impl Rm13 {
         Rm13 {
             inner: ReedMuller::new(1, 3),
         }
-    }
-
-    /// Access to the generic Reed–Muller implementation.
-    #[must_use]
-    pub fn as_reed_muller(&self) -> &ReedMuller {
-        &self.inner
     }
 
     /// Returns the boolean expression of codeword bit `j` (0-indexed) as the
@@ -360,12 +335,6 @@ impl HardDecoder for Rm13 {
     }
 }
 
-impl SoftDecoder for Rm13 {
-    fn decode_soft(&self, llrs: &[f64]) -> Decoded {
-        self.inner.decode_soft(llrs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,7 +346,6 @@ mod tests {
         assert_eq!(code.n(), 8);
         assert_eq!(code.k(), 4);
         assert_eq!(code.min_distance(), 4);
-        assert_eq!(code.as_reed_muller().designed_distance(), 4);
     }
 
     #[test]
@@ -482,20 +450,6 @@ mod tests {
             !corrected_any,
             "for RM(1,3) all weight-2 cosets are tied in the Hadamard spectrum"
         );
-    }
-
-    #[test]
-    fn rm13_soft_decoding_beats_hard_decision_on_erasure_like_input() {
-        let code = Rm13::new();
-        let msg = BitVec::from_str01("1010");
-        let cw = code.encode(&msg);
-        // Two bits received with very low confidence but wrong sign, the rest
-        // strongly correct: soft decoding recovers the message.
-        let mut llrs: Vec<f64> = cw.iter().map(|bit| if bit { -4.0 } else { 4.0 }).collect();
-        llrs[0] = -0.1 * llrs[0].signum();
-        llrs[3] = -0.1 * llrs[3].signum();
-        let d = code.decode_soft(&llrs);
-        assert!(d.message_is(&msg));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The paper's extended Hamming(8,4) code is the smallest member of a family
 //! that real superconducting memory and link deployments use at much wider
 //! words — most prominently the (72,64) code protecting 64-bit words with
-//! eight check bits. [`SecDed::new(m)`] constructs the member with `k = 2^m`
+//! eight check bits. [`SecDed::new`]`(m)` constructs the member with `k = 2^m`
 //! data bits:
 //!
 //! | `m` | code      | check bits |

@@ -196,18 +196,6 @@ pub trait HardDecoder: BlockCode {
     }
 }
 
-/// Soft-decision decoding from per-bit log-likelihood ratios.
-///
-/// Positive LLR means "bit is more likely 0" (the convention used by the
-/// receiver model in the `cryolink` crate).
-pub trait SoftDecoder: BlockCode {
-    /// Decodes a soft-decision received word given per-bit LLRs.
-    ///
-    /// # Panics
-    /// Panics if `llrs.len() != self.n()`.
-    fn decode_soft(&self, llrs: &[f64]) -> Decoded;
-}
-
 /// Solves the encoding map for inversion: returns `(pivots, transform)` such
 /// that for any codeword `c`, the message is recovered as
 /// `m = Σ_{i : c[pivots[i]] = 1} transform.row(i)`.

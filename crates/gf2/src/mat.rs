@@ -123,11 +123,6 @@ impl BitMat {
         (0..self.rows).map(|r| self.get(r, c)).collect()
     }
 
-    /// Returns an iterator over the rows.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &BitVec> {
-        self.data.iter()
-    }
-
     /// Returns the transpose.
     #[must_use]
     pub fn transpose(&self) -> BitMat {
@@ -207,18 +202,6 @@ impl BitMat {
         let rows = (0..self.rows)
             .map(|r| self.data[r].concat(&other.data[r]))
             .collect();
-        BitMat::from_rows(rows)
-    }
-
-    /// Vertically stacks `self` on top of `other`.
-    ///
-    /// # Panics
-    /// Panics if the column counts differ.
-    #[must_use]
-    pub fn vconcat(&self, other: &BitMat) -> BitMat {
-        assert_eq!(self.cols, other.cols, "column counts must agree");
-        let mut rows = self.data.clone();
-        rows.extend(other.data.iter().cloned());
         BitMat::from_rows(rows)
     }
 
@@ -438,8 +421,8 @@ mod tests {
         let h = hamming74_h();
         let ns = h.null_space();
         assert_eq!(ns.rows(), 4); // 7 - rank 3
-        for r in ns.iter_rows() {
-            assert!(h.mul_vec(r).is_zero());
+        for r in 0..ns.rows() {
+            assert!(h.mul_vec(ns.row(r)).is_zero());
         }
         // The null-space rows must be linearly independent.
         assert_eq!(ns.rank(), 4);
@@ -463,14 +446,11 @@ mod tests {
     }
 
     #[test]
-    fn hconcat_vconcat_shapes() {
+    fn hconcat_shapes() {
         let a = BitMat::identity(2);
         let b = BitMat::zeros(2, 3);
         let h = a.hconcat(&b);
         assert_eq!((h.rows(), h.cols()), (2, 5));
-        let c = BitMat::zeros(1, 5);
-        let v = h.vconcat(&c);
-        assert_eq!((v.rows(), v.cols()), (3, 5));
     }
 
     #[test]

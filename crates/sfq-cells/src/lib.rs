@@ -170,14 +170,6 @@ pub struct CellParams {
     pub margins: MarginSpec,
 }
 
-impl CellParams {
-    /// Energy per switching event in joules.
-    #[must_use]
-    pub fn switching_energy_joules(&self) -> f64 {
-        self.switching_energy_aj * 1e-18
-    }
-}
-
 /// A complete standard-cell library: parameters for every [`CellKind`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellLibrary {
@@ -504,13 +496,6 @@ mod tests {
         xor.jj_count = 13;
         lib.set_params(xor);
         assert_eq!(lib.params(CellKind::Xor).jj_count, 13);
-    }
-
-    #[test]
-    fn switching_energy_conversion() {
-        let lib = CellLibrary::coldflux();
-        let xor = lib.params(CellKind::Xor);
-        assert!((xor.switching_energy_joules() - 1.1e-18).abs() < 1e-24);
     }
 
     #[test]

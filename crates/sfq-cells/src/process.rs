@@ -58,21 +58,6 @@ impl Process {
     pub fn pulse_width_ps(&self) -> f64 {
         FLUX_QUANTUM / (self.ic_rn_mv * 1e-3) * 1e12
     }
-
-    /// Thermal-noise current spectral density `√(4 k_B T / R)` for a resistor
-    /// `r_ohm`, in A/√Hz, at the process operating temperature.
-    #[must_use]
-    pub fn thermal_noise_current_density(&self, r_ohm: f64) -> f64 {
-        (4.0 * BOLTZMANN * self.temperature_k / r_ohm).sqrt()
-    }
-
-    /// Approximate thermal fluctuation parameter Γ = 2π k_B T / (Φ0 · Ic)
-    /// for a junction with critical current `ic_ua` (in µA). Γ ≪ 1 means
-    /// thermally induced switching is rare.
-    #[must_use]
-    pub fn thermal_fluctuation_gamma(&self, ic_ua: f64) -> f64 {
-        2.0 * std::f64::consts::PI * BOLTZMANN * self.temperature_k / (FLUX_QUANTUM * ic_ua * 1e-6)
-    }
 }
 
 #[cfg(test)]
@@ -93,24 +78,5 @@ mod tests {
         let p = Process::mit_ll_sfq5ee();
         let tau = p.pulse_width_ps();
         assert!(tau > 1.0 && tau < 5.0, "pulse width {tau} ps");
-    }
-
-    #[test]
-    fn thermal_noise_density_scales_with_resistance() {
-        let p = Process::mit_ll_sfq5ee();
-        let d1 = p.thermal_noise_current_density(1.0);
-        let d4 = p.thermal_noise_current_density(4.0);
-        assert!((d1 / d4 - 2.0).abs() < 1e-9);
-        // Order of magnitude: ~15 pA/sqrt(Hz) at 4.2 K for 1 ohm.
-        assert!(d1 > 1e-12 && d1 < 1e-10);
-    }
-
-    #[test]
-    fn gamma_is_small_for_100ua_junctions() {
-        let p = Process::mit_ll_sfq5ee();
-        let gamma = p.thermal_fluctuation_gamma(100.0);
-        assert!(gamma < 0.01, "gamma = {gamma}");
-        // Smaller junctions are noisier.
-        assert!(p.thermal_fluctuation_gamma(10.0) > gamma);
     }
 }

@@ -57,13 +57,6 @@ impl TimingParams {
             hold_ps: self.hold_ps * factor,
         }
     }
-
-    /// Minimum clock period (in ps) for a single stage of this cell assuming
-    /// the data pulse arrives `data_arrival_ps` after the previous clock edge.
-    #[must_use]
-    pub fn min_clock_period_ps(&self, data_arrival_ps: f64) -> f64 {
-        data_arrival_ps + self.setup_ps
-    }
 }
 
 #[cfg(test)]
@@ -84,11 +77,5 @@ mod tests {
         assert!((t.delay_ps - 9.0).abs() < 1e-12);
         assert!((t.setup_ps - 4.5).abs() < 1e-12);
         assert!((t.hold_ps - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn min_clock_period_adds_setup() {
-        let t = TimingParams::clocked(6.0, 3.5, 1.0);
-        assert!((t.min_clock_period_ps(20.0) - 23.5).abs() < 1e-12);
     }
 }

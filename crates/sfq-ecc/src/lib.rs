@@ -16,7 +16,7 @@
 //! | [`batch`] | `sfq-batch` | bit-sliced batch codec engine (64 codewords per `u64` limb) |
 //! | [`link`] | `cryolink` | the Fig. 1 data link, the Fig. 5 Monte-Carlo experiments, and the batch link driver |
 //! | [`stream`] | `sfq-stream` | online scrubbing service: bounded queues, fault injection, latency contract, degradation ladder |
-//! | [`telemetry`] | `sfq-telemetry` | metrics registry, span timers, run-report snapshots (no-ops without the `telemetry` feature) |
+//! | [`telemetry`] | `sfq-telemetry` | metrics registry, span timers, run-report snapshots |
 //!
 //! ## Quick start
 //!

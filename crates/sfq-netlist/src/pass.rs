@@ -303,12 +303,6 @@ pub struct PipelineReport {
 }
 
 impl PipelineReport {
-    /// Planned cost before the first pass (the unoptimized lowering).
-    #[must_use]
-    pub fn initial_cost(&self) -> PlannedCost {
-        self.passes.first().map(|p| p.before).unwrap_or_default()
-    }
-
     /// Cost after the last pass (the emitted netlist).
     #[must_use]
     pub fn final_cost(&self) -> PlannedCost {
@@ -455,12 +449,6 @@ impl PassManager {
     pub fn with_netlist_verifier(mut self, verifier: NetlistVerifier) -> Self {
         self.verifier = Some(verifier);
         self
-    }
-
-    /// Number of passes in the pipeline.
-    #[must_use]
-    pub fn num_passes(&self) -> usize {
-        self.passes.len()
     }
 
     /// Runs the pipeline on a generator matrix.

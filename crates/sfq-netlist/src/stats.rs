@@ -90,22 +90,6 @@ impl NetlistStats {
                 .count(),
         }
     }
-
-    /// Formats the row in the style of Table II of the paper.
-    #[must_use]
-    pub fn table2_row(&self) -> String {
-        format!(
-            "{:<28} | {:>3} XOR {:>3} DFF {:>3} SPL {:>3} SFQ/DC | {:>4} JJ | {:>7.1} uW | {:>6.3} mm2",
-            self.name,
-            self.histogram.count(CellKind::Xor),
-            self.histogram.count(CellKind::Dff),
-            self.histogram.count(CellKind::Splitter),
-            self.histogram.count(CellKind::SfqToDc),
-            self.cost.jj_count,
-            self.cost.static_power_uw,
-            self.cost.area_mm2,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -142,6 +126,5 @@ mod tests {
         assert_eq!(stats.logic_depth, 2);
         assert_eq!(stats.num_inputs, 2);
         assert_eq!(stats.num_outputs, 1);
-        assert!(stats.table2_row().contains("18 JJ"));
     }
 }

@@ -101,8 +101,6 @@ pub struct Trace {
     /// `dc[o][t]` — DC level presented to output `o` at the end of cycle `t`
     /// (toggles on every arriving pulse).
     dc: Vec<Vec<bool>>,
-    /// `emissions[n][t]` — node `n` emitted (or forwarded) a pulse in cycle `t`.
-    emissions: Vec<Vec<bool>>,
 }
 
 impl Trace {
@@ -124,12 +122,6 @@ impl Trace {
         self.arrivals[output_index].iter().filter(|&&b| b).count()
     }
 
-    /// DC level of output `o` at the end of cycle `t`.
-    #[must_use]
-    pub fn dc_level(&self, output_index: usize, cycle: usize) -> bool {
-        self.dc[output_index][cycle]
-    }
-
     /// The word formed by the DC levels of all outputs at the end of `cycle`.
     ///
     /// For an encoder whose outputs drive SFQ-to-DC converters this is what
@@ -147,12 +139,6 @@ impl Trace {
         (0..self.arrivals.len())
             .map(|o| self.pulse_count(o) % 2 == 1)
             .collect()
-    }
-
-    /// Whether node `n` emitted a pulse during cycle `t`.
-    #[must_use]
-    pub fn node_emitted(&self, node: NodeId, cycle: usize) -> bool {
-        self.emissions[node.0][cycle]
     }
 
     /// Names of the primary outputs, in output order.
@@ -279,7 +265,6 @@ impl GateLevelSim {
         let mut arrivals = vec![vec![false; cycles]; num_outputs];
         let mut dc_state = vec![false; num_outputs];
         let mut dc = vec![vec![false; cycles]; num_outputs];
-        let mut emissions = vec![vec![false; cycles]; n];
 
         // Clocked-cell state.
         let mut data_state: Vec<[bool; 2]> = vec![[false; 2]; n];
@@ -294,10 +279,7 @@ impl GateLevelSim {
             let mut budget = 64 * (n + 1) * (cycle + 1);
 
             // 1. Emissions scheduled by clocked cells at the previous edge.
-            let emit = |node: usize,
-                        queue: &mut VecDeque<(usize, usize)>,
-                        emissions: &mut Vec<Vec<bool>>| {
-                emissions[node][cycle] = true;
+            let emit = |node: usize, queue: &mut VecDeque<(usize, usize)>| {
                 for port_sinks in &self.sinks[node] {
                     for &(sink, sink_port) in port_sinks {
                         queue.push_back((sink, sink_port));
@@ -307,19 +289,19 @@ impl GateLevelSim {
             for (node, slot) in pending.iter_mut().enumerate() {
                 if *slot {
                     *slot = false;
-                    emit(node, &mut queue, &mut emissions);
+                    emit(node, &mut queue);
                 }
             }
             // 2. Primary-input pulses for this cycle.
             for (i, &node) in self.input_nodes.iter().enumerate() {
                 if stimulus.pulses_at(i, cycle) {
-                    emit(node, &mut queue, &mut emissions);
+                    emit(node, &mut queue);
                 }
             }
             // 3. The clock source pulses every cycle.
             for node in 0..n {
                 if self.nodes[node] == SimNode::ClockSource {
-                    emit(node, &mut queue, &mut emissions);
+                    emit(node, &mut queue);
                 }
             }
             // 4. Spurious activity of faulty combinational cells.
@@ -329,7 +311,7 @@ impl GateLevelSim {
                     if matches!(fault.mode, FailureMode::SpuriousPulse)
                         && roll(fault.activation_failure_prob)
                     {
-                        emit(node, &mut queue, &mut emissions);
+                        emit(node, &mut queue);
                     }
                 }
             }
@@ -372,13 +354,11 @@ impl GateLevelSim {
                                 // it downstream; model the downstream arrival
                                 // as a pulse so that the Output node's toggle
                                 // tracking stays in sync.
-                                emissions[node][cycle] = true;
                                 for &(sink, sink_port) in &self.sinks[node][0] {
                                     queue.push_back((sink, sink_port));
                                 }
                             }
                             _ => {
-                                emissions[node][cycle] = true;
                                 for port_sinks in &self.sinks[node] {
                                     for &(sink, sink_port) in port_sinks {
                                         queue.push_back((sink, sink_port));
@@ -433,7 +413,6 @@ impl GateLevelSim {
             output_names: self.output_names.clone(),
             arrivals,
             dc,
-            emissions,
         }
     }
 }

@@ -8,8 +8,8 @@
 //! of ad-hoc `println!`s. This crate is that layer. It is dependency-light
 //! (std only) and instrumentation **never influences results**: metrics are
 //! write-only from the instrumented code's point of view and no RNG stream
-//! passes through this crate, so outputs are bit-identical with telemetry
-//! compiled in or out (the workspace's determinism suite asserts this).
+//! passes through this crate, so outputs are bit-identical with recording
+//! on or off (the workspace's determinism suite asserts this).
 //!
 //! ## Model
 //!
@@ -37,15 +37,12 @@
 //!   artifact (code, chips, messages, seed, threads, git SHA), so BENCH
 //!   and RUN_REPORT files are attributable to a configuration.
 //!
-//! ## Feature gating
+//! ## Runtime kill-switch
 //!
-//! The `enabled` feature (on by default, forwarded as `telemetry` by every
-//! instrumented crate) selects the real implementation. With it off, every
-//! handle is a zero-sized type and every operation an empty inline
-//! function, so `--no-default-features` builds carry no instrumentation
-//! cost at all. A runtime kill-switch ([`set_recording`]) additionally
-//! lets an enabled build measure its own overhead (the batch-decode bench
-//! gate uses it).
+//! Instrumentation is always compiled in. The process-wide kill-switch
+//! ([`set_recording`]) turns every recording call into an early-out, which
+//! lets a build measure its own overhead (the batch-decode bench gate uses
+//! it).
 //!
 //! ## Naming conventions
 //!
@@ -60,26 +57,15 @@
 pub mod json;
 
 mod fingerprint;
+mod registry;
 mod snapshot;
 
 pub use fingerprint::{detect_git_sha, Fingerprint};
+pub use registry::{
+    global, recording, set_recording, Counter, Gauge, Histogram, MetricsRegistry, SpanTimer,
+    Stopwatch,
+};
 pub use snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, Snapshot, BUCKETS};
-
-#[cfg(feature = "enabled")]
-mod enabled;
-#[cfg(feature = "enabled")]
-pub use enabled::{
-    global, is_enabled, recording, set_recording, Counter, Gauge, Histogram, MetricsRegistry,
-    SpanTimer, Stopwatch,
-};
-
-#[cfg(not(feature = "enabled"))]
-mod noop;
-#[cfg(not(feature = "enabled"))]
-pub use noop::{
-    global, is_enabled, recording, set_recording, Counter, Gauge, Histogram, MetricsRegistry,
-    SpanTimer, Stopwatch,
-};
 
 /// Index of the histogram bucket a value falls into: bucket 0 is the value
 /// `0`, bucket `b ≥ 1` covers `2^(b-1) ..= 2^b - 1`.

@@ -1,4 +1,5 @@
-//! The real instrumentation implementation (`enabled` feature on).
+//! The metrics registry, its handles, span timers and the recording
+//! kill-switch.
 
 use crate::snapshot::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, Snapshot, BUCKETS};
 use std::collections::BTreeMap;
@@ -6,16 +7,9 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// `true` when the crate was compiled with the `enabled` feature — i.e.
-/// handles carry real atomics rather than zero-sized no-ops.
-#[must_use]
-pub fn is_enabled() -> bool {
-    true
-}
-
-/// Process-wide runtime kill-switch. Compiled-in instrumentation records
-/// only while this is `true` (the default). The batch-decode bench gate
-/// flips it to measure the enabled build's own overhead.
+/// Process-wide runtime kill-switch. Instrumentation records only while
+/// this is `true` (the default). The batch-decode bench gate flips it to
+/// measure the build's own overhead.
 static RECORDING: AtomicBool = AtomicBool::new(true);
 
 /// Whether instrumentation currently records (see [`set_recording`]).
@@ -168,9 +162,8 @@ impl Drop for SpanTimer {
 }
 
 /// Manual twin of [`SpanTimer`]: read the elapsed time yourself and decide
-/// what to record. Returns 0 while recording is off (or when the crate is
-/// compiled without instrumentation), so derived values stay deterministic
-/// no-ops in uninstrumented builds.
+/// what to record. Reports 0 while recording is off, without reading the
+/// clock.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Option<Instant>,

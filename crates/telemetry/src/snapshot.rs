@@ -1,5 +1,4 @@
-//! Owned, renderable views of a metrics registry. Always compiled — the
-//! feature gate only affects whether anything records into them.
+//! Owned, renderable views of a metrics registry.
 
 use crate::json::JsonWriter;
 
@@ -117,7 +116,7 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// `true` when nothing was recorded (always the case in no-op builds).
+    /// `true` when the registry held no metrics.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
@@ -213,7 +212,7 @@ impl Snapshot {
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         if self.is_empty() {
-            out.push_str("(no metrics recorded — telemetry disabled?)\n");
+            out.push_str("(no metrics registered)\n");
             return out;
         }
         for c in &self.counters {

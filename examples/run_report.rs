@@ -8,9 +8,7 @@
 //! Run with `cargo run --example run_report`. The document goes through
 //! `sfq_telemetry::json::write_artifact`, which validates it with the
 //! telemetry crate's own JSON parser before writing, and CI checks that the
-//! uploaded artifact is non-empty. Without the default `telemetry` feature
-//! the example still runs and emits a valid (mostly empty) report —
-//! instrumentation never influences results.
+//! uploaded artifact is non-empty.
 
 use sfq_ecc::cells::CellLibrary;
 use sfq_ecc::encoders::{EncoderDesign, EncoderKind};

@@ -15,9 +15,6 @@ fn banner(title: &str) {
 /// Prints the `stream.jobs.*` counters of the run just finished, then
 /// zeroes the registry for the next scenario.
 fn print_job_split() {
-    if !sfq_ecc::telemetry::is_enabled() {
-        return;
-    }
     let registry = sfq_ecc::telemetry::global();
     let snapshot = registry.snapshot();
     let jobs = |name| snapshot.counter(name).unwrap_or(0);

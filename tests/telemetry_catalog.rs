@@ -101,10 +101,6 @@ fn assert_catalog_matches(prefixes: &[&str]) {
 
 #[test]
 fn batch_metric_names_match_the_observability_catalog() {
-    if !sfq_ecc::telemetry::is_enabled() {
-        // Compiled out: nothing registers, so there is nothing to compare.
-        return;
-    }
     // Every catalog member's shipping codec, plus the r = 10 General-class
     // repetition code (the tree kernel with multi-bit flips).
     let codecs = EncoderKind::catalog().into_iter().map(|kind| match kind {
@@ -130,9 +126,6 @@ fn batch_metric_names_match_the_observability_catalog() {
 
 #[test]
 fn synthesis_metric_names_match_the_observability_catalog() {
-    if !sfq_ecc::telemetry::is_enabled() {
-        return;
-    }
     // Planning prices every factoring kind, and the catalog's chosen
     // schedules replay at least one memoized cancellation search.
     let _ = EncoderDesign::build_catalog();
@@ -141,9 +134,6 @@ fn synthesis_metric_names_match_the_observability_catalog() {
 
 #[test]
 fn stream_metric_names_match_the_observability_catalog() {
-    if !sfq_ecc::telemetry::is_enabled() {
-        return;
-    }
     // The service registers its whole `stream.*` family at start-up, so a
     // short quiet run covers every row.
     let config = StreamConfig {
@@ -157,9 +147,6 @@ fn stream_metric_names_match_the_observability_catalog() {
 
 #[test]
 fn link_and_fig5_metric_names_match_the_observability_catalog() {
-    if !sfq_ecc::telemetry::is_enabled() {
-        return;
-    }
     let design = EncoderDesign::build(EncoderKind::Hamming74);
     let _ = Fig5Experiment {
         chips: 4,
