@@ -44,14 +44,6 @@ pub struct TransmissionResult {
     pub outcome: LinkOutcome,
 }
 
-impl TransmissionResult {
-    /// `true` when the outcome is a silent (undetected) error.
-    #[must_use]
-    pub fn is_silent_error(&self) -> bool {
-        self.outcome == LinkOutcome::SilentError
-    }
-}
-
 /// One encoder chip connected to the room-temperature receiver.
 pub struct CryoLink<'a> {
     design: &'a EncoderDesign,
@@ -219,7 +211,7 @@ mod tests {
         let mut silent = 0;
         for m in 0u64..16 {
             let msg = BitVec::from_u64(4, m);
-            if link.transmit(&msg, &mut rng).is_silent_error() {
+            if link.transmit(&msg, &mut rng).outcome == LinkOutcome::SilentError {
                 silent += 1;
             }
         }

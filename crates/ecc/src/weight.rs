@@ -1,10 +1,8 @@
-//! Weight distributions and analytical error-rate bounds.
+//! Weight distributions.
 //!
-//! These utilities complement the exhaustive analysis of [`crate::analysis`]
-//! with the standard closed-form expressions used to sanity-check the
-//! Monte-Carlo link experiments (Fig. 5): the weight enumerator of a code,
-//! the probability of undetected error on a binary symmetric channel, and the
-//! block-error probability of bounded-distance decoding.
+//! These utilities complement the exhaustive analysis of [`crate::analysis`]:
+//! the weight enumerator of a code, its minimum distance, and the weight
+//! enumerator of its dual by the MacWilliams identity.
 
 use crate::BlockCode;
 use gf2::binomial;
@@ -51,21 +49,6 @@ impl WeightDistribution {
             .map_or(0, |(w, _)| w)
     }
 
-    /// Probability that an error pattern on a binary symmetric channel with
-    /// crossover probability `p` equals a nonzero codeword — i.e. the
-    /// probability of an *undetected* error when the code is used for error
-    /// detection only.
-    #[must_use]
-    pub fn undetected_error_probability(&self, p: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&p), "p must be a probability");
-        self.counts
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(w, &a)| a as f64 * p.powi(w as i32) * (1.0 - p).powi((self.n - w) as i32))
-            .sum()
-    }
-
     /// Applies the MacWilliams identity to obtain the weight distribution of
     /// the dual code, given the dimension `k` of this code.
     #[must_use]
@@ -105,27 +88,6 @@ pub fn krawtchouk(n: usize, j: usize, w: usize) -> f64 {
         }
     }
     acc
-}
-
-/// Block-error probability of bounded-distance decoding that corrects up to
-/// `t` errors on a binary symmetric channel with crossover probability `p`:
-/// `P_block = Σ_{w > t} C(n, w) p^w (1-p)^(n-w)`.
-#[must_use]
-pub fn bounded_distance_block_error(n: usize, t: usize, p: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "p must be a probability");
-    (t + 1..=n)
-        .map(|w| {
-            binomial(n as u64, w as u64) as f64 * p.powi(w as i32) * (1.0 - p).powi((n - w) as i32)
-        })
-        .sum()
-}
-
-/// Probability that an uncoded `k`-bit message is received with at least one
-/// bit error on a BSC with crossover probability `p`.
-#[must_use]
-pub fn uncoded_message_error(k: usize, p: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "p must be a probability");
-    1.0 - (1.0 - p).powi(k as i32)
 }
 
 #[cfg(test)]
@@ -169,40 +131,11 @@ mod tests {
     }
 
     #[test]
-    fn undetected_error_probability_is_small_for_small_p() {
-        let wd = WeightDistribution::of_code(&Hamming84::new());
-        let p_ud = wd.undetected_error_probability(1e-3);
-        // Dominated by the 14 weight-4 codewords: ~14e-12.
-        assert!(p_ud > 1e-12 && p_ud < 1e-10, "P_ud = {p_ud}");
-        // Monotone in p over the low-error regime.
-        assert!(wd.undetected_error_probability(1e-2) > p_ud);
-    }
-
-    #[test]
     fn krawtchouk_zeroth_is_binomial() {
         for w in 0..=8 {
             assert_eq!(krawtchouk(8, 0, w), 1.0);
         }
         assert_eq!(krawtchouk(8, 1, 0), 8.0);
         assert_eq!(krawtchouk(8, 1, 8), -8.0);
-    }
-
-    #[test]
-    fn bounded_distance_matches_direct_sum() {
-        let p: f64 = 0.05;
-        let direct: f64 = (2..=7)
-            .map(|w| binomial(7, w as u64) as f64 * p.powi(w) * (1.0 - p).powi(7 - w))
-            .sum();
-        let got = bounded_distance_block_error(7, 1, p);
-        assert!((got - direct).abs() < 1e-15);
-    }
-
-    #[test]
-    fn uncoded_message_error_matches_complement() {
-        let p = 0.1;
-        let e = uncoded_message_error(4, p);
-        assert!((e - (1.0 - 0.9f64.powi(4))).abs() < 1e-15);
-        assert_eq!(uncoded_message_error(4, 0.0), 0.0);
-        assert!((uncoded_message_error(4, 1.0) - 1.0).abs() < 1e-15);
     }
 }

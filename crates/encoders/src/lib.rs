@@ -58,7 +58,7 @@ use sfq_netlist::pass::{
     SchedulePlan, SynthPlanner,
 };
 use sfq_netlist::{synth, Netlist, NetlistStats};
-use sfq_sim::equivalence::{self, EquivalenceConfig};
+use sfq_sim::equivalence;
 use sfq_sim::{FaultMap, GateLevelSim, Stimulus, Trace};
 
 /// Which encoder design to build.
@@ -378,7 +378,7 @@ impl EncoderDesign {
                 let planner = SynthPlanner::new(kind.pipeline_options(), library);
                 let plan = planner.plan(code.generator());
                 let result = PassManager::with_schedule(kind.pipeline_options(), plan.chosen)
-                    .with_netlist_verifier(equivalence::verifier(EquivalenceConfig::quick()))
+                    .with_netlist_verifier(equivalence::verifier())
                     .run(&kind.netlist_name(), code.generator())
                     .unwrap_or_else(|e| {
                         panic!("synthesis pipeline failed for {}: {e}", kind.name())

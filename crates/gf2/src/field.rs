@@ -15,8 +15,6 @@
 //! which caps supported degrees at 127, far above what any `m ≤ 8` BCH
 //! generator needs.
 
-use crate::vec::BitVec;
-
 /// Primitive polynomials over GF(2), indexed by degree `m` (2 ..= 8).
 ///
 /// Bit `i` is the coefficient of `x^i`; e.g. `m = 5` maps to
@@ -364,29 +362,6 @@ pub fn poly_rem(a: u128, b: u128) -> u128 {
     r
 }
 
-/// Converts a GF(2) polynomial bitmask into a [`BitVec`] of length `len`
-/// where vector position `i` holds the coefficient of `x^{len - 1 - i}`
-/// (big-endian, matching the codeword layout used by `ecc::Bch`).
-///
-/// # Panics
-/// Panics if the polynomial has degree ≥ `len`.
-#[must_use]
-pub fn poly_to_bitvec_be(p: u128, len: usize) -> BitVec {
-    if p != 0 {
-        assert!(
-            poly_degree(p) < len,
-            "polynomial does not fit in {len} bits"
-        );
-    }
-    let mut v = BitVec::zeros(len);
-    for d in 0..len {
-        if p & (1u128 << d) != 0 {
-            v.set(len - 1 - d, true);
-        }
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,8 +488,6 @@ mod tests {
         assert_eq!(poly_rem(prod, a), 0);
         assert_eq!(poly_rem(prod, b), 0);
         assert_eq!(poly_rem(prod ^ 0b10, b), poly_rem(0b10, b));
-        let v = poly_to_bitvec_be(0b1011, 6);
-        assert_eq!(v.to_string01(), "001011");
     }
 
     #[test]

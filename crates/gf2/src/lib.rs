@@ -51,13 +51,6 @@ pub(crate) fn limbs_for(bits: usize) -> usize {
     bits.div_ceil(LIMB_BITS)
 }
 
-/// Computes the parity (XOR-reduction) of a 64-bit word.
-#[inline]
-#[must_use]
-pub fn parity64(x: u64) -> bool {
-    x.count_ones() & 1 == 1
-}
-
 /// Computes the binomial coefficient `n choose k` as a `u64`.
 ///
 /// Used by the error-pattern enumeration analysis (Table I of the paper) and
@@ -139,15 +132,6 @@ mod tests {
         assert_eq!(binomial(8, 4), 70);
         assert_eq!(binomial(38, 2), 703);
         assert_eq!(binomial(4, 7), 0);
-    }
-
-    #[test]
-    fn parity64_matches_popcount() {
-        assert!(!parity64(0));
-        assert!(parity64(1));
-        assert!(!parity64(0b11));
-        assert!(parity64(0b111));
-        assert!(!parity64(u64::MAX));
     }
 
     #[test]

@@ -400,7 +400,8 @@ pub struct PassManager {
     /// One `synth.pass.<name>.ns` span-timer histogram per pass, registered
     /// at construction so the run loop never touches the registry lock.
     pass_timers: Vec<sfq_telemetry::Histogram>,
-    verifier: Option<NetlistVerifier>,
+    /// The attached netlist verifier and its `synth.verify.ns` timer.
+    verifier: Option<(NetlistVerifier, sfq_telemetry::Histogram)>,
 }
 
 /// The outcome of a full pipeline run.
@@ -444,10 +445,12 @@ impl PassManager {
         }
     }
 
-    /// Attaches a gate-level verifier that runs once after the final pass.
+    /// Attaches a gate-level verifier that runs once after the final pass;
+    /// its wall time goes to the `synth.verify.ns` histogram.
     #[must_use]
     pub fn with_netlist_verifier(mut self, verifier: NetlistVerifier) -> Self {
-        self.verifier = Some(verifier);
+        let timer = sfq_telemetry::global().histogram("synth.verify.ns");
+        self.verifier = Some((verifier, timer));
         self
     }
 
@@ -496,7 +499,8 @@ impl PassManager {
         let netlist = unit
             .netlist
             .expect("the pipeline's emission pass must produce a netlist");
-        if let Some(verifier) = &self.verifier {
+        if let Some((verifier, timer)) = &self.verifier {
+            let _span = sfq_telemetry::SpanTimer::start(timer.clone());
             verifier(&netlist, generator).map_err(PassError::Verifier)?;
         }
         Ok(SynthResult {

@@ -74,8 +74,14 @@ impl FaultMap {
     /// An all-healthy fault map for a netlist.
     #[must_use]
     pub fn healthy(netlist: &Netlist) -> Self {
+        Self::healthy_with_len(netlist.nodes().len())
+    }
+
+    /// An all-healthy fault map for `len` nodes.
+    #[must_use]
+    pub(crate) fn healthy_with_len(len: usize) -> Self {
         FaultMap {
-            faults: vec![CellFault::healthy(); netlist.nodes().len()],
+            faults: vec![CellFault::healthy(); len],
         }
     }
 

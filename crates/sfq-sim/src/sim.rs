@@ -132,15 +132,6 @@ impl Trace {
         (0..self.dc.len()).map(|o| self.dc[o][cycle]).collect()
     }
 
-    /// The word formed by the parity of all pulses seen at each output over
-    /// the entire run — identical to [`Trace::dc_word_at`] at the last cycle.
-    #[must_use]
-    pub fn parity_word(&self) -> BitVec {
-        (0..self.arrivals.len())
-            .map(|o| self.pulse_count(o) % 2 == 1)
-            .collect()
-    }
-
     /// Names of the primary outputs, in output order.
     #[must_use]
     pub fn output_names(&self) -> &[String] {
@@ -417,19 +408,6 @@ impl GateLevelSim {
     }
 }
 
-impl FaultMap {
-    /// Internal constructor for a healthy map of a given node count (used by
-    /// the fault-free simulation path).
-    #[must_use]
-    pub(crate) fn healthy_with_len(len: usize) -> Self {
-        let mut nl = Netlist::new("empty");
-        for _ in 0..len {
-            nl.add_input("x");
-        }
-        FaultMap::healthy(&nl)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,16 +537,6 @@ mod tests {
         stim.apply_word(&BitVec::from_str01("10"), 0);
         assert!(stim.pulses_at(0, 0));
         assert!(!stim.pulses_at(1, 0));
-    }
-
-    #[test]
-    fn trace_parity_word_matches_dc_word_at_last_cycle() {
-        let nl = xor_netlist();
-        let sim = GateLevelSim::new(&nl);
-        let mut stim = Stimulus::new(&nl);
-        stim.pulse_input(0, 0);
-        let trace = sim.run(&stim, 3);
-        assert_eq!(trace.parity_word(), trace.dc_word_at(2));
     }
 
     #[test]

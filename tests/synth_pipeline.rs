@@ -1,9 +1,11 @@
 //! Workspace-level verification of the encoder-synthesis pass pipeline:
 //! every catalog netlist is proven bit-exact against the scalar `ecc` codec
-//! by gate-level simulation — exhaustively for every one of the `2^k`
-//! messages when `k ≤ 16`, and over a structured-plus-random sweep for the
-//! wide (39,32) and (72,64) members — and random GF(2) generator matrices
-//! survive the full pass stack bit-exactly under both operand disciplines.
+//! by gate-level evaluation on the bit-sliced evaluator — exhaustively for
+//! every one of the `2^k` messages when `k ≤ 16`, and over a
+//! structured-plus-random sweep for the wide members — and random GF(2)
+//! generator matrices survive the full pass stack bit-exactly under both
+//! operand disciplines. `tests/sliced_sim.rs` proves the evaluator
+//! lane-for-lane against the event simulator.
 
 use proptest::prelude::*;
 use sfq_ecc::cells::CellLibrary;
@@ -13,7 +15,7 @@ use sfq_ecc::netlist::pass::{
     FactoringKind, InputDiscipline, PassManager, PipelineOptions, Schedule,
 };
 use sfq_ecc::netlist::{drc, synth};
-use sfq_ecc::sim::equivalence::{verify_encoder, EquivalenceConfig};
+use sfq_ecc::sim::equivalence::{verify_encoder, EXHAUSTIVE_LIMIT_K};
 
 /// All `2^k` messages for every catalog code with `k ≤ 16`, driven through
 /// the pipeline-synthesized netlist and compared against `m · G` (which the
@@ -21,14 +23,13 @@ use sfq_ecc::sim::equivalence::{verify_encoder, EquivalenceConfig};
 /// pins that equivalence).
 #[test]
 fn every_small_catalog_netlist_is_exhaustively_bit_exact() {
-    let config = EquivalenceConfig::default();
     let mut exhaustive_codes = 0;
     for kind in EncoderKind::catalog() {
         let design = EncoderDesign::build(kind);
-        if design.k() > config.exhaustive_limit_k {
+        if design.k() > EXHAUSTIVE_LIMIT_K {
             continue;
         }
-        let checked = verify_encoder(design.netlist(), design.generator(), &config)
+        let checked = verify_encoder(design.netlist(), design.generator())
             .unwrap_or_else(|m| panic!("{}: {m}", design.name()));
         assert_eq!(checked, 1 << design.k(), "{}", design.name());
         exhaustive_codes += 1;
@@ -40,24 +41,19 @@ fn every_small_catalog_netlist_is_exhaustively_bit_exact() {
 
 /// The wide members — SEC-DED(39,32), SEC-DED(72,64), and the r > 20
 /// Shortened Hamming(85,64): zero, all-ones, every unit vector, walking
-/// adjacent pairs, and 256 seeded random messages each.
+/// adjacent pairs, and 4096 seeded random messages each.
 #[test]
 fn wide_secded_members_are_bit_exact_on_structured_and_random_sweeps() {
-    let config = EquivalenceConfig {
-        exhaustive_limit_k: 16,
-        random_samples: 256,
-        ..Default::default()
-    };
     for kind in [
         EncoderKind::SecDed(5),
         EncoderKind::SecDed(6),
         EncoderKind::WideHamming8564,
     ] {
         let design = EncoderDesign::build(kind);
-        assert!(design.k() > config.exhaustive_limit_k);
-        let checked = verify_encoder(design.netlist(), design.generator(), &config)
+        assert!(design.k() > EXHAUSTIVE_LIMIT_K);
+        let checked = verify_encoder(design.netlist(), design.generator())
             .unwrap_or_else(|mis| panic!("{}: {mis}", design.name()));
-        assert_eq!(checked, 2 + 2 * design.k() + 256, "{}", design.name());
+        assert_eq!(checked, 2 + 2 * design.k() + 4096, "{}", design.name());
     }
 }
 
@@ -253,7 +249,7 @@ proptest! {
         let result = synth::synthesize_encoder("random", &g, options);
         let violations = drc::check(&result.netlist);
         prop_assert!(violations.is_empty(), "{violations:?}");
-        let checked = verify_encoder(&result.netlist, &g, &EquivalenceConfig::default())
+        let checked = verify_encoder(&result.netlist, &g)
             .unwrap_or_else(|m| panic!("k={k} n={n} align={align}: {m}"));
         prop_assert_eq!(checked, 1usize << k);
 
@@ -262,7 +258,7 @@ proptest! {
             .unwrap_or_else(|e| panic!("k={k} n={n} align={align}: {e}"));
         let violations = drc::check(&cancel.netlist);
         prop_assert!(violations.is_empty(), "{violations:?}");
-        let checked = verify_encoder(&cancel.netlist, &g, &EquivalenceConfig::default())
+        let checked = verify_encoder(&cancel.netlist, &g)
             .unwrap_or_else(|m| panic!("cancel k={k} n={n} align={align}: {m}"));
         prop_assert_eq!(checked, 1usize << k);
         prop_assert_eq!(cancel.netlist.logic_depth(), result.netlist.logic_depth());
