@@ -1,32 +1,24 @@
 //! Direct-dispatch decode kernels for codes with redundancy `r ≤ 8`.
 //!
-//! When the whole syndrome space fits 256 values, the decoder compiles into
-//! a flat [`DirectTable`]: every syndrome maps to its action — accept,
-//! flip (≤ 2 recorded positions, or a general mask), or flag. The kernels
-//! here *index* that table instead of matching entries:
+//! When the whole syndrome space fits 256 values, the program compiles into
+//! a flat [`DirectTable`]: every syndrome maps to its action — flip one
+//! position, or flag. The kernels here *index* that table instead of
+//! matching entries:
 //!
 //! * [`run_direct4`] (`r ≤ 4`): a successive-halving tree over the `r`
 //!   slices yields **all** `2^r` syndrome-equality lane masks — so each
 //!   table action applies to its whole lane mask at once, never per lane.
 //! * [`run_direct8`] (`5 ≤ r ≤ 8`): dense limbs are bit-transposed into
 //!   per-lane syndrome bytes ([`gf2::syndrome_bytes`]) and each dirty lane
-//!   applies its table entry branch-free (masked XORs); sparse limbs skip
-//!   the transpose and gather each dirty lane's byte from the slices
-//!   directly.
+//!   applies its table entry branch-free (one unconditional XOR); sparse
+//!   limbs skip the transpose and gather each dirty lane's byte from the
+//!   slices directly.
 
 use ecc::BatchDecoded;
 use gf2::{or_reduce, syndrome_bytes, BitSlice64};
 
 use super::KernelStats;
 use crate::MatchEntry;
-
-/// Action flags of a [`DirectEntry`].
-const APPLY1: u8 = 1 << 0;
-const APPLY2: u8 = 1 << 1;
-const FLAGGED: u8 = 1 << 2;
-const CORRECTED: u8 = 1 << 3;
-/// Correction flips more than two positions: apply via the `flip` mask.
-const MULTI: u8 = 1 << 4;
 
 /// Dirty-lane count at which [`run_direct8`] switches from per-lane byte
 /// gathering to the whole-limb transpose. The transpose + 64 branch-free
@@ -47,115 +39,54 @@ const PARTITION_LANES: u32 = 32;
 /// per-syndrome scan already costs more than 64 branch-free lane applies.
 const PARTITION_MAX_REDUNDANCY: usize = 6;
 
-/// Base of the dense path's eight discard slots (248..=255): flips of
-/// non-correcting entries XOR into `DUMP_BASE | (syndrome & 7)` and are
-/// never read. Spreading the discards over eight slots matters: weight-1
-/// corrections are the common case, and a single shared slot would chain
-/// every lane's second XOR through one store-forwarded address. Positions
+/// Base of the eight discard slots (248..=255) that non-correcting
+/// syndromes target: the dense path XORs such lanes into
+/// `DUMP_BASE | (syndrome & 7)` and never reads the slot back. Spreading
+/// the discards over eight slots keeps the lanes of a flagged-heavy limb
+/// from chaining their XORs through one store-forwarded address. Positions
 /// are `< MAX_BLOCK_LENGTH = 128`, so the slots never alias a real lane.
-const DUMP_BASE: u16 = 248;
-
-/// One syndrome's compiled action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DirectEntry {
-    /// First / second flip position (codeword lane index); 0 when unused
-    /// (the masked apply then XORs zero into lane 0 — a no-op).
-    p1: u8,
-    p2: u8,
-    /// [`APPLY1`] | [`APPLY2`] | [`FLAGGED`] | [`CORRECTED`] | [`MULTI`];
-    /// `0` = accept (the zero syndrome, and values above `2^r`).
-    flags: u8,
-    /// Full flip mask, used by the [`MULTI`] path and [`run_direct4`].
-    flip: u128,
-}
+const DUMP_BASE: u8 = 248;
 
 /// The flat syndrome→action table driving the direct kernels.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct DirectTable {
-    /// Indexed by syndrome value; length 256 (bits ≥ `redundancy` unused).
-    entries: Vec<DirectEntry>,
-    /// The dense-path view of `entries`: `p1 | p2 << 8`, with unused slots
-    /// (non-correcting entries, absent second flips) redirected to the
-    /// [`DUMP`] accumulator slot. The branch-free inner loop then issues one
-    /// 2-byte load and two unconditional XORs per lane — no flag masks.
-    /// Boxed so the table doesn't bloat every codec by 512 bytes; the dense
-    /// loop hoists the reference once per limb.
-    packed: Box<[u16; 256]>,
+    /// Indexed by syndrome value (bits ≥ `redundancy` unused): the codeword
+    /// position a correctable syndrome flips, and a discard slot
+    /// (`≥ DUMP_BASE`) for every other value, which flags. Boxed so the
+    /// table doesn't bloat every codec by 256 bytes; the dense loop hoists
+    /// the reference once per limb.
+    targets: Box<[u8; 256]>,
     /// Syndrome width `r ≤ 8`.
     redundancy: usize,
-    /// Any correction flips more than two positions (e.g. repetition
-    /// decoding): [`run_direct8`] then always uses its per-lane path, whose
-    /// mask loop handles arbitrary flips.
-    multi_flip: bool,
 }
 
 impl DirectTable {
     /// Compiles the match entries of a program with `redundancy ≤ 8` into a
-    /// flat table: matched syndromes act, the zero syndrome accepts, and
-    /// every other value flags (the complement rule, now materialized).
+    /// flat table: matched syndromes flip their position, and every other
+    /// value flags (the complement rule, now materialized). The zero
+    /// syndrome's discard slot is only ever hit by the clean lanes of a
+    /// dense limb, whose XORs are dropped.
     pub(crate) fn compile(entries: &[MatchEntry], redundancy: usize) -> Self {
         debug_assert!(redundancy <= 8);
-        let mut table = vec![
-            DirectEntry {
-                p1: 0,
-                p2: 0,
-                flags: 0,
-                flip: 0,
-            };
-            256
-        ];
-        for value in table.iter_mut().take(1usize << redundancy).skip(1) {
-            value.flags = FLAGGED;
+        let mut targets = Box::new([0u8; 256]);
+        for (s, target) in targets.iter_mut().enumerate() {
+            *target = DUMP_BASE | (s as u8 & 7);
         }
-        let mut multi_flip = false;
         for entry in entries {
-            let s = entry.pattern as usize;
-            debug_assert!(s > 0 && s < (1 << redundancy));
-            let weight = entry.flip.count_ones();
-            let p1 = entry.flip.trailing_zeros() as u8;
-            let rest = entry.flip & (entry.flip - 1);
-            let p2 = if weight >= 2 {
-                rest.trailing_zeros() as u8
-            } else {
-                0
-            };
-            let mut flags = CORRECTED | APPLY1;
-            if weight >= 2 {
-                flags |= APPLY2;
-            }
-            if weight > 2 {
-                flags |= MULTI;
-                multi_flip = true;
-            }
-            table[s] = DirectEntry {
-                p1,
-                p2,
-                flags,
-                flip: entry.flip,
-            };
-        }
-        let mut packed = Box::new([0u16; 256]);
-        for (s, (slot, entry)) in packed.iter_mut().zip(&table).enumerate() {
-            let dump = DUMP_BASE | (s as u16 & 7);
-            let correcting = entry.flags & CORRECTED != 0;
-            let p1 = if correcting {
-                u16::from(entry.p1)
-            } else {
-                dump
-            };
-            let p2 = if correcting && entry.flags & APPLY2 != 0 {
-                u16::from(entry.p2)
-            } else {
-                dump
-            };
-            *slot = p1 | (p2 << 8);
+            debug_assert!(entry.pattern > 0 && entry.pattern < (1 << redundancy));
+            targets[entry.pattern as usize] = entry.position;
         }
         DirectTable {
-            entries: table,
-            packed,
+            targets,
             redundancy,
-            multi_flip,
         }
+    }
+
+    /// The position syndrome `s` flips, or `None` when it flags.
+    #[inline]
+    fn position(&self, s: usize) -> Option<usize> {
+        let target = self.targets[s];
+        (target < DUMP_BASE).then_some(usize::from(target))
     }
 }
 
@@ -201,17 +132,12 @@ pub(crate) fn run_direct4(
             if m == 0 {
                 continue;
             }
-            let entry = table.entries[s];
-            if entry.flags & FLAGGED != 0 {
-                flagged |= m;
-                continue;
-            }
-            matched |= m;
-            let mut flip = entry.flip;
-            while flip != 0 {
-                let p = flip.trailing_zeros() as usize;
-                out.codewords.lane_mut(p)[w] ^= m;
-                flip &= flip - 1;
+            match table.position(s) {
+                Some(p) => {
+                    matched |= m;
+                    out.codewords.lane_mut(p)[w] ^= m;
+                }
+                None => flagged |= m,
             }
         }
         out.corrected[w] = matched;
@@ -249,17 +175,12 @@ fn partition_word(
         if m == 0 {
             continue;
         }
-        let entry = table.entries[s];
-        if entry.flags & FLAGGED != 0 {
-            flagged |= m;
-            continue;
-        }
-        matched |= m;
-        let mut flip = entry.flip;
-        while flip != 0 {
-            let p = flip.trailing_zeros() as usize;
-            out.codewords.lane_mut(p)[w] ^= m;
-            flip &= flip - 1;
+        match table.position(s) {
+            Some(p) => {
+                matched |= m;
+                out.codewords.lane_mut(p)[w] ^= m;
+            }
+            None => flagged |= m,
         }
     }
     (matched, flagged)
@@ -284,11 +205,11 @@ pub(crate) fn run_direct8(
     let n = out.codewords.bits();
     let stride = out.codewords.words();
     let mut gather = [0u64; 8];
-    // Position-indexed flip accumulator for the dense path: `p1`/`p2` come
-    // from a packed byte, so indexing needs no bounds check, and the
-    // codeword lanes are touched once per limb (the sweep) instead of twice
-    // per dirty lane. The sweep re-zeros every entry it drains, keeping the
-    // array all-zero between limbs.
+    // Position-indexed flip accumulator for the dense path: targets are
+    // bytes, so indexing needs no bounds check, and the codeword lanes are
+    // touched once per limb (the sweep) instead of once per dirty lane. The
+    // sweep re-zeros every entry it drains, keeping the array all-zero
+    // between limbs.
     let mut flips = [0u64; 256];
     for w in 0..words {
         let gather = &mut gather[..r];
@@ -306,17 +227,16 @@ pub(crate) fn run_direct8(
         let mut flagged = 0u64;
         if r <= PARTITION_MAX_REDUNDANCY && dirty.count_ones() >= partition_lanes {
             (matched, flagged) = partition_word(table, gather, valid, w, out);
-        } else if !table.multi_flip && dirty.count_ones() >= DENSE_LANES {
+        } else if dirty.count_ones() >= DENSE_LANES {
             // Dense: one transpose yields every lane's syndrome byte, then
-            // every lane issues exactly two unconditional XORs — its packed
-            // entry's flip targets, which for non-correcting syndromes are
-            // the discard slot. No flag logic runs per lane: a lane was
-            // corrected iff the sweep finds its bit in a real position's
-            // accumulator (every correction flips at least one position),
-            // and every other dirty lane is flagged by the complement rule.
+            // every lane issues exactly one unconditional XOR into its
+            // table target, which for non-correcting syndromes is a discard
+            // slot. No flag logic runs per lane: a lane was corrected iff
+            // the sweep finds its bit in a real position's accumulator, and
+            // every other dirty lane is flagged by the complement rule.
             let mut bytes = [0u64; 8];
             syndrome_bytes(gather, &mut bytes);
-            let packed: &[u16; 256] = &table.packed;
+            let targets: &[u8; 256] = &table.targets;
             for (q, &group_word) in bytes.iter().enumerate() {
                 if group_word == 0 {
                     continue;
@@ -325,10 +245,7 @@ pub(crate) fn run_direct8(
                 for j in 0..8 {
                     let byte = (group & 0xFF) as usize;
                     group >>= 8;
-                    let entry = packed[byte];
-                    let bit = 1u64 << (8 * q + j);
-                    flips[(entry & 0xFF) as usize] ^= bit;
-                    flips[(entry >> 8) as usize] ^= bit;
+                    flips[usize::from(targets[byte])] ^= 1u64 << (8 * q + j);
                 }
             }
             let cw = out.codewords.lane_words_mut();
@@ -340,7 +257,7 @@ pub(crate) fn run_direct8(
                     *flip = 0;
                 }
             }
-            flips[DUMP_BASE as usize..].fill(0);
+            flips[usize::from(DUMP_BASE)..].fill(0);
             flagged = dirty & !matched;
         } else {
             // Sparse: gather each dirty lane's syndrome byte straight from
@@ -354,17 +271,12 @@ pub(crate) fn run_direct8(
                 for (t, &slice) in gather.iter().enumerate() {
                     byte |= (((slice >> lane) & 1) as usize) << t;
                 }
-                let entry = table.entries[byte];
-                if entry.flags & FLAGGED != 0 {
-                    flagged |= bit;
-                    continue;
-                }
-                matched |= bit;
-                let mut flip = entry.flip;
-                while flip != 0 {
-                    let p = flip.trailing_zeros() as usize;
-                    out.codewords.lane_mut(p)[w] ^= bit;
-                    flip &= flip - 1;
+                match table.position(byte) {
+                    Some(p) => {
+                        matched |= bit;
+                        out.codewords.lane_mut(p)[w] ^= bit;
+                    }
+                    None => flagged |= bit,
                 }
             }
         }

@@ -44,9 +44,9 @@ pub(crate) struct DecisionTree {
     /// Internal nodes in breadth-first order (slot `i` is `nodes[i]`, the
     /// root is slot 0), so consecutive nodes never depend on each other.
     nodes: Vec<Node>,
-    /// Per leaf (slot − `nodes.len()`): its pattern and flip positions.
+    /// Per leaf (slot − `nodes.len()`): its pattern and flip position.
     patterns: Vec<u128>,
-    flips: Vec<Vec<u8>>,
+    positions: Vec<u8>,
     /// Per syndrome slice `t`: the leaves whose pattern has bit `t`.
     slice_leaves: Vec<Vec<u32>>,
     /// Chunks with fewer dirty lanes than this run the sparse tier.
@@ -98,10 +98,7 @@ impl DecisionTree {
             nodes.push(Node { slice, children });
         }
         let patterns: Vec<u128> = leaves.iter().map(|(e, _)| e.pattern).collect();
-        let flips: Vec<Vec<u8>> = leaves
-            .iter()
-            .map(|(e, _)| (0..128u8).filter(|&p| bit(e.flip, p.into())).collect())
-            .collect();
+        let positions: Vec<u8> = leaves.iter().map(|(e, _)| e.position).collect();
         let slice_leaves: Vec<Vec<u32>> = (0..redundancy)
             .map(|t| {
                 (0..patterns.len() as u32)
@@ -110,14 +107,14 @@ impl DecisionTree {
             })
             .collect();
 
-        // Crossover: a dense chunk costs two ops per node and one per
-        // verify term, slice, leaf, and flip; a sparse lane gathers r bits
-        // and descends the tree's mean leaf depth.
+        // Crossover: a dense chunk costs two ops per node, one per verify
+        // term and slice, and two per leaf (its hit mask and its flip); a
+        // sparse lane gathers r bits and descends the tree's mean leaf
+        // depth.
         let dense = 2 * internal
             + slice_leaves.iter().map(Vec::len).sum::<usize>()
             + redundancy
-            + patterns.len()
-            + flips.iter().map(Vec::len).sum::<usize>();
+            + 2 * patterns.len();
         let leaf_count = patterns.len().max(1);
         let depth_sum: usize = leaves.iter().map(|&(_, depth)| depth).sum();
         let (cost, steps) = DENSE_OP_COST;
@@ -126,7 +123,7 @@ impl DecisionTree {
         DecisionTree {
             nodes,
             patterns,
-            flips,
+            positions,
             slice_leaves,
             sparse_below: sparse_below.min(CHUNK * 64 + 1) as u64,
         }
@@ -214,7 +211,8 @@ pub(crate) fn run_tree(
 /// partition the dirty lanes, so the XOR of those whose pattern has bit `t`
 /// is the slice every lane *should* have, and `bad = OR_t (s_t ⊕ expected_t)`
 /// marks the lanes whose syndrome differs from their leaf's pattern. Each
-/// leaf's flip applies to `candidate & !bad`. Returns `(corrected, flagged)`.
+/// leaf's position flips in `candidate & !bad`. Returns `(corrected,
+/// flagged)`.
 fn dense_chunk(
     tree: &DecisionTree,
     slices: &[Chunk],
@@ -238,16 +236,14 @@ fn dense_chunk(
             .fold(s, |acc, &e| zip(acc, leaves[e as usize], |a, c| a ^ c));
         bad = zip(bad, expected, |b, x| b | x);
     }
-    for (&candidate, flips) in leaves.iter().zip(&tree.flips) {
+    for (&candidate, &p) in leaves.iter().zip(&tree.positions) {
         let hit = zip(candidate, bad, |c, b| c & !b);
         if hit == [0; CHUNK] {
             continue;
         }
-        for &p in flips {
-            let lane = &mut out.codewords.lane_mut(p.into())[base..base + len];
-            for (word, h) in lane.iter_mut().zip(hit) {
-                *word ^= h;
-            }
+        let lane = &mut out.codewords.lane_mut(p.into())[base..base + len];
+        for (word, h) in lane.iter_mut().zip(hit) {
+            *word ^= h;
         }
     }
     (
@@ -290,9 +286,7 @@ fn sparse_chunk(
                 continue;
             }
             corrected[j] |= lane_bit;
-            for &p in &tree.flips[leaf] {
-                out.codewords.lane_mut(p.into())[base + j] ^= lane_bit;
-            }
+            out.codewords.lane_mut(tree.positions[leaf].into())[base + j] ^= lane_bit;
         }
     }
     (corrected, flagged)

@@ -22,7 +22,7 @@
 //!
 //! 1. **Syndrome** — the `r = n − k` syndrome bit-slices of the batch.
 //! 2. **Column stage** — construction compiles a *column-match program*, a
-//!    list of `(syndrome pattern, flip mask)` entries, and a kernel executes
+//!    list of `(syndrome pattern, flip position)` entries, and a kernel executes
 //!    it over the batch's 64-message limbs. A limb (for `tree`, a four-limb
 //!    chunk) whose syndromes are all zero (the dominant case in Monte-Carlo
 //!    traffic) skips matching entirely; lanes
@@ -30,10 +30,9 @@
 //!    every other dirty lane is flagged.
 //! 3. **Residual stage** — what happens to the flagged lanes depends on the
 //!    decoder's [`SyndromeClass`]:
-//!    * [`SyndromeClass::ColumnFlip`] / [`SyndromeClass::General`]: the
-//!      program covers every correctable syndrome, so the flag stands —
-//!      detected-uncorrectable syndromes are handled *by complement* and
-//!      cost nothing;
+//!    * [`SyndromeClass::ColumnFlip`]: the program covers every correctable
+//!      syndrome, so the flag stands — detected-uncorrectable syndromes are
+//!      handled *by complement* and cost nothing;
 //!    * [`SyndromeClass::Algebraic`] (multi-error BCH,
 //!      [`BatchCodec::with_sliced_algebraic`]): odd power syndromes are
 //!      accumulated bit-sliced across each residual limb (even powers follow
@@ -46,13 +45,11 @@
 //! 4. **One stats flush** of the call's telemetry (see below).
 //! 5. **Message extraction** from the corrected codeword lanes.
 //!
-//! How the program is built depends on the class. `General` decoders (e.g.
-//! majority-vote repetition) are interrogated once per syndrome value —
-//! exact, but only tractable for small `r`. Every other class compiles
-//! **directly from the columns of `H`**: one entry per codeword position,
-//! verified with one scalar probe per position (a syndrome equal to column
-//! `j` puts the word in the coset of `e_j`, and the probe checks that the
-//! scalar decoder answers that coset with "flip `j`"). Construction and
+//! Every class compiles the program the same way, **directly from the
+//! columns of `H`**: one entry per codeword position, verified with one
+//! scalar probe per position (a syndrome equal to column `j` puts the word
+//! in the coset of `e_j`, and the probe checks that the scalar decoder
+//! answers that coset with "flip `j`"). Construction and
 //! per-limb matching cost a polynomial in `n` and `r`, independent of
 //! `2^r` — which is what lets the engine serve codes such as the catalog's
 //! Shortened Hamming(85,64) with `r = 21`.
@@ -88,9 +85,8 @@
 
 use ecc::{
     generator_right_inverse, AlgebraicAction, AlgebraicDecode, BatchDecode, BatchDecoded,
-    BatchEncode, BatchScratch, Bch, BchSpec, BitFlipPlan, BlockCode, DecodeOutcome, Hamming74,
-    Hamming84, HardDecoder, IterativeDecode, Ldpc, Repetition, Rm13, SecDed, ShortenedHamming,
-    SlicedSyndromePlan, SyndromeClass, Uncoded,
+    BatchEncode, BatchScratch, Bch, BchSpec, BitFlipPlan, BlockCode, ColumnCode, HardDecoder,
+    IterativeDecode, Ldpc, Rm13, SlicedSyndromePlan, SyndromeClass,
 };
 use gf2::{or_reduce, BitMat, BitSlice64, BitVec};
 use std::sync::Arc;
@@ -103,22 +99,21 @@ use kernel::sliced::{run_sliced, SlicedStats};
 use kernel::tree::{run_tree, DecisionTree};
 use kernel::{KernelChoice, KernelStats};
 
-/// Largest supported codeword length: syndrome patterns, column supports,
-/// and flip masks are single `u128`s. This is the batch engine's only size
-/// limit — the redundancy `n - k` is unconstrained.
+/// Largest supported codeword length: syndrome patterns and column supports
+/// are single `u128`s. This is the batch engine's only size limit — the
+/// redundancy `n - k` is unconstrained.
 pub const MAX_BLOCK_LENGTH: usize = 128;
 
-/// One compiled decode rule: when a word's syndrome equals `pattern`, XOR
-/// `flip` into it.
+/// One compiled decode rule: when a word's syndrome equals `pattern`, flip
+/// codeword position `position`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MatchEntry {
-    /// Syndrome value (bit `t` = syndrome lane `t`). Never zero — the zero
-    /// syndrome always means "accept" and is handled separately.
+    /// Syndrome value (bit `t` = syndrome lane `t`): column `position` of
+    /// `H`. Never zero — the zero syndrome always means "accept" and is
+    /// handled separately.
     pattern: u128,
-    /// Error pattern to XOR into the received word (bit `p` = codeword
-    /// position `p`). Never zero — a nonzero syndrome's correction flips at
-    /// least one bit.
-    flip: u128,
+    /// The codeword position to flip (`< MAX_BLOCK_LENGTH`).
+    position: u8,
 }
 
 /// The compiled column stage: match entries for correctable syndromes. The
@@ -178,8 +173,8 @@ struct BitFlipEngine {
 /// unmatched.
 #[derive(Debug, Clone)]
 enum Residual {
-    /// Keep them flagged (`ColumnFlip` / `General`: the program already
-    /// covers every correctable syndrome).
+    /// Keep them flagged (`ColumnFlip`: the program already covers every
+    /// correctable syndrome).
     Flag,
     /// Sliced power syndromes + per-lane algebra (`Algebraic`).
     Sliced(SlicedAlgebraic),
@@ -410,24 +405,22 @@ pub struct BatchCodec {
 }
 
 impl BatchCodec {
-    /// Builds the batch engine for a scalar code + hard decoder whose
-    /// corrections are all table lookups: `ColumnFlip` decoders compile
-    /// straight from the columns of `H` (no syndrome-space enumeration, so
-    /// the redundancy is unlimited); `General` decoders are interrogated
-    /// once per syndrome value.
+    /// Builds the batch engine for a [`SyndromeClass::ColumnFlip`] decoder,
+    /// compiled straight from the columns of `H` (no syndrome-space
+    /// enumeration, so the redundancy is unlimited).
     ///
     /// # Panics
     /// Panics if the code exceeds `n ≤ 128` (masks are single `u128`s), if
-    /// the parity-check matrix does not have full row rank, if a
-    /// `ColumnFlip` decoder fails its per-column scalar probe, or if the
-    /// decoder declares [`SyndromeClass::Algebraic`] (build those with
+    /// the parity-check matrix does not have full row rank, if the decoder
+    /// fails its per-column scalar probe, or if it declares
+    /// [`SyndromeClass::Algebraic`] (build those with
     /// [`BatchCodec::with_sliced_algebraic`]) or
     /// [`SyndromeClass::Iterative`] (build those with
     /// [`BatchCodec::with_bit_flip`]).
     #[must_use]
     pub fn new<C: BlockCode + HardDecoder>(code: &C) -> Self {
         match code.syndrome_class() {
-            SyndromeClass::ColumnFlip | SyndromeClass::General => {}
+            SyndromeClass::ColumnFlip => {}
             SyndromeClass::Algebraic => panic!(
                 "{}: algebraic decoders correct more than the columns of H; build with \
                  BatchCodec::with_sliced_algebraic (registry members are one \
@@ -526,8 +519,6 @@ impl BatchCodec {
             // No parity: every word is a codeword, nothing to correct or
             // detect.
             Vec::new()
-        } else if code.syndrome_class() == SyndromeClass::General {
-            interrogated_entries(code)
         } else {
             column_entries(code)
         };
@@ -578,13 +569,13 @@ impl BatchCodec {
     /// Batch engine for the Hamming(7,4) code.
     #[must_use]
     pub fn hamming74() -> Self {
-        Self::new(&Hamming74::new())
+        Self::new(&ColumnCode::hamming74())
     }
 
     /// Batch engine for the extended Hamming(8,4) code.
     #[must_use]
     pub fn hamming84() -> Self {
-        Self::new(&Hamming84::new())
+        Self::new(&ColumnCode::hamming84())
     }
 
     /// Batch engine for the RM(1,3) code (tie-detecting decoder).
@@ -593,30 +584,24 @@ impl BatchCodec {
         Self::new(&Rm13::new())
     }
 
-    /// Batch engine for a repetition code.
-    #[must_use]
-    pub fn repetition(k: usize, factor: usize) -> Self {
-        Self::new(&Repetition::new(k, factor))
-    }
-
     /// Batch engine for uncoded transmission.
     #[must_use]
     pub fn uncoded(k: usize) -> Self {
-        Self::new(&Uncoded::new(k))
+        Self::new(&ColumnCode::uncoded(k))
     }
 
     /// Batch engine for the SEC-DED family member with `2^m` data bits
     /// (`m = 6` is the wide (72,64) code).
     #[must_use]
     pub fn sec_ded(m: usize) -> Self {
-        Self::new(&SecDed::new(m))
+        Self::new(&ColumnCode::sec_ded(m))
     }
 
     /// Batch engine for the wide Shortened Hamming(85,64) demonstration code
     /// — 21 syndrome lanes, beyond any tabulable syndrome space.
     #[must_use]
     pub fn wide_hamming_85_64() -> Self {
-        Self::new(&ShortenedHamming::wide_85_64())
+        Self::new(&ColumnCode::wide_85_64())
     }
 
     /// Batch engine for the multi-error BCH(31,16) code (`t = 2`,
@@ -662,9 +647,8 @@ impl BatchCodec {
         &self.name
     }
 
-    /// Number of compiled match entries: `n` for codes compiled from the
-    /// columns of `H`, one per correctable syndrome for `General` codes,
-    /// zero when `r = 0`.
+    /// Number of compiled match entries: one per column of `H` (`n`), zero
+    /// when `r = 0`.
     #[must_use]
     pub fn program_len(&self) -> usize {
         self.program.entries.len()
@@ -1024,80 +1008,8 @@ fn column_entries<C: BlockCode + HardDecoder>(code: &C) -> Vec<MatchEntry> {
         );
         entries.push(MatchEntry {
             pattern,
-            flip: 1u128 << j,
+            position: j as u8,
         });
-    }
-    entries
-}
-
-/// Compiles a [`SyndromeClass::General`] decoder by interrogating it once
-/// per syndrome value and recording an entry for every syndrome it corrects
-/// (detected syndromes are the complement and need no entries).
-///
-/// For each syndrome `s`, a representative received word with that syndrome
-/// is constructed from the row-reduced parity-check matrix: row-reducing
-/// `[H | I_{n-k}]` gives `[R | T]` with `R = T·H` and pivot columns `p_i`;
-/// the word `r = Σ_i (T·s)_i · e_{p_i}` satisfies `H·r = s`. The decoder's
-/// response to `r` — flip pattern or error flag — is the action for every
-/// word in that coset.
-///
-/// # Panics
-/// Panics if `H` does not have full row rank, or if the redundancy exceeds
-/// 28 — this builder enumerates all `2^(n-k)` syndromes, which is a property
-/// of general coset decoders, not of the batch engine; wide-redundancy codes
-/// must provide a [`SyndromeClass::ColumnFlip`] decoder instead.
-fn interrogated_entries<C: BlockCode + HardDecoder>(code: &C) -> Vec<MatchEntry> {
-    let n = code.n();
-    let redundancy = n - code.k();
-    assert!(
-        redundancy <= 28,
-        "{}: general-class decoders are compiled by enumerating all 2^(n-k) syndromes, \
-         which is impractical at n-k = {redundancy}; implement SyndromeClass::ColumnFlip \
-         (or another structural class) for this decoder",
-        code.name()
-    );
-    let table_len = 1u64 << redundancy;
-
-    let h = code.parity_check();
-    let augmented = h.hconcat(&BitMat::identity(redundancy));
-    let (reduced, pivots) = augmented.rref();
-    assert_eq!(pivots.len(), redundancy, "H must have full row rank");
-    assert!(
-        pivots.iter().all(|&p| p < n),
-        "H pivots must be data columns"
-    );
-    // Row `i` of the transform `T`, as a BitVec for the dot products below.
-    let t_rows: Vec<BitVec> = (0..redundancy)
-        .map(|i| (0..redundancy).map(|t| reduced.get(i, n + t)).collect())
-        .collect();
-
-    let mut entries = Vec::new();
-    for s in 1..table_len {
-        let syndrome = BitVec::from_u64(redundancy, s);
-        // a = T · s, then r = Σ a_i e_{p_i}.
-        let mut representative = BitVec::zeros(n);
-        for (i, &p) in pivots.iter().enumerate() {
-            if t_rows[i].dot(&syndrome) {
-                representative.set(p, true);
-            }
-        }
-        debug_assert_eq!(code.syndrome(&representative), syndrome);
-
-        let decoded = code.decode(&representative);
-        match decoded.outcome {
-            DecodeOutcome::DetectedUncorrectable => {} // handled by complement
-            _ => {
-                let codeword = decoded
-                    .codeword
-                    .expect("non-detected decode must produce a codeword");
-                let flip = (&representative ^ &codeword).to_u128();
-                debug_assert_ne!(flip, 0, "nonzero syndrome must flip something");
-                entries.push(MatchEntry {
-                    pattern: u128::from(s),
-                    flip,
-                });
-            }
-        }
     }
     entries
 }
@@ -1105,6 +1017,7 @@ fn interrogated_entries<C: BlockCode + HardDecoder>(code: &C) -> Vec<MatchEntry>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ecc::DecodeOutcome;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1121,23 +1034,19 @@ mod tests {
         type ScalarEncode = Box<dyn Fn(&BitVec) -> BitVec>;
         let cases: Vec<(BatchCodec, ScalarEncode)> = vec![
             (BatchCodec::hamming74(), {
-                let c = Hamming74::new();
+                let c = ColumnCode::hamming74();
                 Box::new(move |m| c.encode(m))
             }),
             (BatchCodec::hamming84(), {
-                let c = Hamming84::new();
+                let c = ColumnCode::hamming84();
                 Box::new(move |m| c.encode(m))
             }),
             (BatchCodec::rm13(), {
                 let c = Rm13::new();
                 Box::new(move |m| c.encode(m))
             }),
-            (BatchCodec::repetition(4, 2), {
-                let c = Repetition::new(4, 2);
-                Box::new(move |m| c.encode(m))
-            }),
             (BatchCodec::uncoded(4), {
-                let c = Uncoded::new(4);
+                let c = ColumnCode::uncoded(4);
                 Box::new(move |m| c.encode(m))
             }),
         ];
@@ -1153,7 +1062,7 @@ mod tests {
 
     #[test]
     fn syndrome_batch_matches_scalar() {
-        let code = Hamming84::new();
+        let code = ColumnCode::hamming84();
         let codec = BatchCodec::hamming84();
         let mut rng = StdRng::seed_from_u64(11);
         let words: Vec<BitVec> = (0..100)
@@ -1319,25 +1228,6 @@ mod tests {
     }
 
     #[test]
-    fn repetition_decode_matches_majority_vote() {
-        let scalar = Repetition::new(2, 3);
-        let codec = BatchCodec::repetition(2, 3);
-        // All 64 possible received words of the (6,2) code.
-        let words: Vec<BitVec> = (0u64..64).map(|w| BitVec::from_u64(6, w)).collect();
-        let decoded = codec.decode_batch(&BitSlice64::pack(&words));
-        for (i, w) in words.iter().enumerate() {
-            let reference = scalar.decode(w);
-            match reference.outcome {
-                DecodeOutcome::DetectedUncorrectable => assert!(decoded.is_flagged(i)),
-                _ => {
-                    assert!(!decoded.is_flagged(i));
-                    assert_eq!(Some(decoded.messages.extract(i)), reference.message);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn partial_last_limb_batches_are_handled() {
         let codec = BatchCodec::hamming74();
         for batch_size in [1usize, 63, 65, 127] {
@@ -1381,12 +1271,6 @@ mod tests {
         assert_eq!(BatchCodec::ldpc().program_len(), 60);
         // The r = 0 degenerate case has nothing to match.
         assert_eq!(BatchCodec::uncoded(4).program_len(), 0);
-        // General-class codes keep interrogated entries (correctable
-        // syndromes only): the (8,4) factor-2 repetition code corrects
-        // nothing (every disagreement is a tie), the (6,2) factor-3 code
-        // corrects every nonzero syndrome.
-        assert_eq!(BatchCodec::repetition(4, 2).program_len(), 0);
-        assert_eq!(BatchCodec::repetition(2, 3).program_len(), 15);
     }
 
     /// A column stage's starting point: the received words, no lane marked.
@@ -1399,7 +1283,7 @@ mod tests {
     }
 
     /// The brute-force column stage, lane by lane: a syndrome equal to an
-    /// entry's pattern flips that entry's mask and marks the lane
+    /// entry's pattern flips that entry's position and marks the lane
     /// corrected, a zero syndrome accepts, and anything else is flagged.
     fn brute_force_column_stage(
         entries: &[MatchEntry],
@@ -1416,9 +1300,8 @@ mod tests {
                 _ if key == 0 => {}
                 Some(entry) => {
                     out.corrected[lane / 64] |= bit;
-                    for p in (0..received.bits()).filter(|&p| (entry.flip >> p) & 1 == 1) {
-                        out.codewords.set(lane, p, !out.codewords.get(lane, p));
-                    }
+                    let p = entry.position.into();
+                    out.codewords.set(lane, p, !out.codewords.get(lane, p));
                 }
                 None => out.flagged[lane / 64] |= bit,
             }
@@ -1474,13 +1357,14 @@ mod tests {
             BatchCodec::bch_63_51,
             BatchCodec::bch_63_45,
             BatchCodec::ldpc,
-            // r = 10, General class: 1023 entries with multi-bit flips.
-            || BatchCodec::repetition(5, 3),
-            // r = 9 with no entries: every dirty lane is flagged.
-            || BatchCodec::repetition(9, 2),
+            // r = 10, the tree kernel's second width.
+            || BatchCodec::new(&ColumnCode::shortened_hamming(26, 5, 2)),
+            // r = 9, the smallest redundancy the tree kernel takes.
+            || BatchCodec::new(&ColumnCode::shortened_hamming(4, 3, 3)),
             BatchCodec::hamming74,
             || BatchCodec::sec_ded(6),
-            || BatchCodec::repetition(2, 3),
+            // r = 2, the smallest direct4 table.
+            || BatchCodec::new(&ColumnCode::hamming(2)),
         ];
         let mut rng = StdRng::seed_from_u64(0xF0CE);
         for build in builders {
@@ -1523,10 +1407,10 @@ mod tests {
 
     proptest! {
         /// Both tree tiers equal the brute-force column stage on random
-        /// programs: 1–128 distinct nonzero patterns at `r ∈ 9..=127`, with
-        /// flips of weight 1–3, over syndromes that mix exact patterns,
-        /// zero, near misses, and random values. One entry makes the root a
-        /// leaf.
+        /// programs: 1–128 distinct nonzero patterns at `r ∈ 9..=127`, each
+        /// flipping one random position, over syndromes that mix exact
+        /// patterns, zero, near misses, and random values. One entry makes
+        /// the root a leaf.
         #[test]
         fn tree_tiers_match_brute_force_on_random_programs(
             seed in any::<u64>(),
@@ -1542,9 +1426,9 @@ mod tests {
             let mut entries: Vec<MatchEntry> = Vec::new();
             while entries.len() < count {
                 let pattern = random(r);
-                let flip = (0..3).fold(0, |flip, _| flip | 1u128 << (random(7) as u32));
+                let position = random(7) as u8;
                 if pattern != 0 && entries.iter().all(|e| e.pattern != pattern) {
-                    entries.push(MatchEntry { pattern, flip });
+                    entries.push(MatchEntry { pattern, position });
                 }
             }
             let mut syndromes = BitSlice64::zeros(r, batch);
@@ -1734,7 +1618,7 @@ mod tests {
     #[test]
     fn secded_batch_matches_scalar_for_whole_family() {
         for m in 3..=6 {
-            let scalar = SecDed::new(m);
+            let scalar = ColumnCode::sec_ded(m);
             let codec = BatchCodec::sec_ded(m);
             let mut rng = StdRng::seed_from_u64(m as u64);
             let k = scalar.k();
@@ -1756,7 +1640,7 @@ mod tests {
     fn shortened_hamming_3832_works_in_batch_form() {
         // Exercises 6 syndrome lanes and 38-bit words through the ColumnFlip
         // builder.
-        let scalar = ecc::ShortenedHamming3832::new();
+        let scalar = ColumnCode::shortened_hamming_38_32();
         let codec = BatchCodec::new(&scalar);
         let mut rng = StdRng::seed_from_u64(5);
         let messages: Vec<BitVec> = (0..64)
@@ -2056,7 +1940,7 @@ mod tests {
         // n - k = 21 > 20: impossible under the old syndrome-action table
         // (its 2^21-entry build was rejected); the column-matching engine
         // compiles 85 entries and decodes exactly like the scalar path.
-        let scalar = ShortenedHamming::wide_85_64();
+        let scalar = ColumnCode::wide_85_64();
         let codec = BatchCodec::wide_hamming_85_64();
         assert_eq!((codec.n(), codec.k()), (85, 64));
         let mut rng = StdRng::seed_from_u64(0x8564);

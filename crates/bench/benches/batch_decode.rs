@@ -320,7 +320,7 @@ fn render_json(measurements: &[Measurement], fingerprint: &Fingerprint) -> Strin
 /// messages/second, leaving recording enabled.
 fn telemetry_overhead(quick: bool) -> (f64, f64) {
     let mut rng = StdRng::seed_from_u64(SEED);
-    let code = ecc::SecDed::new(6);
+    let code = ecc::ColumnCode::sec_ded(6);
     let codec = BatchCodec::new(&code);
     let messages: Vec<BitVec> = (0..LANES)
         .map(|_| BitVec::from_u64(64, rng.random::<u64>()))

@@ -113,14 +113,8 @@ impl BatchLinkContext {
     /// Precomputes the context for one design.
     #[must_use]
     pub fn new(design: &EncoderDesign) -> Self {
-        Self::with_codec(design, batch_codec_for(design))
-    }
-
-    /// Like [`BatchLinkContext::new`] with an externally built codec.
-    #[must_use]
-    pub fn with_codec(design: &EncoderDesign, codec: BatchCodec) -> Self {
         BatchLinkContext {
-            codec,
+            codec: batch_codec_for(design),
             cones: FaultCones::of(design.netlist()),
             cycles: design.latency() + 1,
         }

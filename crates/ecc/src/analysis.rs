@@ -370,12 +370,12 @@ pub fn paper_table1() -> Vec<Table1Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codes::hamming::{Hamming74, Hamming84};
     use crate::codes::reed_muller::Rm13;
+    use crate::ColumnCode;
 
     #[test]
     fn hamming74_detects_28_of_35_triple_errors_in_detection_mode() {
-        let code = Hamming74::new();
+        let code = ColumnCode::hamming74();
         let analysis = CodeAnalysis::exhaustive(&code, DecodingPolicy::DetectOnly, 3);
         let w3 = &analysis.per_weight[3];
         assert_eq!(w3.total, 35 * 16);
@@ -387,7 +387,7 @@ mod tests {
 
     #[test]
     fn hamming74_worst_case_matches_paper() {
-        let code = Hamming74::new();
+        let code = ColumnCode::hamming74();
         let hw = CodeAnalysis::exhaustive(&code, DecodingPolicy::HardwareDecoder, 3);
         assert_eq!(hw.guaranteed_corrected(), 1);
         assert_eq!(hw.guaranteed_caught(), 1);
@@ -397,7 +397,7 @@ mod tests {
 
     #[test]
     fn hamming84_guarantees() {
-        let code = Hamming84::new();
+        let code = ColumnCode::hamming84();
         let hw = CodeAnalysis::exhaustive(&code, DecodingPolicy::HardwareDecoder, 4);
         assert_eq!(hw.guaranteed_corrected(), 1);
         // Single errors corrected, double errors all detected.
@@ -425,7 +425,7 @@ mod tests {
 
     #[test]
     fn zero_weight_is_always_clean() {
-        let code = Hamming84::new();
+        let code = ColumnCode::hamming84();
         for policy in [
             DecodingPolicy::HardwareDecoder,
             DecodingPolicy::DetectOnly,
@@ -438,7 +438,7 @@ mod tests {
 
     #[test]
     fn table1_rows_reproduce_key_paper_claims() {
-        let h74 = table1_row(&Hamming74::new());
+        let h74 = table1_row(&ColumnCode::hamming74());
         assert_eq!(h74.dmin, 3);
         assert_eq!(h74.worst_corrected, 1);
         assert_eq!(h74.worst_detected, 1);
@@ -446,7 +446,7 @@ mod tests {
         assert_eq!(h74.best_corrected, 1);
         assert!((h74.weight3_detection_rate - 0.8).abs() < 1e-12);
 
-        let h84 = table1_row(&Hamming84::new());
+        let h84 = table1_row(&ColumnCode::hamming84());
         assert_eq!(h84.dmin, 4);
         assert_eq!(h84.worst_corrected, 1);
         // The paper lists 3 (guaranteed); our favourable-pattern metric also

@@ -7,8 +7,9 @@
 //! patterns (the "best case" column of Table I).
 //!
 //! [`ReedMuller`] implements the general RM(r,m) family through the monomial
-//! (Boolean polynomial) construction; [`Rm13`] is the concrete instance used
-//! by the paper's encoder together with its FHT decoder.
+//! (Boolean polynomial) construction, for encoding only; [`Rm13`] is the
+//! concrete instance used by the paper's encoder, and the only one with a
+//! decoder (FHT).
 
 use crate::decoder::Decoded;
 use crate::{validate_code_matrices, BlockCode, HardDecoder};
@@ -106,12 +107,6 @@ impl ReedMuller {
         self.r
     }
 
-    /// Number of Boolean variables `m` (the code length is `2^m`).
-    #[must_use]
-    pub fn variables(&self) -> usize {
-        self.m
-    }
-
     /// The monomial (set of variable indices) associated with each message bit.
     #[must_use]
     pub fn monomials(&self) -> &[Vec<usize>] {
@@ -165,99 +160,6 @@ pub fn fast_hadamard_transform(values: &mut [f64]) {
     }
 }
 
-/// First-order Reed–Muller decoding shared by both hard decoders.
-///
-/// `channel_values[i]` is positive when bit `i` is more likely `0`. Returns
-/// `(message, codeword, unique)` where `unique` is false when the Hadamard
-/// spectrum has a tie for the maximum magnitude (ambiguous decoding). Ties are
-/// always *resolved* toward the lowest spectral index so that callers may
-/// either use the returned estimate (best-effort mode) or report detection.
-fn rm1_fht_decode(code: &ReedMuller, channel_values: &[f64]) -> (BitVec, BitVec, bool) {
-    let m = code.variables();
-    let mut spectrum: Vec<f64> = channel_values.to_vec();
-    fast_hadamard_transform(&mut spectrum);
-    // Find the index with the largest |spectrum| value and detect ties.
-    let mut best_idx = 0usize;
-    let mut best_mag = f64::NEG_INFINITY;
-    let mut unique = true;
-    for (idx, &val) in spectrum.iter().enumerate() {
-        let mag = val.abs();
-        if mag > best_mag + 1e-9 {
-            best_mag = mag;
-            best_idx = idx;
-            unique = true;
-        } else if (mag - best_mag).abs() <= 1e-9 && idx != best_idx {
-            unique = false;
-        }
-    }
-    let constant_term = spectrum[best_idx] < 0.0;
-    // Message layout: bit 0 is the constant (all-ones row) coefficient, bit
-    // 1 + j is the coefficient of variable x_j. The Hadamard index `best_idx`
-    // has bit j set exactly when x_j participates in the affine function.
-    let mut message = BitVec::zeros(m + 1);
-    message.set(0, constant_term);
-    for j in 0..m {
-        message.set(1 + j, (best_idx >> j) & 1 == 1);
-    }
-    let codeword = code.encode(&message);
-    (message, codeword, unique)
-}
-
-impl HardDecoder for ReedMuller {
-    /// FHT (Green machine) decoding for first-order codes.
-    ///
-    /// A unique spectral maximum yields a maximum-likelihood codeword; a tie
-    /// is reported as [`crate::DecodeOutcome::DetectedUncorrectable`], which
-    /// is how the decoder detects 2-bit (and most 3-bit) error patterns.
-    ///
-    /// # Panics
-    /// Panics if the order is not 1 (higher orders only support encoding).
-    fn decode(&self, received: &BitVec) -> Decoded {
-        assert_eq!(
-            self.r, 1,
-            "hard decoding is implemented for first-order RM codes"
-        );
-        assert_eq!(received.len(), self.n(), "received word length mismatch");
-        let values: Vec<f64> = received
-            .iter()
-            .map(|bit| if bit { -1.0 } else { 1.0 })
-            .collect();
-        let (message, codeword, unique) = rm1_fht_decode(self, &values);
-        if !unique {
-            return Decoded::detected();
-        }
-        let flips = codeword.hamming_distance(received);
-        if flips == 0 {
-            Decoded::clean(codeword, message)
-        } else {
-            Decoded::corrected(codeword, message, flips)
-        }
-    }
-
-    /// Best-effort FHT decoding: Hadamard-spectrum ties are resolved toward
-    /// the lowest index instead of raising the error flag. In this mode the
-    /// decoder corrects some 2-bit error patterns, the property Table I of the
-    /// paper attributes to RM(1,3).
-    fn decode_best_effort(&self, received: &BitVec) -> Decoded {
-        assert_eq!(
-            self.r, 1,
-            "hard decoding is implemented for first-order RM codes"
-        );
-        assert_eq!(received.len(), self.n(), "received word length mismatch");
-        let values: Vec<f64> = received
-            .iter()
-            .map(|bit| if bit { -1.0 } else { 1.0 })
-            .collect();
-        let (message, codeword, _unique) = rm1_fht_decode(self, &values);
-        let flips = codeword.hamming_distance(received);
-        if flips == 0 {
-            Decoded::clean(codeword, message)
-        } else {
-            Decoded::corrected(codeword, message, flips)
-        }
-    }
-}
-
 /// The RM(1,3) code used by the paper's third encoder: length 8, dimension 4,
 /// minimum distance 4, decoded with the fast Hadamard transform.
 #[derive(Debug, Clone)]
@@ -289,6 +191,57 @@ impl Rm13 {
         }
         terms
     }
+
+    /// First-order Reed–Muller decoding shared by both hard decoders.
+    ///
+    /// Returns `(message, codeword, unique)` where `unique` is false when
+    /// the Hadamard spectrum of the received word (bit `i` mapped to `±1`)
+    /// has a tie for the maximum magnitude (ambiguous decoding). Ties are
+    /// always *resolved* toward the lowest spectral index so that callers may
+    /// either use the returned estimate (best-effort mode) or report
+    /// detection.
+    fn fht_decode(&self, received: &BitVec) -> (BitVec, BitVec, bool) {
+        assert_eq!(received.len(), self.n(), "received word length mismatch");
+        let mut spectrum: Vec<f64> = received
+            .iter()
+            .map(|bit| if bit { -1.0 } else { 1.0 })
+            .collect();
+        fast_hadamard_transform(&mut spectrum);
+        // Find the index with the largest |spectrum| value and detect ties.
+        let mut best_idx = 0usize;
+        let mut best_mag = f64::NEG_INFINITY;
+        let mut unique = true;
+        for (idx, &val) in spectrum.iter().enumerate() {
+            let mag = val.abs();
+            if mag > best_mag + 1e-9 {
+                best_mag = mag;
+                best_idx = idx;
+                unique = true;
+            } else if (mag - best_mag).abs() <= 1e-9 && idx != best_idx {
+                unique = false;
+            }
+        }
+        // Message layout: bit 0 is the constant (all-ones row) coefficient,
+        // bit 1 + j is the coefficient of variable x_j. The Hadamard index
+        // `best_idx` has bit j set exactly when x_j participates in the
+        // affine function.
+        let mut message = BitVec::zeros(4);
+        message.set(0, spectrum[best_idx] < 0.0);
+        for j in 0..3 {
+            message.set(1 + j, (best_idx >> j) & 1 == 1);
+        }
+        let codeword = self.encode(&message);
+        (message, codeword, unique)
+    }
+
+    /// The outcome of settling on `codeword`: clean when it is the received
+    /// word, corrected otherwise.
+    fn decoded(received: &BitVec, codeword: BitVec, message: BitVec) -> Decoded {
+        match codeword.hamming_distance(received) {
+            0 => Decoded::clean(codeword, message),
+            flips => Decoded::corrected(codeword, message, flips),
+        }
+    }
 }
 
 impl Default for Rm13 {
@@ -316,11 +269,26 @@ impl BlockCode for Rm13 {
 }
 
 impl HardDecoder for Rm13 {
+    /// FHT (Green machine) decoding.
+    ///
+    /// A unique spectral maximum yields a maximum-likelihood codeword; a tie
+    /// is reported as [`crate::DecodeOutcome::DetectedUncorrectable`], which
+    /// is how the decoder detects 2-bit (and most 3-bit) error patterns.
     fn decode(&self, received: &BitVec) -> Decoded {
-        self.inner.decode(received)
+        let (message, codeword, unique) = self.fht_decode(received);
+        if !unique {
+            return Decoded::detected();
+        }
+        Self::decoded(received, codeword, message)
     }
+
+    /// Best-effort FHT decoding: Hadamard-spectrum ties are resolved toward
+    /// the lowest index instead of raising the error flag. In this mode the
+    /// decoder corrects some 2-bit error patterns, the property Table I of the
+    /// paper attributes to RM(1,3).
     fn decode_best_effort(&self, received: &BitVec) -> Decoded {
-        self.inner.decode_best_effort(received)
+        let (message, codeword, _unique) = self.fht_decode(received);
+        Self::decoded(received, codeword, message)
     }
 
     /// The tie-*detecting* FHT decoder of the (8,4) instance is column
@@ -328,8 +296,8 @@ impl HardDecoder for Rm13 {
     /// single-error cosets (unique spectral maximum → flip that position),
     /// and 7 weight-2 cosets whose spectra always tie → detected. This does
     /// **not** hold for wider RM(1,m) codes (their ML decoders correct
-    /// multi-bit errors), which is why the generic [`ReedMuller`] keeps the
-    /// `General` default.
+    /// multi-bit errors), which is why the generic [`ReedMuller`] has no
+    /// decoder at all.
     fn syndrome_class(&self) -> crate::SyndromeClass {
         crate::SyndromeClass::ColumnFlip
     }
@@ -454,9 +422,9 @@ mod tests {
 
     #[test]
     fn rm13_and_hamming84_are_distinct_but_equivalent_weight_distributions() {
-        use crate::codes::hamming::Hamming84;
+        use crate::ColumnCode;
         let rm = Rm13::new();
-        let h84 = Hamming84::new();
+        let h84 = ColumnCode::hamming84();
         let weight_hist = |code: &dyn BlockCode| {
             let mut hist = [0usize; 9];
             for (_, cw) in code.codebook() {

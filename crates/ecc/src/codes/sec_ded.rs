@@ -1,11 +1,12 @@
-//! Parameterized SEC-DED (single-error-correcting, double-error-detecting)
-//! codes: shortened *extended* Hamming codes for power-of-two data widths.
+//! The SEC-DED (single-error-correcting, double-error-detecting) family
+//! constructor of [`ColumnCode`]: shortened *extended* Hamming codes for
+//! power-of-two data widths.
 //!
 //! The paper's extended Hamming(8,4) code is the smallest member of a family
 //! that real superconducting memory and link deployments use at much wider
 //! words — most prominently the (72,64) code protecting 64-bit words with
-//! eight check bits. [`SecDed::new`]`(m)` constructs the member with `k = 2^m`
-//! data bits:
+//! eight check bits. [`ColumnCode::sec_ded`]`(m)` constructs the member with
+//! `k = 2^m` data bits:
 //!
 //! | `m` | code      | check bits |
 //! |-----|-----------|------------|
@@ -34,17 +35,18 @@
 //! is distinct and every column has a `1` in the last row. A single error
 //! reproduces its column as the syndrome (odd overall parity); a double error
 //! XORs two columns, which zeroes the overall-parity row and therefore can
-//! never be mistaken for a column — the decoder raises
+//! never be mistaken for a column — the column decoder raises
 //! [`DecodeOutcome::DetectedUncorrectable`](crate::DecodeOutcome) instead.
-//! This is the structural argument behind `d_min = 4` for every member.
 //!
-//! The family is deliberately decoder-friendly for the bit-sliced batch
-//! engine: the hard decision depends only on the `(n−k)`-bit syndrome
-//! (≤ 256 values at (72,64)), so the `sfq-batch` syndrome-action table stays
-//! exact.
+//! This is the structural argument behind `d_min = 4` for every member
+//! (exhaustive enumeration is impossible at `k = 64`): no column of `H` is
+//! zero, columns are pairwise distinct, and any two columns XOR to an
+//! even-last-row value that matches no column, so no codeword of weight
+//! ≤ 3 exists — while two data columns plus the two matching parity columns
+//! form a weight-4 codeword. Verified structurally in the unit tests.
 
-use crate::decoder::Decoded;
-use crate::{validate_code_matrices, BlockCode, HardDecoder};
+use crate::codes::hamming::{data_column_codes, systematic};
+use crate::ColumnCode;
 use gf2::{BitMat, BitVec};
 
 /// Smallest supported data-width exponent (`k = 4`, the paper's word size).
@@ -52,194 +54,46 @@ pub const SECDED_MIN_M: usize = 2;
 /// Largest supported data-width exponent (`k = 64`, the (72,64) code).
 pub const SECDED_MAX_M: usize = 6;
 
-/// A shortened extended-Hamming SEC-DED code with `2^m` data bits.
-#[derive(Debug, Clone)]
-pub struct SecDed {
-    m: usize,
-    k: usize,
-    /// Inner Hamming redundancy (`m + 1`); total check bits are `r + 1`.
-    r: usize,
-    g: BitMat,
-    h: BitMat,
-    name: String,
-    /// Syndrome (as integer) → error position, for single-error correction.
-    /// `None` entries are syndromes reachable only by ≥2 errors.
-    syndrome_table: Vec<Option<usize>>,
-}
-
-impl SecDed {
-    /// Constructs the SEC-DED code with `k = 2^m` data bits.
+impl ColumnCode {
+    /// The shortened extended-Hamming SEC-DED code with `k = 2^m` data bits
+    /// and `m + 2` check bits (see the [module docs](crate::codes::sec_ded)).
     ///
     /// # Panics
     /// Panics if `m` is outside [`SECDED_MIN_M`]`..=`[`SECDED_MAX_M`].
     #[must_use]
-    pub fn new(m: usize) -> Self {
+    pub fn sec_ded(m: usize) -> Self {
         assert!(
             (SECDED_MIN_M..=SECDED_MAX_M).contains(&m),
             "SEC-DED data-width exponent must be in {SECDED_MIN_M}..={SECDED_MAX_M} (got {m})"
         );
         let k = 1usize << m;
-        let r = m + 1;
-        let n = k + r + 1;
-
-        // Column codes of the data positions: the first k non-power-of-two
-        // values, exactly the data columns of the parent Hamming code that
-        // survive shortening.
-        let codes: Vec<usize> = (3..(1usize << r))
-            .filter(|v| !v.is_power_of_two())
-            .take(k)
+        // The shortened inner Hamming code [ I_k | P ] / [ Pᵀ | I_r ], whose
+        // data columns are exactly those of the parent that survive
+        // shortening.
+        let (inner_g, inner_h) = systematic(&data_column_codes(k, m + 1), m + 1);
+        // Overall parity keeps every row (hence every codeword) even; the
+        // inner checks ignore it, and the all-ones row covers every bit.
+        let g = BitMat::from_rows(
+            (0..k)
+                .map(|i| {
+                    let row = inner_g.row(i);
+                    row.concat(&BitVec::from_bits(&[row.weight() % 2 == 1]))
+                })
+                .collect(),
+        );
+        let mut rows: Vec<BitVec> = (0..=m)
+            .map(|t| inner_h.row(t).concat(&BitVec::zeros(1)))
             .collect();
-        assert_eq!(codes.len(), k, "parent Hamming code too short for k={k}");
-
-        // Systematic generator: [ I_k | P | q ].
-        let mut g = BitMat::zeros(k, n);
-        for (i, &v) in codes.iter().enumerate() {
-            g.set(i, i, true);
-            for t in 0..r {
-                if (v >> t) & 1 == 1 {
-                    g.set(i, k + t, true);
-                }
-            }
-            // Overall parity keeps every row (hence every codeword) even.
-            g.set(i, n - 1, (1 + v.count_ones() as usize) % 2 == 1);
-        }
-
-        // Parity check: r inner rows + the all-ones overall-parity row.
-        let mut h = BitMat::zeros(r + 1, n);
-        for t in 0..r {
-            for (i, &v) in codes.iter().enumerate() {
-                if (v >> t) & 1 == 1 {
-                    h.set(t, i, true);
-                }
-            }
-            h.set(t, k + t, true);
-        }
-        for j in 0..n {
-            h.set(r, j, true);
-        }
-        validate_code_matrices(&g, &h);
-
-        // Every column of H, as an integer, names the single-error syndrome
-        // of its position.
-        let mut syndrome_table = vec![None; 1 << (r + 1)];
-        for pos in 0..n {
-            let s = (0..=r).fold(0usize, |acc, t| acc | (usize::from(h.get(t, pos)) << t));
-            debug_assert!(syndrome_table[s].is_none(), "duplicate column in H");
-            syndrome_table[s] = Some(pos);
-        }
-
-        SecDed {
-            m,
-            k,
-            r,
-            g,
-            h,
-            name: format!("SEC-DED({n},{k})"),
-            syndrome_table,
-        }
-    }
-
-    /// Every catalog member from (13,8) up to (72,64).
-    #[must_use]
-    pub fn family() -> Vec<SecDed> {
-        (3..=SECDED_MAX_M).map(SecDed::new).collect()
-    }
-
-    /// The data-width exponent `m` (`k = 2^m`).
-    #[must_use]
-    pub fn data_exponent(&self) -> usize {
-        self.m
-    }
-
-    /// Number of check bits (`n − k = m + 2`).
-    #[must_use]
-    pub fn check_bits(&self) -> usize {
-        self.r + 1
-    }
-
-    /// Extracts the message from a codeword: the code is systematic, so the
-    /// message is the first `k` positions.
-    #[must_use]
-    pub fn extract_message(&self, codeword: &BitVec) -> BitVec {
-        codeword.slice(0..self.k)
-    }
-}
-
-impl BlockCode for SecDed {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn n(&self) -> usize {
-        self.k + self.r + 1
-    }
-    fn k(&self) -> usize {
-        self.k
-    }
-    fn generator(&self) -> &BitMat {
-        &self.g
-    }
-    fn parity_check(&self) -> &BitMat {
-        &self.h
-    }
-    fn min_distance(&self) -> usize {
-        // Exhaustive enumeration is impossible at k = 64; the distance is
-        // structural: no column of H is zero, columns are pairwise distinct,
-        // and any two columns XOR to an even-last-row value that matches no
-        // column, so no codeword of weight ≤ 3 exists — while two data
-        // columns plus the two matching parity columns form a weight-4
-        // codeword. Verified structurally in the unit tests.
-        4
-    }
-    fn message_of(&self, codeword: &BitVec) -> Option<BitVec> {
-        if self.is_codeword(codeword) {
-            Some(self.extract_message(codeword))
-        } else {
-            None
-        }
-    }
-}
-
-impl HardDecoder for SecDed {
-    /// Standard SEC-DED syndrome decoding:
-    ///
-    /// * zero syndrome → accept;
-    /// * syndrome equals a column of `H` (odd overall parity) → flip that
-    ///   position;
-    /// * any other syndrome (in particular every double error, whose overall
-    ///   parity is even) → detected but uncorrectable.
-    ///
-    /// The decision depends only on the syndrome, which is what lets the
-    /// bit-sliced batch engine tabulate this decoder exactly.
-    fn decode(&self, received: &BitVec) -> Decoded {
-        assert_eq!(received.len(), self.n(), "received word length mismatch");
-        let syndrome = self.syndrome(received).to_u64() as usize;
-        if syndrome == 0 {
-            let msg = self.extract_message(received);
-            return Decoded::clean(received.clone(), msg);
-        }
-        match self.syndrome_table[syndrome] {
-            Some(pos) => {
-                let mut corrected = received.clone();
-                corrected.flip(pos);
-                let msg = self.extract_message(&corrected);
-                Decoded::corrected(corrected, msg, 1)
-            }
-            None => Decoded::detected(),
-        }
-    }
-
-    /// The decision rule above *is* column matching against `H` (the
-    /// syndrome table is keyed by column values), so the batch engine may
-    /// compile this decoder without enumerating syndromes.
-    fn syndrome_class(&self) -> crate::SyndromeClass {
-        crate::SyndromeClass::ColumnFlip
+        rows.push(BitVec::ones(g.cols()));
+        let n = g.cols();
+        Self::from_matrices(format!("SEC-DED({n},{k})"), g, BitMat::from_rows(rows), 4)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DecodeOutcome;
+    use crate::{BlockCode, DecodeOutcome, HardDecoder};
 
     fn sample_messages(k: usize, count: usize) -> Vec<BitVec> {
         use rand::rngs::StdRng;
@@ -254,19 +108,17 @@ mod tests {
     fn family_parameters_match_the_table() {
         let expected = [(2, 8, 4), (3, 13, 8), (4, 22, 16), (5, 39, 32), (6, 72, 64)];
         for (m, n, k) in expected {
-            let code = SecDed::new(m);
+            let code = ColumnCode::sec_ded(m);
             assert_eq!((code.n(), code.k()), (n, k), "m={m}");
-            assert_eq!(code.check_bits(), m + 2);
+            assert_eq!(code.parity_check().rows(), m + 2);
             assert_eq!(code.name(), format!("SEC-DED({n},{k})"));
-            assert_eq!(code.data_exponent(), m);
         }
-        assert_eq!(SecDed::family().len(), 4);
     }
 
     #[test]
     fn code_is_systematic() {
         for m in SECDED_MIN_M..=SECDED_MAX_M {
-            let code = SecDed::new(m);
+            let code = ColumnCode::sec_ded(m);
             for msg in sample_messages(code.k(), 8) {
                 let cw = code.encode(&msg);
                 assert_eq!(cw.slice(0..code.k()), msg, "m={m}");
@@ -278,7 +130,7 @@ mod tests {
     #[test]
     fn every_single_error_is_corrected() {
         for m in SECDED_MIN_M..=SECDED_MAX_M {
-            let code = SecDed::new(m);
+            let code = ColumnCode::sec_ded(m);
             for msg in sample_messages(code.k(), 4) {
                 let cw = code.encode(&msg);
                 for pos in 0..code.n() {
@@ -296,7 +148,7 @@ mod tests {
     #[test]
     fn every_double_error_is_detected() {
         for m in SECDED_MIN_M..=SECDED_MAX_M {
-            let code = SecDed::new(m);
+            let code = ColumnCode::sec_ded(m);
             for msg in sample_messages(code.k(), 2) {
                 let cw = code.encode(&msg);
                 for a in 0..code.n() {
@@ -318,14 +170,14 @@ mod tests {
     #[test]
     fn minimum_distance_is_structurally_four() {
         for m in SECDED_MIN_M..=SECDED_MAX_M {
-            let code = SecDed::new(m);
+            let code = ColumnCode::sec_ded(m);
             let h = code.parity_check();
             let n = code.n();
             let cols: Vec<u64> = (0..n).map(|j| h.col(j).to_u64()).collect();
             // Weight 1: no zero column. Weight 2: no repeated column.
             // Weight 3: any two columns XOR to an even-overall value, every
             // column is odd-overall, so the XOR matches no third column.
-            let overall_bit = 1u64 << code.check_bits().saturating_sub(1);
+            let overall_bit = 1u64 << (code.parity_check().rows() - 1);
             for (i, &ci) in cols.iter().enumerate() {
                 assert_ne!(ci, 0, "m={m}: column {i} is zero");
                 assert_ne!(ci & overall_bit, 0, "m={m}: column {i} even overall");
@@ -346,8 +198,8 @@ mod tests {
 
     #[test]
     fn smallest_member_matches_extended_hamming_84_capability() {
-        let secded = SecDed::new(2);
-        let h84 = crate::Hamming84::new();
+        let secded = ColumnCode::sec_ded(2);
+        let h84 = crate::ColumnCode::hamming84();
         assert_eq!((secded.n(), secded.k()), (h84.n(), h84.k()));
         assert_eq!(secded.min_distance(), h84.min_distance());
         // Same weight distribution (both are (8,4) d=4 self-dual codes).
@@ -360,7 +212,7 @@ mod tests {
 
     #[test]
     fn non_codeword_yields_no_message() {
-        let code = SecDed::new(6);
+        let code = ColumnCode::sec_ded(6);
         let msg = sample_messages(64, 1).pop().unwrap();
         let mut bad = code.encode(&msg);
         bad.flip(0);
@@ -370,6 +222,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "data-width exponent")]
     fn rejects_out_of_range_m() {
-        let _ = SecDed::new(7);
+        let _ = ColumnCode::sec_ded(7);
     }
 }

@@ -1,83 +1,35 @@
-//! The "no encoder" baseline of Fig. 5: the 4-bit message is sent directly
-//! over 4 of the 8 output channels with no redundancy.
+//! The "no encoder" baseline of Fig. 5 as a [`ColumnCode`]: the 4-bit
+//! message is sent directly over 4 of the 8 output channels with no
+//! redundancy.
 
-use crate::decoder::Decoded;
-use crate::{BlockCode, HardDecoder};
-use gf2::{BitMat, BitVec};
+use crate::ColumnCode;
+use gf2::BitMat;
 
-/// The identity (uncoded) transmission of `k` bits: `n = k`, no detection or
-/// correction capability. `d_min` is reported as 1 by convention (any single
-/// bit flip produces another valid "codeword").
-#[derive(Debug, Clone)]
-pub struct Uncoded {
-    k: usize,
-    g: BitMat,
-    h: BitMat,
-    name: String,
-}
-
-impl Uncoded {
-    /// Creates an uncoded channel of width `k` bits.
+impl ColumnCode {
+    /// The identity (uncoded) transmission of `k` bits: `n = k`, no check
+    /// bits, no detection or correction capability — every word has the zero
+    /// syndrome and is accepted as sent. `d_min` is reported as 1 by
+    /// convention (any single bit flip produces another valid "codeword").
     ///
     /// # Panics
     /// Panics if `k == 0` or `k > 64`.
     #[must_use]
-    pub fn new(k: usize) -> Self {
+    pub fn uncoded(k: usize) -> Self {
         assert!(k > 0 && k <= 64, "k must be in 1..=64");
-        Uncoded {
-            k,
-            g: BitMat::identity(k),
-            h: BitMat::zeros(0, k),
-            name: format!("No encoder ({k}-bit)"),
-        }
-    }
-}
-
-impl BlockCode for Uncoded {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn n(&self) -> usize {
-        self.k
-    }
-    fn k(&self) -> usize {
-        self.k
-    }
-    fn generator(&self) -> &BitMat {
-        &self.g
-    }
-    fn parity_check(&self) -> &BitMat {
-        &self.h
-    }
-    fn min_distance(&self) -> usize {
-        1
-    }
-    fn syndrome(&self, received: &BitVec) -> BitVec {
-        assert_eq!(received.len(), self.k, "received word length mismatch");
-        BitVec::zeros(0)
-    }
-    fn is_codeword(&self, _word: &BitVec) -> bool {
-        true
-    }
-    fn message_of(&self, codeword: &BitVec) -> Option<BitVec> {
-        Some(codeword.clone())
-    }
-}
-
-impl HardDecoder for Uncoded {
-    fn decode(&self, received: &BitVec) -> Decoded {
-        assert_eq!(received.len(), self.k, "received word length mismatch");
-        Decoded::clean(received.clone(), received.clone())
+        let name = format!("No encoder ({k}-bit)");
+        Self::from_matrices(name, BitMat::identity(k), BitMat::zeros(0, k), 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BlockCode, HardDecoder};
+    use gf2::BitVec;
 
     #[test]
     fn uncoded_passes_bits_through() {
-        let code = Uncoded::new(4);
+        let code = ColumnCode::uncoded(4);
         let msg = BitVec::from_str01("1011");
         assert_eq!(code.encode(&msg), msg);
         assert_eq!(code.decode(&msg).message.unwrap(), msg);
@@ -88,7 +40,7 @@ mod tests {
 
     #[test]
     fn uncoded_never_detects_errors() {
-        let code = Uncoded::new(4);
+        let code = ColumnCode::uncoded(4);
         let msg = BitVec::from_str01("0000");
         let mut r = code.encode(&msg);
         r.flip(2);
@@ -99,7 +51,7 @@ mod tests {
 
     #[test]
     fn every_word_is_a_codeword() {
-        let code = Uncoded::new(4);
+        let code = ColumnCode::uncoded(4);
         for w in 0u64..16 {
             assert!(code.is_codeword(&BitVec::from_u64(4, w)));
         }

@@ -45,7 +45,10 @@ impl DecodeOutcome {
 /// enumerating the `2^(n-k)` syndrome space.
 ///
 /// Every decoder in this crate is *coset-invariant* (the correction depends
-/// only on the syndrome); this enum refines that with the shape of the map.
+/// only on the syndrome); this enum names the shape of the map. All three
+/// classes share the column arm (a syndrome equal to column `j` of `H` flips
+/// position `j`) and differ in what they do with the other nonzero
+/// syndromes: flag them, run the algebra, or run bit-flip rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SyndromeClass {
     /// Textbook single-error syndrome decoding with detection fallback:
@@ -59,6 +62,8 @@ pub enum SyndromeClass {
     /// of `H` directly (`O(n · (n-k))` bit-ops per limb), with construction
     /// cost independent of `2^(n-k)` — this is what admits codes with large
     /// redundancy. For perfect codes the fallback arm is simply unreachable.
+    /// [`crate::ColumnCode`] and the tie-detecting RM(1,3) decoder
+    /// ([`crate::Rm13`]) are the members.
     ColumnFlip,
     /// Multi-error algebraic decoding (e.g. BCH): the correction is computed
     /// from an error-locator polynomial (Berlekamp–Massey + Chien search)
@@ -80,11 +85,6 @@ pub enum SyndromeClass {
     /// all-dirty limbs never leave the sliced domain (see
     /// `ecc::IterativeDecode`).
     Iterative,
-    /// Any other coset-invariant map (e.g. majority-vote repetition decoding,
-    /// whose corrections flip several bits at once). Batch engines must
-    /// interrogate the decoder once per syndrome value, which is only
-    /// tractable for small `n - k`.
-    General,
 }
 
 /// Result of decoding one received word.

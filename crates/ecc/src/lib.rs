@@ -2,10 +2,20 @@
 //!
 //! This crate implements the coding-theory layer of the paper *"Lightweight
 //! Error-Correction Code Encoders in Superconducting Electronic Systems"*
-//! (SOCC 2025): the Hamming(7,4) code, the extended Hamming(8,4) code, the
-//! first-order Reed–Muller RM(1,3) code, the general Hamming and RM(1,m)
-//! families they belong to, and the (38,32) linear block code used by the
-//! prior-art SFQ encoder the paper compares against.
+//! (SOCC 2025) and the catalog built around it:
+//!
+//! * [`ColumnCode`] — every single-error-correcting code, decoded by one
+//!   rule (a syndrome equal to column `j` of `H` flips bit `j`; any other
+//!   nonzero syndrome raises the error flag): the paper's Hamming(7,4) and
+//!   extended Hamming(8,4) codes (Eq. 1), the general Hamming family, the
+//!   (38,32) code of the prior-art SFQ encoder the paper compares against,
+//!   the shortened Hamming family, the SEC-DED family up to (72,64), and the
+//!   uncoded baseline;
+//! * [`Rm13`] — the first-order Reed–Muller RM(1,3) code with its fast
+//!   Hadamard transform decoder, and the RM(r,m) family ([`ReedMuller`]) it
+//!   belongs to;
+//! * [`Bch`] and [`Ldpc`] — the multi-error members, decoded algebraically
+//!   and by bit flipping.
 //!
 //! Besides encoding and decoding, the crate provides the *exhaustive
 //! error-pattern analysis* that generates Table I of the paper: for every
@@ -16,11 +26,10 @@
 //! # Quick start
 //!
 //! ```
-//! use ecc::codes::hamming::Hamming84;
-//! use ecc::{BlockCode, HardDecoder};
+//! use ecc::{BlockCode, ColumnCode, DecodeOutcome, HardDecoder};
 //! use gf2::BitVec;
 //!
-//! let code = Hamming84::new();
+//! let code = ColumnCode::hamming84();
 //! // The stimulus used in Fig. 3 of the paper: message 1011 -> codeword 01100110.
 //! let msg = BitVec::from_str01("1011");
 //! let cw = code.encode(&msg);
@@ -31,6 +40,10 @@
 //! received.flip(5);
 //! let decoded = code.decode(&received);
 //! assert_eq!(decoded.message.unwrap(), msg);
+//!
+//! // A double error matches no column of H: detected, not corrected.
+//! received.flip(0);
+//! assert_eq!(code.decode(&received).outcome, DecodeOutcome::DetectedUncorrectable);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,13 +61,10 @@ pub use algebraic::{AlgebraicAction, AlgebraicDecode, SlicedSyndromePlan};
 pub use analysis::{CodeAnalysis, DecodingPolicy, ErrorPatternStats};
 pub use batch::{BatchDecode, BatchDecoded, BatchEncode, BatchScratch};
 pub use codes::bch::{Bch, BchSpec};
-pub use codes::hamming::ShortenedHamming;
-pub use codes::hamming::{Hamming74, Hamming84, HammingCode, ShortenedHamming3832};
+pub use codes::column::ColumnCode;
 pub use codes::ldpc::Ldpc;
 pub use codes::reed_muller::{ReedMuller, Rm13};
-pub use codes::repetition::Repetition;
-pub use codes::sec_ded::{SecDed, SECDED_MAX_M, SECDED_MIN_M};
-pub use codes::uncoded::Uncoded;
+pub use codes::sec_ded::{SECDED_MAX_M, SECDED_MIN_M};
 pub use decoder::{DecodeOutcome, Decoded, SyndromeClass};
 pub use iterative::{BitFlipPlan, IterativeDecode};
 
@@ -137,8 +147,9 @@ pub trait BlockCode {
     ///
     /// The default implementation solves `m · G = c` by Gaussian elimination
     /// — `O(k·n)` bit-row operations, valid for any `k` — via
-    /// [`generator_right_inverse`]; systematic codes override this with
-    /// direct bit extraction.
+    /// [`generator_right_inverse`]; codes that decode many words override
+    /// this with an extractor computed once ([`ColumnCode`]) or direct bit
+    /// extraction.
     ///
     /// Returns `None` if `codeword` is not in the code.
     fn message_of(&self, codeword: &BitVec) -> Option<BitVec> {
@@ -171,16 +182,12 @@ pub trait HardDecoder: BlockCode {
     fn decode(&self, received: &BitVec) -> Decoded;
 
     /// The shape of this decoder's syndrome → action map (see
-    /// [`SyndromeClass`]). The conservative default is
-    /// [`SyndromeClass::General`]; decoders that implement textbook
-    /// single-error correction with detection fallback should override this
-    /// to [`SyndromeClass::ColumnFlip`] so batch engines can compile them
-    /// without enumerating the syndrome space. Batch/scalar equivalence is
-    /// enforced by the workspace's exhaustive tests, and batch construction
-    /// re-verifies the column arm with one scalar probe per position.
-    fn syndrome_class(&self) -> SyndromeClass {
-        SyndromeClass::General
-    }
+    /// [`SyndromeClass`]), which tells batch engines how to compile it
+    /// without enumerating the syndrome space. Every decoder states its
+    /// class: there is no default. Batch/scalar equivalence is enforced by
+    /// the workspace's exhaustive tests, and batch construction re-verifies
+    /// the column arm with one scalar probe per position.
+    fn syndrome_class(&self) -> SyndromeClass;
 
     /// Best-effort decoding: like [`HardDecoder::decode`] but ambiguous
     /// received words are resolved with a deterministic tie-break instead of
@@ -252,14 +259,12 @@ pub fn validate_code_matrices(g: &BitMat, h: &BitMat) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codes::hamming::{Hamming74, Hamming84};
-    use crate::codes::reed_muller::Rm13;
 
     #[test]
     fn paper_codes_have_expected_parameters() {
-        let h74 = Hamming74::new();
+        let h74 = ColumnCode::hamming74();
         assert_eq!((h74.n(), h74.k(), h74.min_distance()), (7, 4, 3));
-        let h84 = Hamming84::new();
+        let h84 = ColumnCode::hamming84();
         assert_eq!((h84.n(), h84.k(), h84.min_distance()), (8, 4, 4));
         let rm = Rm13::new();
         assert_eq!((rm.n(), rm.k(), rm.min_distance()), (8, 4, 4));
@@ -267,15 +272,15 @@ mod tests {
 
     #[test]
     fn rate_matches_k_over_n() {
-        let h84 = Hamming84::new();
+        let h84 = ColumnCode::hamming84();
         assert!((h84.rate() - 0.5).abs() < 1e-12);
-        let h74 = Hamming74::new();
+        let h74 = ColumnCode::hamming74();
         assert!((h74.rate() - 4.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn codebook_size_is_two_to_k() {
-        let h74 = Hamming74::new();
+        let h74 = ColumnCode::hamming74();
         let cb = h74.codebook();
         assert_eq!(cb.len(), 16);
         // All codewords distinct.
@@ -287,7 +292,7 @@ mod tests {
 
     #[test]
     fn message_of_inverts_encode() {
-        let h84 = Hamming84::new();
+        let h84 = ColumnCode::hamming84();
         for m in 0u64..16 {
             let msg = BitVec::from_u64(4, m);
             let cw = h84.encode(&msg);
@@ -301,15 +306,15 @@ mod tests {
 
     #[test]
     fn validate_code_matrices_accepts_consistent_codes() {
-        let h84 = Hamming84::new();
+        let h84 = ColumnCode::hamming84();
         validate_code_matrices(h84.generator(), h84.parity_check());
     }
 
     #[test]
     fn generator_right_inverse_recovers_messages() {
         for g in [
-            Hamming84::new().generator().clone(),
-            Hamming74::new().generator().clone(),
+            ColumnCode::hamming84().generator().clone(),
+            ColumnCode::hamming74().generator().clone(),
             Rm13::new().generator().clone(),
         ] {
             let (pivots, transform) = generator_right_inverse(&g);
@@ -330,11 +335,11 @@ mod tests {
 
     #[test]
     fn default_message_of_handles_k_32_without_brute_force() {
-        // A wrapper that hides the systematic override of the (38,32) code so
+        // A wrapper that hides the cached extractor of the (38,32) code so
         // the trait's default Gaussian-elimination path is exercised at a
         // dimension (2^32 messages) the old brute-force search could never
         // enumerate.
-        struct Opaque(crate::ShortenedHamming3832);
+        struct Opaque(ColumnCode);
         impl BlockCode for Opaque {
             fn name(&self) -> &str {
                 "opaque(38,32)"
@@ -352,7 +357,7 @@ mod tests {
                 self.0.parity_check()
             }
         }
-        let code = Opaque(crate::ShortenedHamming3832::new());
+        let code = Opaque(ColumnCode::shortened_hamming_38_32());
         for value in [0u64, 1, 0xDEAD_BEEF, 0xFFFF_FFFF, 0x1357_9BDF] {
             let msg = BitVec::from_u64(32, value);
             let cw = code.0.encode(&msg);

@@ -93,12 +93,12 @@ pub fn krawtchouk(n: usize, j: usize, w: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codes::hamming::{Hamming74, Hamming84};
     use crate::codes::reed_muller::Rm13;
+    use crate::ColumnCode;
 
     #[test]
     fn hamming74_weight_enumerator() {
-        let wd = WeightDistribution::of_code(&Hamming74::new());
+        let wd = WeightDistribution::of_code(&ColumnCode::hamming74());
         assert_eq!(wd.counts, vec![1, 0, 0, 7, 7, 0, 0, 1]);
         assert_eq!(wd.total(), 16);
         assert_eq!(wd.min_distance(), 3);
@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn hamming84_weight_enumerator_is_self_dual() {
-        let wd = WeightDistribution::of_code(&Hamming84::new());
+        let wd = WeightDistribution::of_code(&ColumnCode::hamming84());
         assert_eq!(wd.counts, vec![1, 0, 0, 0, 14, 0, 0, 0, 1]);
         // The extended Hamming(8,4) code is self-dual: the MacWilliams
         // transform must reproduce the same distribution.
@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn rm13_and_hamming84_share_weight_distribution() {
         let a = WeightDistribution::of_code(&Rm13::new());
-        let b = WeightDistribution::of_code(&Hamming84::new());
+        let b = WeightDistribution::of_code(&ColumnCode::hamming84());
         assert_eq!(a.counts, b.counts);
     }
 
@@ -125,7 +125,7 @@ mod tests {
     fn hamming74_dual_is_simplex_code() {
         // The dual of Hamming(7,4) is the [7,3] simplex code: all 7 nonzero
         // codewords have weight 4.
-        let wd = WeightDistribution::of_code(&Hamming74::new());
+        let wd = WeightDistribution::of_code(&ColumnCode::hamming74());
         let dual = wd.dual(4);
         assert_eq!(dual.counts, vec![1, 0, 0, 0, 7, 0, 0, 0]);
     }

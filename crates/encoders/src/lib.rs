@@ -46,10 +46,7 @@ pub mod table2;
 pub use ecc::BchSpec;
 pub use table2::{catalog_table_rows, paper_table2, table2_row_for, table2_rows, Table2Row};
 
-use ecc::{
-    Bch, BlockCode, Decoded, Hamming74, Hamming84, HardDecoder, Ldpc, Rm13, SecDed,
-    ShortenedHamming, Uncoded,
-};
+use ecc::{Bch, ColumnCode, Decoded, HardDecoder, Ldpc, Rm13};
 use gf2::{BitMat, BitVec};
 use serde::{Deserialize, Serialize};
 use sfq_cells::CellLibrary;
@@ -171,7 +168,24 @@ impl EncoderKind {
     /// sweep). The uncoded baseline's generator is the identity.
     #[must_use]
     pub fn generator(&self) -> BitMat {
-        reference_code(*self).generator().clone()
+        self.reference_code().generator().clone()
+    }
+
+    /// The scalar reference code and decoder behind this design: the one
+    /// map from kind to code that the circuit, its verifier and the tests
+    /// share.
+    #[must_use]
+    pub fn reference_code(&self) -> Box<dyn HardDecoder + Send + Sync> {
+        match *self {
+            EncoderKind::None => Box::new(ColumnCode::uncoded(4)),
+            EncoderKind::Hamming74 => Box::new(ColumnCode::hamming74()),
+            EncoderKind::Hamming84 => Box::new(ColumnCode::hamming84()),
+            EncoderKind::Rm13 => Box::new(Rm13::new()),
+            EncoderKind::SecDed(m) => Box::new(ColumnCode::sec_ded(usize::from(m))),
+            EncoderKind::WideHamming8564 => Box::new(ColumnCode::wide_85_64()),
+            EncoderKind::Bch(spec) => Box::new(Bch::from_spec(spec)),
+            EncoderKind::Ldpc => Box::new(Ldpc::gallager_60_32()),
+        }
     }
 
     /// The `depth_slack` latency/area Pareto sweep of this design under a
@@ -227,102 +241,6 @@ impl EncoderKind {
     }
 }
 
-/// Builds the reference code implementation behind an encoder kind.
-fn reference_code(kind: EncoderKind) -> ReferenceCode {
-    match kind {
-        EncoderKind::None => ReferenceCode::None(Uncoded::new(4)),
-        EncoderKind::Hamming74 => ReferenceCode::Hamming74(Hamming74::new()),
-        EncoderKind::Hamming84 => ReferenceCode::Hamming84(Hamming84::new()),
-        EncoderKind::Rm13 => ReferenceCode::Rm13(Rm13::new()),
-        EncoderKind::SecDed(m) => ReferenceCode::SecDed(SecDed::new(usize::from(m))),
-        EncoderKind::WideHamming8564 => ReferenceCode::WideHamming(ShortenedHamming::wide_85_64()),
-        EncoderKind::Bch(spec) => ReferenceCode::Bch(Bch::from_spec(spec)),
-        EncoderKind::Ldpc => ReferenceCode::Ldpc(Ldpc::gallager_60_32()),
-    }
-}
-
-/// Reference code + decoder behind an encoder circuit.
-enum ReferenceCode {
-    None(Uncoded),
-    Hamming74(Hamming74),
-    Hamming84(Hamming84),
-    Rm13(Rm13),
-    SecDed(SecDed),
-    WideHamming(ShortenedHamming),
-    Bch(Bch),
-    Ldpc(Ldpc),
-}
-
-impl ReferenceCode {
-    fn encode(&self, message: &BitVec) -> BitVec {
-        match self {
-            ReferenceCode::None(c) => c.encode(message),
-            ReferenceCode::Hamming74(c) => c.encode(message),
-            ReferenceCode::Hamming84(c) => c.encode(message),
-            ReferenceCode::Rm13(c) => c.encode(message),
-            ReferenceCode::SecDed(c) => c.encode(message),
-            ReferenceCode::WideHamming(c) => c.encode(message),
-            ReferenceCode::Bch(c) => c.encode(message),
-            ReferenceCode::Ldpc(c) => c.encode(message),
-        }
-    }
-
-    fn decode(&self, received: &BitVec) -> Decoded {
-        match self {
-            ReferenceCode::None(c) => c.decode(received),
-            ReferenceCode::Hamming74(c) => c.decode(received),
-            ReferenceCode::Hamming84(c) => c.decode(received),
-            // The paper credits RM(1,3) with correcting certain 2-bit error
-            // patterns (Table I best case); that corresponds to the FHT
-            // decoder with spectral tie-breaking.
-            ReferenceCode::Rm13(c) => c.decode_best_effort(received),
-            ReferenceCode::SecDed(c) => c.decode(received),
-            ReferenceCode::WideHamming(c) => c.decode(received),
-            ReferenceCode::Bch(c) => c.decode(received),
-            ReferenceCode::Ldpc(c) => c.decode(received),
-        }
-    }
-
-    fn n(&self) -> usize {
-        match self {
-            ReferenceCode::None(c) => c.n(),
-            ReferenceCode::Hamming74(c) => c.n(),
-            ReferenceCode::Hamming84(c) => c.n(),
-            ReferenceCode::Rm13(c) => c.n(),
-            ReferenceCode::SecDed(c) => c.n(),
-            ReferenceCode::WideHamming(c) => c.n(),
-            ReferenceCode::Bch(c) => c.n(),
-            ReferenceCode::Ldpc(c) => c.n(),
-        }
-    }
-
-    fn k(&self) -> usize {
-        match self {
-            ReferenceCode::None(c) => c.k(),
-            ReferenceCode::Hamming74(c) => c.k(),
-            ReferenceCode::Hamming84(c) => c.k(),
-            ReferenceCode::Rm13(c) => c.k(),
-            ReferenceCode::SecDed(c) => c.k(),
-            ReferenceCode::WideHamming(c) => c.k(),
-            ReferenceCode::Bch(c) => c.k(),
-            ReferenceCode::Ldpc(c) => c.k(),
-        }
-    }
-
-    fn generator(&self) -> &BitMat {
-        match self {
-            ReferenceCode::None(c) => c.generator(),
-            ReferenceCode::Hamming74(c) => c.generator(),
-            ReferenceCode::Hamming84(c) => c.generator(),
-            ReferenceCode::Rm13(c) => c.generator(),
-            ReferenceCode::SecDed(c) => c.generator(),
-            ReferenceCode::WideHamming(c) => c.generator(),
-            ReferenceCode::Bch(c) => c.generator(),
-            ReferenceCode::Ldpc(c) => c.generator(),
-        }
-    }
-}
-
 /// An encoder circuit bundled with its reference code, gate-level simulator,
 /// and receiver-side decoder.
 pub struct EncoderDesign {
@@ -330,7 +248,7 @@ pub struct EncoderDesign {
     name: String,
     netlist: Netlist,
     sim: GateLevelSim,
-    code: ReferenceCode,
+    code: Box<dyn HardDecoder + Send + Sync>,
     latency: usize,
     synthesis_report: Option<PipelineReport>,
     schedule_plan: Option<SchedulePlan>,
@@ -371,21 +289,18 @@ impl EncoderDesign {
         let _span =
             sfq_telemetry::SpanTimer::start(sfq_telemetry::global().histogram("encoders.build_ns"));
         sfq_telemetry::global().counter("encoders.builds").inc();
-        let code = reference_code(kind);
-        let (netlist, synthesis_report, schedule_plan) = match &code {
-            ReferenceCode::None(_) => (no_encoder::build_netlist(), None, None),
-            _ => {
-                let planner = SynthPlanner::new(kind.pipeline_options(), library);
-                let plan = planner.plan(code.generator());
-                let result = PassManager::with_schedule(kind.pipeline_options(), plan.chosen)
-                    .with_netlist_verifier(equivalence::verifier())
-                    .run(&kind.netlist_name(), code.generator())
-                    .unwrap_or_else(|e| {
-                        panic!("synthesis pipeline failed for {}: {e}", kind.name())
-                    });
-                sfq_netlist::pass::record_plan_metrics(&plan, &result, library);
-                (result.netlist, Some(result.report), Some(plan))
-            }
+        let code = kind.reference_code();
+        let (netlist, synthesis_report, schedule_plan) = if kind == EncoderKind::None {
+            (no_encoder::build_netlist(), None, None)
+        } else {
+            let planner = SynthPlanner::new(kind.pipeline_options(), library);
+            let plan = planner.plan(code.generator());
+            let result = PassManager::with_schedule(kind.pipeline_options(), plan.chosen)
+                .with_netlist_verifier(equivalence::verifier())
+                .run(&kind.netlist_name(), code.generator())
+                .unwrap_or_else(|e| panic!("synthesis pipeline failed for {}: {e}", kind.name()));
+            sfq_netlist::pass::record_plan_metrics(&plan, &result, library);
+            (result.netlist, Some(result.report), Some(plan))
         };
         let latency = netlist.logic_depth();
         let sim = GateLevelSim::new(&netlist);
@@ -533,10 +448,14 @@ impl EncoderDesign {
         self.code.encode(message)
     }
 
-    /// Receiver-side decoding of an `n`-bit received word.
+    /// Receiver-side decoding of an `n`-bit received word, with the
+    /// reference decoder's best-effort policy. Only RM(1,3) resolves
+    /// anything differently from `decode`: the paper credits it with
+    /// correcting certain 2-bit error patterns (Table I best case), which is
+    /// the FHT decoder with spectral tie-breaking.
     #[must_use]
     pub fn decode(&self, received: &BitVec) -> Decoded {
-        self.code.decode(received)
+        self.code.decode_best_effort(received)
     }
 
     /// Encodes a message by simulating the gate-level circuit fault-free and

@@ -44,7 +44,7 @@ const PRIMITIVE_POLY: [u32; 9] = [
 /// let f = Gf2m::new(4);
 /// let a = f.alpha_pow(3);
 /// assert_eq!(f.mul(a, f.inv(a)), 1);
-/// assert_eq!(f.pow(f.alpha(), f.order()), 1); // α has order 2^m - 1
+/// assert_eq!(f.pow(f.alpha_pow(1), f.order()), 1); // α has order 2^m - 1
 /// ```
 #[derive(Debug, Clone)]
 pub struct Gf2m {
@@ -117,12 +117,6 @@ impl Gf2m {
     #[must_use]
     pub fn size(&self) -> usize {
         1 << self.m
-    }
-
-    /// The primitive element `α` (the polynomial `x`).
-    #[must_use]
-    pub fn alpha(&self) -> u16 {
-        2
     }
 
     /// Addition (and subtraction): carryless XOR.

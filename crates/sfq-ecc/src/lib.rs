@@ -8,7 +8,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`gf2`] | `gf2` | GF(2) bit-vector / bit-matrix linear algebra |
-//! | [`ecc`] | `ecc` | Hamming(7,4), Hamming(8,4), RM(1,3), the (38,32) baseline, the SEC-DED family up to (72,64), decoders, Table I analysis |
+//! | [`ecc`] | `ecc` | `ColumnCode` (Hamming(7,4), Hamming(8,4), the (38,32) baseline, the SEC-DED family up to (72,64), the uncoded baseline) with its one column-matching decoder, RM(1,3), BCH and LDPC, Table I analysis |
 //! | [`cells`] | `sfq-cells` | RSFQ standard-cell library model (JJ count, power, area, margins) |
 //! | [`netlist`] | `sfq-netlist` | gate-level netlist IR, synthesis passes, design-rule checks |
 //! | [`sim`] | `sfq-sim` | pulse-level simulator and the PPV fault model |

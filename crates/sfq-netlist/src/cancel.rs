@@ -1867,7 +1867,7 @@ mod tests {
         // exact value is pinned by the golden cost fingerprints at the
         // workspace root, this test only guards the relative claim.
         use ecc::BlockCode;
-        let code = ecc::SecDed::new(3);
+        let code = ecc::ColumnCode::sec_ded(3);
         let mut ir = ParityIr::from_generator(code.generator());
         let budget = ir.depth_budget();
         factor_with_cancellation(&mut ir, budget);

@@ -276,7 +276,7 @@ pub fn synthesize_encoder(name: &str, generator: &BitMat, options: PipelineOptio
 mod tests {
     use super::*;
     use crate::drc;
-    use ecc::{BlockCode, Hamming84, ShortenedHamming3832};
+    use ecc::{BlockCode, ColumnCode};
     use sfq_cells::CellKind;
 
     #[test]
@@ -331,7 +331,7 @@ mod tests {
 
     #[test]
     fn generic_hamming84_synthesis_is_clean_and_balanced() {
-        let code = Hamming84::new();
+        let code = ColumnCode::hamming84();
         let nl = synthesize_linear_encoder(
             "hamming84_generic",
             code.generator(),
@@ -352,7 +352,7 @@ mod tests {
 
     #[test]
     fn generic_synthesis_without_drivers_or_balancing() {
-        let code = Hamming84::new();
+        let code = ColumnCode::hamming84();
         let nl = synthesize_linear_encoder(
             "hamming84_bare",
             code.generator(),
@@ -370,7 +370,7 @@ mod tests {
 
     #[test]
     fn pipeline_reproduces_hamming84_paper_budget() {
-        let code = Hamming84::new();
+        let code = ColumnCode::hamming84();
         let result = synthesize_encoder(
             "hamming84_encoder",
             code.generator(),
@@ -392,7 +392,7 @@ mod tests {
 
     #[test]
     fn pipeline_reproduces_hamming74_paper_budget() {
-        let code = ecc::Hamming74::new();
+        let code = ecc::ColumnCode::hamming74();
         let result = synthesize_encoder(
             "hamming74_encoder",
             code.generator(),
@@ -434,7 +434,7 @@ mod tests {
     #[test]
     fn pipeline_cuts_secded_7264_jj_count_by_at_least_20_percent() {
         use sfq_cells::CellLibrary;
-        let code = ecc::SecDed::new(6);
+        let code = ecc::ColumnCode::sec_ded(6);
         let naive = synthesize_linear_encoder(
             "secded_72_64_naive",
             code.generator(),
@@ -468,7 +468,7 @@ mod tests {
 
     #[test]
     fn baseline_3832_encoder_synthesizes() {
-        let code = ShortenedHamming3832::new();
+        let code = ColumnCode::shortened_hamming_38_32();
         let nl =
             synthesize_linear_encoder("peng3832", code.generator(), SynthesisOptions::default());
         assert!(drc::is_clean(&nl), "{:?}", drc::check(&nl));

@@ -5,7 +5,7 @@
 
 use sfq_ecc::cells::CellLibrary;
 use sfq_ecc::ecc::analysis::{paper_table1, table1_row};
-use sfq_ecc::ecc::{Hamming74, Hamming84, Rm13};
+use sfq_ecc::ecc::{ColumnCode, Rm13};
 use sfq_ecc::encoders::{paper_table2, table2_rows, EncoderDesign, EncoderKind};
 
 fn main() {
@@ -15,8 +15,8 @@ fn main() {
         "code", "dmin", "worst detect", "worst correct", "best detect", "best correct", "w3 caught"
     );
     let computed = vec![
-        table1_row(&Hamming74::new()),
-        table1_row(&Hamming84::new()),
+        table1_row(&ColumnCode::hamming74()),
+        table1_row(&ColumnCode::hamming84()),
         table1_row(&Rm13::new()),
     ];
     for row in &computed {

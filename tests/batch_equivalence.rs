@@ -14,9 +14,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sfq_ecc::batch::BatchCodec;
 use sfq_ecc::ecc::{
-    validate_code_matrices, BatchDecode, BatchEncode, BchSpec, BlockCode, DecodeOutcome, Decoded,
-    Hamming74, Hamming84, HardDecoder, Repetition, Rm13, SecDed, ShortenedHamming, SyndromeClass,
-    Uncoded,
+    validate_code_matrices, BatchDecode, BatchEncode, BchSpec, BlockCode, ColumnCode,
+    DecodeOutcome, Decoded, HardDecoder, Rm13, SyndromeClass,
 };
 use sfq_ecc::gf2::{
     syndrome_bytes, syndrome_bytes_inverse, BitMat, BitSlice64, BitVec, WeightPatterns,
@@ -44,73 +43,20 @@ fn low_weight_corpus<C: BlockCode>(code: &C) -> Vec<BitVec> {
     received
 }
 
-/// Checks one code: batch decode of the corpus must match scalar decode
-/// word for word.
+/// Checks one code: batch decode of its low-weight corpus must match scalar
+/// decode word for word.
 fn assert_batch_matches_scalar<C: BlockCode + HardDecoder>(code: &C) {
-    let codec = BatchCodec::new(code);
-    let received = low_weight_corpus(code);
-    let batch = BitSlice64::pack(&received);
-
-    // Syndromes agree.
-    let syndromes = codec.syndrome_batch(&batch);
-    for (i, word) in received.iter().enumerate() {
-        assert_eq!(
-            syndromes.extract(i),
-            code.syndrome(word),
-            "{}: syndrome mismatch at word {i}",
-            code.name()
-        );
-    }
-
-    // Full decode agrees.
-    let decoded = codec.decode_batch(&batch);
-    for (i, word) in received.iter().enumerate() {
-        let scalar = code.decode(word);
-        match scalar.outcome {
-            DecodeOutcome::DetectedUncorrectable => {
-                assert!(
-                    decoded.is_flagged(i),
-                    "{}: word {i} should be flagged",
-                    code.name()
-                );
-            }
-            outcome => {
-                assert!(
-                    !decoded.is_flagged(i),
-                    "{}: word {i} wrongly flagged",
-                    code.name()
-                );
-                assert_eq!(
-                    Some(decoded.messages.extract(i)),
-                    scalar.message,
-                    "{}: word {i} message mismatch",
-                    code.name()
-                );
-                assert_eq!(
-                    Some(decoded.codewords.extract(i)),
-                    scalar.codeword,
-                    "{}: word {i} codeword mismatch",
-                    code.name()
-                );
-                assert_eq!(
-                    decoded.is_corrected(i),
-                    matches!(outcome, DecodeOutcome::Corrected { .. }),
-                    "{}: word {i} correction status mismatch",
-                    code.name()
-                );
-            }
-        }
-    }
+    assert_batch_matches_scalar_on(code, &low_weight_corpus(code));
 }
 
 #[test]
 fn hamming74_batch_is_bit_exact_on_all_low_weight_patterns() {
-    assert_batch_matches_scalar(&Hamming74::new());
+    assert_batch_matches_scalar(&ColumnCode::hamming74());
 }
 
 #[test]
 fn hamming84_batch_is_bit_exact_on_all_low_weight_patterns() {
-    assert_batch_matches_scalar(&Hamming84::new());
+    assert_batch_matches_scalar(&ColumnCode::hamming84());
 }
 
 #[test]
@@ -119,64 +65,18 @@ fn rm13_batch_is_bit_exact_on_all_low_weight_patterns() {
 }
 
 #[test]
-fn repetition_batch_is_bit_exact_on_all_low_weight_patterns() {
-    assert_batch_matches_scalar(&Repetition::new(4, 2));
-    assert_batch_matches_scalar(&Repetition::new(2, 3));
-}
-
-#[test]
 fn uncoded_batch_is_bit_exact_on_all_low_weight_patterns() {
-    assert_batch_matches_scalar(&Uncoded::new(4));
+    assert_batch_matches_scalar(&ColumnCode::uncoded(4));
 }
 
 #[test]
 fn secded_13_8_batch_is_bit_exact_on_all_low_weight_patterns() {
     // The smallest family member is exhaustively tractable: all 256 messages
     // x all 0/1/2-bit patterns of the 13-bit word.
-    assert_batch_matches_scalar(&SecDed::new(3));
+    assert_batch_matches_scalar(&ColumnCode::sec_ded(3));
 }
 
-/// Compares batch and scalar decode on a set of received words, word for
-/// word, for a code too wide for `to_u64`-based helpers.
-fn assert_wide_batch_matches_scalar(code: &SecDed, received: &[BitVec]) {
-    let codec = BatchCodec::new(code);
-    let batch = BitSlice64::pack(received);
-    let syndromes = codec.syndrome_batch(&batch);
-    let decoded = codec.decode_batch(&batch);
-    for (i, word) in received.iter().enumerate() {
-        assert_eq!(
-            syndromes.extract(i),
-            code.syndrome(word),
-            "syndrome mismatch at word {i}"
-        );
-        let scalar = code.decode(word);
-        match scalar.outcome {
-            DecodeOutcome::DetectedUncorrectable => {
-                assert!(decoded.is_flagged(i), "word {i} should be flagged");
-            }
-            outcome => {
-                assert!(!decoded.is_flagged(i), "word {i} wrongly flagged");
-                assert_eq!(
-                    Some(decoded.messages.extract(i)),
-                    scalar.message,
-                    "word {i} message mismatch"
-                );
-                assert_eq!(
-                    Some(decoded.codewords.extract(i)),
-                    scalar.codeword,
-                    "word {i} codeword mismatch"
-                );
-                assert_eq!(
-                    decoded.is_corrected(i),
-                    matches!(outcome, DecodeOutcome::Corrected { .. }),
-                    "word {i} correction status mismatch"
-                );
-            }
-        }
-    }
-}
-
-fn seeded_messages(code: &SecDed, count: usize, seed: u64) -> Vec<BitVec> {
+fn seeded_messages(code: &ColumnCode, count: usize, seed: u64) -> Vec<BitVec> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..count)
         .map(|_| BitVec::from_u64(code.k(), rng.random::<u64>()))
@@ -188,7 +88,7 @@ fn seeded_messages(code: &SecDed, count: usize, seed: u64) -> Vec<BitVec> {
 /// words pass through, single errors are corrected back to the message).
 #[test]
 fn secded_72_64_batch_is_bit_exact_on_all_zero_and_one_bit_patterns() {
-    let code = SecDed::new(6);
+    let code = ColumnCode::sec_ded(6);
     let mut received = Vec::new();
     for msg in seeded_messages(&code, 6, 0x5ECD_ED01) {
         let cw = code.encode(&msg);
@@ -200,7 +100,7 @@ fn secded_72_64_batch_is_bit_exact_on_all_zero_and_one_bit_patterns() {
         }
     }
     // 6 x (1 + 72) = 438 words, 6.9 limbs: exercises the tail mask too.
-    assert_wide_batch_matches_scalar(&code, &received);
+    assert_batch_matches_scalar_on(&code, &received);
 }
 
 /// Acceptance sweep for the wide member: a seeded sample of well over 10k
@@ -209,7 +109,7 @@ fn secded_72_64_batch_is_bit_exact_on_all_zero_and_one_bit_patterns() {
 /// reported `DetectedUncorrectable` by both paths.
 #[test]
 fn secded_72_64_flags_every_two_bit_pattern() {
-    let code = SecDed::new(6);
+    let code = ColumnCode::sec_ded(6);
     let codec = BatchCodec::new(&code);
     for (w, msg) in seeded_messages(&code, 5, 0x5ECD_ED02).iter().enumerate() {
         let cw = code.encode(msg);
@@ -246,7 +146,7 @@ fn secded_72_64_flags_every_two_bit_pattern() {
 #[test]
 fn secded_family_random_words_agree_with_scalar_decode() {
     for (m, seed) in [(3usize, 301u64), (4, 302), (5, 303), (6, 304)] {
-        let code = SecDed::new(m);
+        let code = ColumnCode::sec_ded(m);
         let mut rng = StdRng::seed_from_u64(seed);
         let words: Vec<BitVec> = (0..200)
             .map(|_| {
@@ -255,12 +155,12 @@ fn secded_family_random_words_agree_with_scalar_decode() {
                     .collect()
             })
             .collect();
-        assert_wide_batch_matches_scalar(&code, &words);
+        assert_batch_matches_scalar_on(&code, &words);
     }
 }
 
-/// Like [`assert_wide_batch_matches_scalar`] for any wide code (shared by
-/// the SEC-DED family and the r > 20 Shortened Hamming demonstration code).
+/// Word-for-word scalar-vs-batch agreement (syndromes, flags, corrections,
+/// codewords and messages) on a given set of received words.
 fn assert_batch_matches_scalar_on<C: BlockCode + HardDecoder>(code: &C, received: &[BitVec]) {
     assert_codec_matches_scalar_on(&BatchCodec::new(code), code, received);
 }
@@ -327,7 +227,7 @@ fn assert_codec_matches_scalar_on<C: BlockCode + HardDecoder>(
 /// action-table engine rejected outright (`n - k = 21 > 20`).
 #[test]
 fn shortened_hamming_85_64_batch_is_bit_exact_on_all_zero_and_one_bit_patterns() {
-    let code = ShortenedHamming::wide_85_64();
+    let code = ColumnCode::wide_85_64();
     assert_eq!(code.n() - code.k(), 21, "the point is r > 20");
     let mut rng = StdRng::seed_from_u64(0x8564_0101);
     let mut received = Vec::new();
@@ -350,7 +250,7 @@ fn shortened_hamming_85_64_batch_is_bit_exact_on_all_zero_and_one_bit_patterns()
 /// must agree word for word.
 #[test]
 fn shortened_hamming_85_64_batch_matches_scalar_on_two_bit_patterns() {
-    let code = ShortenedHamming::wide_85_64();
+    let code = ColumnCode::wide_85_64();
     let mut rng = StdRng::seed_from_u64(0x8564_0202);
     let msg = BitVec::from_u64(64, rng.random::<u64>());
     let cw = code.encode(&msg);
@@ -371,7 +271,7 @@ fn shortened_hamming_85_64_batch_matches_scalar_on_two_bit_patterns() {
 /// weights.
 #[test]
 fn shortened_hamming_85_64_random_words_agree_with_scalar_decode() {
-    let code = ShortenedHamming::wide_85_64();
+    let code = ColumnCode::wide_85_64();
     let mut rng = StdRng::seed_from_u64(0x8564_0303);
     let words: Vec<BitVec> = (0..300)
         .map(|_| {
@@ -806,26 +706,21 @@ fn assert_sweep_matches_scalar<C: BlockCode + HardDecoder>(
 }
 
 /// The scalar decoder is the one oracle for the table-lookup codes: every
-/// coded `ColumnFlip` catalog member, the General-class repetition codes
-/// (including the r = 10 `Repetition(5,3)`, whose walk applies multi-bit
-/// flips), and the r = 0 uncoded link, through [`BatchCodec::new`] at every
-/// ragged batch size.
+/// coded `ColumnFlip` catalog member and the r = 0 uncoded link, through
+/// [`BatchCodec::new`] at every ragged batch size.
 #[test]
 fn table_lookup_codes_match_the_scalar_decoder_at_ragged_batch_sizes() {
     fn sweep<C: BlockCode + HardDecoder>(code: &C, seed: u64) {
         assert_sweep_matches_scalar(&BatchCodec::new(code), code, 3, seed);
     }
-    sweep(&Hamming74::new(), 0xD15_0001);
-    sweep(&Hamming84::new(), 0xD15_0002);
+    sweep(&ColumnCode::hamming74(), 0xD15_0001);
+    sweep(&ColumnCode::hamming84(), 0xD15_0002);
     sweep(&Rm13::new(), 0xD15_0003);
-    sweep(&Repetition::new(4, 2), 0xD15_0004);
-    sweep(&Repetition::new(2, 3), 0xD15_0005);
-    sweep(&Repetition::new(5, 3), 0xD15_0006);
-    sweep(&Uncoded::new(4), 0xD15_0007);
+    sweep(&ColumnCode::uncoded(4), 0xD15_0007);
     for m in 3..=6 {
-        sweep(&SecDed::new(m), 0xD15_0010 + m as u64);
+        sweep(&ColumnCode::sec_ded(m), 0xD15_0010 + m as u64);
     }
-    sweep(&ShortenedHamming::wide_85_64(), 0xD15_0020);
+    sweep(&ColumnCode::wide_85_64(), 0xD15_0020);
 }
 
 /// Every BCH registry member through its sliced codec at every ragged batch
@@ -868,14 +763,11 @@ fn selected_kernel_names_follow_the_code_and_batch_shape() {
         (BatchCodec::hamming74(), "direct4"),
         (BatchCodec::hamming84(), "direct4"),
         (BatchCodec::rm13(), "direct4"),
-        (BatchCodec::repetition(4, 2), "direct4"),
-        (BatchCodec::repetition(2, 3), "direct4"),
         (BatchCodec::sec_ded(3), "direct8"),
         (BatchCodec::sec_ded(4), "direct8"),
         (BatchCodec::sec_ded(5), "direct8"),
         (BatchCodec::sec_ded(6), "direct8"),
         (BatchCodec::wide_hamming_85_64(), "tree"),
-        (BatchCodec::repetition(5, 3), "tree"),
         (BatchCodec::bch(), "tree+sliced"),
         (BatchCodec::bch_63_51(), "tree+sliced"),
         (BatchCodec::bch_63_45(), "tree+sliced"),
@@ -945,17 +837,16 @@ fn batch_encode_matches_scalar_encode_for_every_message() {
             assert_eq!(encoded.extract(i), code.encode(msg), "{}", code.name());
         }
     }
-    check(&Hamming74::new());
-    check(&Hamming84::new());
+    check(&ColumnCode::hamming74());
+    check(&ColumnCode::hamming84());
     check(&Rm13::new());
-    check(&Repetition::new(4, 2));
-    check(&Uncoded::new(4));
+    check(&ColumnCode::uncoded(4));
 }
 
 #[test]
 fn randomized_multi_limb_batches_agree_with_scalar_decode() {
     // 333 words per batch (5.2 limbs, exercising the tail mask) with errors
-    // of arbitrary weight, across all five codes, seeded for reproducibility.
+    // of arbitrary weight, across all four codes, seeded for reproducibility.
     fn check<C: BlockCode + HardDecoder>(code: &C, seed: u64) {
         let codec = BatchCodec::new(code);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -982,11 +873,10 @@ fn randomized_multi_limb_batches_agree_with_scalar_decode() {
             }
         }
     }
-    check(&Hamming74::new(), 101);
-    check(&Hamming84::new(), 102);
+    check(&ColumnCode::hamming74(), 101);
+    check(&ColumnCode::hamming84(), 102);
     check(&Rm13::new(), 103);
-    check(&Repetition::new(4, 2), 104);
-    check(&Uncoded::new(4), 105);
+    check(&ColumnCode::uncoded(4), 105);
 }
 
 #[test]

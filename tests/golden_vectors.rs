@@ -25,10 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use sfq_ecc::cells::CellLibrary;
-use sfq_ecc::ecc::{
-    Bch, BchSpec, BlockCode, Hamming74, Hamming84, HardDecoder, Ldpc, Rm13, SecDed,
-    ShortenedHamming, Uncoded,
-};
+use sfq_ecc::ecc::{BchSpec, BlockCode, HardDecoder};
 use sfq_ecc::gf2::BitVec;
 use std::path::PathBuf;
 
@@ -101,17 +98,18 @@ fn mask_of(k: usize) -> u64 {
 /// Every catalog code with its golden-file slug, scalar decoder, and golden
 /// data. Driven by `EncoderKind::catalog()` with an exhaustive match per
 /// member, so a newly added catalog code fails to compile here instead of
-/// shipping without golden vectors.
-fn golden_cases() -> Vec<(String, Box<dyn HardDecoder>, GoldenFile)> {
+/// shipping without golden vectors; the code itself is the kind's
+/// `EncoderKind::reference_code()`.
+fn golden_cases() -> Vec<(String, Box<dyn HardDecoder + Send + Sync>, GoldenFile)> {
     use sfq_ecc::encoders::EncoderKind;
     EncoderKind::catalog()
         .into_iter()
-        .map(|kind| -> (String, Box<dyn HardDecoder>, u64) {
-            match kind {
-                EncoderKind::None => ("uncoded_4".into(), Box::new(Uncoded::new(4)), 0x04),
-                EncoderKind::Hamming74 => ("hamming_7_4".into(), Box::new(Hamming74::new()), 0x74),
-                EncoderKind::Hamming84 => ("hamming_8_4".into(), Box::new(Hamming84::new()), 0x84),
-                EncoderKind::Rm13 => ("rm_1_3".into(), Box::new(Rm13::new()), 0x13),
+        .map(|kind| {
+            let (slug, seed) = match kind {
+                EncoderKind::None => ("uncoded_4".into(), 0x04),
+                EncoderKind::Hamming74 => ("hamming_7_4".into(), 0x74),
+                EncoderKind::Hamming84 => ("hamming_8_4".into(), 0x84),
+                EncoderKind::Rm13 => ("rm_1_3".into(), 0x13),
                 EncoderKind::SecDed(m) => {
                     let (k, seed) = match m {
                         3 => (8, 0x1308),
@@ -121,17 +119,9 @@ fn golden_cases() -> Vec<(String, Box<dyn HardDecoder>, GoldenFile)> {
                         _ => panic!("SEC-DED(m={m}) needs a golden slug and seed"),
                     };
                     let n = k + usize::from(m) + 2;
-                    (
-                        format!("secded_{n}_{k}"),
-                        Box::new(SecDed::new(usize::from(m))),
-                        seed,
-                    )
+                    (format!("secded_{n}_{k}"), seed)
                 }
-                EncoderKind::WideHamming8564 => (
-                    "shamming_85_64".into(),
-                    Box::new(ShortenedHamming::wide_85_64()),
-                    0x8564,
-                ),
+                EncoderKind::WideHamming8564 => ("shamming_85_64".into(), 0x8564),
                 EncoderKind::Bch(spec) => {
                     let (n, k) = spec.dimensions();
                     // BCH(31,16) keeps its historical seed so its vectors
@@ -140,16 +130,11 @@ fn golden_cases() -> Vec<(String, Box<dyn HardDecoder>, GoldenFile)> {
                         BchSpec::BCH_31_16 => 0x3116,
                         _ => 0xBC_0000 | ((n as u64) << 8) | k as u64,
                     };
-                    (format!("bch_{n}_{k}"), Box::new(Bch::from_spec(spec)), seed)
+                    (format!("bch_{n}_{k}"), seed)
                 }
-                EncoderKind::Ldpc => (
-                    "ldpc_60_32".into(),
-                    Box::new(Ldpc::gallager_60_32()),
-                    0x6032,
-                ),
-            }
-        })
-        .map(|(slug, code, seed)| {
+                EncoderKind::Ldpc => ("ldpc_60_32".into(), 0x6032),
+            };
+            let code = kind.reference_code();
             let golden = GoldenFile::compute(&*code, seed);
             (slug, code, golden)
         })

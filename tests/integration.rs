@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: codes ↔ netlists ↔ simulator ↔ cell library.
 
 use sfq_ecc::cells::{CellKind, CellLibrary};
-use sfq_ecc::ecc::{BlockCode, Hamming84, ShortenedHamming3832};
+use sfq_ecc::ecc::{BlockCode, ColumnCode};
 use sfq_ecc::encoders::{EncoderDesign, EncoderKind};
 use sfq_ecc::gf2::BitVec;
 use sfq_ecc::netlist::{drc, synth, NetlistStats};
@@ -12,7 +12,7 @@ use sfq_ecc::sim::{GateLevelSim, Stimulus};
 /// functionally on every message, even though their structure differs.
 #[test]
 fn generic_synthesis_and_paper_circuit_agree_functionally() {
-    let code = Hamming84::new();
+    let code = ColumnCode::hamming84();
     let generic = synth::synthesize_linear_encoder(
         "hamming84_generic",
         code.generator(),
@@ -40,7 +40,7 @@ fn generic_synthesis_and_paper_circuit_agree_functionally() {
 #[test]
 fn paper_circuits_are_smaller_than_generic_synthesis() {
     let lib = CellLibrary::coldflux();
-    let code = Hamming84::new();
+    let code = ColumnCode::hamming84();
     let generic = synth::synthesize_linear_encoder(
         "hamming84_generic",
         code.generator(),
@@ -58,7 +58,7 @@ fn paper_circuits_are_smaller_than_generic_synthesis() {
 /// and encodes correctly at gate level for a handful of messages.
 #[test]
 fn baseline_3832_encoder_is_functional_at_gate_level() {
-    let code = ShortenedHamming3832::new();
+    let code = ColumnCode::shortened_hamming_38_32();
     let netlist = synth::synthesize_linear_encoder(
         "peng3832",
         code.generator(),

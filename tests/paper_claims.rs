@@ -3,7 +3,7 @@
 
 use sfq_ecc::cells::{CellKind, CellLibrary};
 use sfq_ecc::ecc::analysis::{table1_row, CodeAnalysis, DecodingPolicy};
-use sfq_ecc::ecc::{BlockCode, Hamming74, Hamming84, Rm13, ShortenedHamming3832};
+use sfq_ecc::ecc::{BlockCode, ColumnCode, Rm13};
 use sfq_ecc::encoders::{paper_table2, table2_rows, EncoderDesign, EncoderKind};
 use sfq_ecc::gf2::BitVec;
 use sfq_ecc::link::{paper_zero_error_probabilities, Fig5Experiment};
@@ -13,7 +13,7 @@ use sfq_ecc::link::{paper_zero_error_probabilities, Fig5Experiment};
 /// code parameters (the circuit itself belongs to reference [14]).
 #[test]
 fn prior_art_3832_code_parameters() {
-    let code = ShortenedHamming3832::new();
+    let code = ColumnCode::shortened_hamming_38_32();
     assert_eq!(code.n(), 38);
     assert_eq!(code.k(), 32);
     assert_eq!(code.parity_check().rows(), 6, "six parity bits");
@@ -29,7 +29,7 @@ fn equation_1_generator_matrix() {
         "01010101", // row for m3
         "11010010", // row for m4
     ];
-    let code = Hamming84::new();
+    let code = ColumnCode::hamming84();
     for (i, row) in expected.iter().enumerate() {
         assert_eq!(code.generator().row(i).to_string01(), *row, "row {i}");
     }
@@ -40,7 +40,7 @@ fn equation_1_generator_matrix() {
 /// single-error correction" (detection-only mode).
 #[test]
 fn extended_hamming_detects_all_two_and_three_bit_errors() {
-    let code = Hamming84::new();
+    let code = ColumnCode::hamming84();
     let analysis = CodeAnalysis::exhaustive(&code, DecodingPolicy::DetectOnly, 3);
     assert_eq!(analysis.per_weight[2].undetected, 0);
     assert_eq!(analysis.per_weight[3].undetected, 0);
@@ -52,7 +52,7 @@ fn extended_hamming_detects_all_two_and_three_bit_errors() {
 /// possible 3-bit error patterns, an 80 % detection rate."
 #[test]
 fn hamming74_three_bit_detection_rate_is_eighty_percent() {
-    let row = table1_row(&Hamming74::new());
+    let row = table1_row(&ColumnCode::hamming74());
     assert!((row.weight3_detection_rate - 0.80).abs() < 1e-9);
 }
 
@@ -60,8 +60,8 @@ fn hamming74_three_bit_detection_rate_is_eighty_percent() {
 /// all three codes; RM(1,3)'s best-case 2-bit correction.
 #[test]
 fn table1_capabilities() {
-    let h74 = table1_row(&Hamming74::new());
-    let h84 = table1_row(&Hamming84::new());
+    let h74 = table1_row(&ColumnCode::hamming74());
+    let h84 = table1_row(&ColumnCode::hamming84());
     let rm = table1_row(&Rm13::new());
     assert_eq!((h74.dmin, h84.dmin, rm.dmin), (3, 4, 4));
     assert_eq!(
@@ -226,7 +226,7 @@ fn catalog_has_outgrown_single_error_correction() {
 fn rm13_and_hamming84_have_identical_weight_distributions() {
     use sfq_ecc::ecc::weight::WeightDistribution;
     let a = WeightDistribution::of_code(&Rm13::new());
-    let b = WeightDistribution::of_code(&Hamming84::new());
+    let b = WeightDistribution::of_code(&ColumnCode::hamming84());
     assert_eq!(a.counts, b.counts);
 }
 

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use sfq_ecc::ecc::{
-    generator_right_inverse, Bch, BchSpec, BlockCode, DecodeOutcome, Hamming74, Hamming84,
-    HardDecoder, Ldpc, ReedMuller, Rm13, SecDed, ShortenedHamming, Uncoded,
+    generator_right_inverse, Bch, BchSpec, BlockCode, ColumnCode, DecodeOutcome, HardDecoder, Ldpc,
+    ReedMuller, Rm13,
 };
 use sfq_ecc::encoders::{EncoderDesign, EncoderKind};
 use sfq_ecc::gf2::{BitMat, BitSlice64, BitVec, Gf2m};
@@ -15,24 +15,12 @@ fn bitvec_strategy(len: usize) -> impl Strategy<Value = BitVec> {
 }
 
 /// Every scalar code behind the `EncoderKind::catalog()` registry, boxed for
-/// uniform property checks. Driven by the registry itself — with an
-/// exhaustive match per member — so a newly added catalog code fails to
-/// compile here instead of being silently skipped by a hand-maintained list.
-fn catalog_codes() -> Vec<Box<dyn HardDecoder>> {
+/// uniform property checks: each kind's `EncoderKind::reference_code()`, so a
+/// newly added catalog code is covered as soon as it has one.
+fn catalog_codes() -> Vec<Box<dyn HardDecoder + Send + Sync>> {
     EncoderKind::catalog()
-        .into_iter()
-        .map(|kind| -> Box<dyn HardDecoder> {
-            match kind {
-                EncoderKind::None => Box::new(Uncoded::new(4)),
-                EncoderKind::Hamming74 => Box::new(Hamming74::new()),
-                EncoderKind::Hamming84 => Box::new(Hamming84::new()),
-                EncoderKind::Rm13 => Box::new(Rm13::new()),
-                EncoderKind::SecDed(m) => Box::new(SecDed::new(usize::from(m))),
-                EncoderKind::WideHamming8564 => Box::new(ShortenedHamming::wide_85_64()),
-                EncoderKind::Bch(spec) => Box::new(Bch::from_spec(spec)),
-                EncoderKind::Ldpc => Box::new(Ldpc::gallager_60_32()),
-            }
-        })
+        .iter()
+        .map(EncoderKind::reference_code)
         .collect()
 }
 
@@ -99,8 +87,8 @@ proptest! {
         let va = BitVec::from_u64(4, a);
         let vb = BitVec::from_u64(4, b);
         let sum = &va ^ &vb;
-        let h74 = Hamming74::new();
-        let h84 = Hamming84::new();
+        let h74 = ColumnCode::hamming74();
+        let h84 = ColumnCode::hamming84();
         let rm = Rm13::new();
         prop_assert_eq!(h74.encode(&sum), &h74.encode(&va) ^ &h74.encode(&vb));
         prop_assert_eq!(h84.encode(&sum), &h84.encode(&va) ^ &h84.encode(&vb));
@@ -112,7 +100,7 @@ proptest! {
     #[test]
     fn single_error_correction_property(message in 0u64..16, position in 0usize..8) {
         let msg = BitVec::from_u64(4, message);
-        let h84 = Hamming84::new();
+        let h84 = ColumnCode::hamming84();
         let cw = h84.encode(&msg);
         prop_assert!(h84.is_codeword(&cw));
         let mut corrupted = cw.clone();
@@ -120,7 +108,7 @@ proptest! {
         let decoded = h84.decode(&corrupted);
         prop_assert!(decoded.message_is(&msg));
 
-        let h74 = Hamming74::new();
+        let h74 = ColumnCode::hamming74();
         let cw = h74.encode(&msg);
         let mut corrupted = cw.clone();
         corrupted.flip(position % 7);

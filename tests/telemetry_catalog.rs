@@ -101,8 +101,7 @@ fn assert_catalog_matches(prefixes: &[&str]) {
 
 #[test]
 fn batch_metric_names_match_the_observability_catalog() {
-    // Every catalog member's shipping codec, plus the r = 10 General-class
-    // repetition code (the tree kernel with multi-bit flips).
+    // Every catalog member's shipping codec.
     let codecs = EncoderKind::catalog().into_iter().map(|kind| match kind {
         EncoderKind::None => BatchCodec::uncoded(4),
         EncoderKind::Hamming74 => BatchCodec::hamming74(),
@@ -113,7 +112,7 @@ fn batch_metric_names_match_the_observability_catalog() {
         EncoderKind::Bch(spec) => BatchCodec::bch_spec(spec),
         EncoderKind::Ldpc => BatchCodec::ldpc(),
     });
-    for codec in codecs.chain([BatchCodec::repetition(5, 3)]) {
+    for codec in codecs {
         let mut received = BitSlice64::zeros(codec.n(), 130);
         for lane in (0..130).step_by(3) {
             received.set(lane, lane % codec.n(), true);

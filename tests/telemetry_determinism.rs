@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sfq_ecc::batch::BatchCodec;
 use sfq_ecc::cells::CellLibrary;
-use sfq_ecc::ecc::{BatchDecode, BatchEncode, BchSpec};
+use sfq_ecc::ecc::{BatchDecode, BatchEncode, BchSpec, DecodeOutcome, HardDecoder};
 use sfq_ecc::encoders::{EncoderDesign, EncoderKind};
 use sfq_ecc::gf2::{BitSlice64, BitVec};
 use sfq_ecc::link::Fig5Experiment;
@@ -79,7 +79,7 @@ fn fig5_paper_fingerprint() -> u64 {
 const SECDED_DECODE_FNV: u64 = 0x1cbf_80f6_f8ae_c63b;
 
 fn secded_decode_fingerprint() -> u64 {
-    let codec = BatchCodec::new(&sfq_ecc::ecc::SecDed::new(6));
+    let codec = BatchCodec::new(&sfq_ecc::ecc::ColumnCode::sec_ded(6));
     let mut rng = StdRng::seed_from_u64(0x00DE_7E81);
     let messages: Vec<BitVec> = (0..256)
         .map(|_| BitVec::from_u64(64, rng.random::<u64>()))
@@ -100,6 +100,103 @@ fn secded_decode_fingerprint() -> u64 {
     }
     words.extend_from_slice(&decoded.flagged);
     words.extend_from_slice(&decoded.corrected);
+    fnv1a(words)
+}
+
+/// Committed fingerprint of the scalar single-error decoders and RM(1,3):
+/// each code's name, `G` and `H` (and `min_distance()` where it is pinned),
+/// then the `Decoded` of both `decode` and `decode_best_effort` on every
+/// word for `n ≤ 16`, and otherwise on every ≤ 2-bit error pattern of four
+/// seeded codewords plus 1,000 seeded words.
+const SCALAR_DECODE_FNV: u64 = 0x952c_4096_9532_7938;
+
+/// The codes [`SCALAR_DECODE_FNV`] covers, each with whether its
+/// `min_distance()` is pinned (not for the Hamming codes with `r ≥ 5`,
+/// whose `k > 24` once put them beyond exhaustive enumeration).
+fn scalar_codes() -> Vec<(Box<dyn HardDecoder>, bool)> {
+    use sfq_ecc::ecc::{ColumnCode, Rm13};
+    let mut codes: Vec<(Box<dyn HardDecoder>, bool)> = vec![
+        (Box::new(ColumnCode::hamming74()), true),
+        (Box::new(ColumnCode::hamming84()), true),
+    ];
+    for r in 2..=6 {
+        codes.push((Box::new(ColumnCode::hamming(r)), r < 5));
+    }
+    codes.push((Box::new(ColumnCode::shortened_hamming_38_32()), true));
+    for (k, base_r, copies) in [(4, 3, 1), (2, 3, 2), (3, 3, 2)] {
+        codes.push((
+            Box::new(ColumnCode::shortened_hamming(k, base_r, copies)),
+            true,
+        ));
+    }
+    codes.push((Box::new(ColumnCode::wide_85_64()), true));
+    for m in 2..=6 {
+        codes.push((Box::new(ColumnCode::sec_ded(m)), true));
+    }
+    codes.push((Box::new(ColumnCode::uncoded(4)), true));
+    codes.push((Box::new(ColumnCode::uncoded(64)), true));
+    codes.push((Box::new(Rm13::new()), true));
+    codes
+}
+
+fn scalar_decode_fingerprint() -> u64 {
+    fn push_bits(words: &mut Vec<u64>, bits: Option<&BitVec>) {
+        match bits {
+            None => words.push(u64::MAX),
+            Some(bits) => {
+                let value = bits.to_u128();
+                words.extend([bits.len() as u64, value as u64, (value >> 64) as u64]);
+            }
+        }
+    }
+    let mut words: Vec<u64> = Vec::new();
+    let mut rng = StdRng::seed_from_u64(0x5CA1_A7DE);
+    for (code, pin_distance) in scalar_codes() {
+        let (n, k) = (code.n(), code.k());
+        words.extend(code.name().bytes().map(u64::from));
+        words.extend([n as u64, k as u64]);
+        for matrix in [code.generator(), code.parity_check()] {
+            for row in 0..matrix.rows() {
+                push_bits(&mut words, Some(matrix.row(row)));
+            }
+        }
+        if pin_distance {
+            words.push(code.min_distance() as u64);
+        }
+        let received: Vec<BitVec> = if n <= 16 {
+            (0..1u64 << n).map(|w| BitVec::from_u64(n, w)).collect()
+        } else {
+            let mut set = Vec::new();
+            for _ in 0..4 {
+                let message: BitVec = (0..k).map(|_| rng.random::<bool>()).collect();
+                let codeword = code.encode(&message);
+                set.push(codeword.clone());
+                for a in 0..n {
+                    let mut single = codeword.clone();
+                    single.flip(a);
+                    for b in a + 1..n {
+                        let mut double = single.clone();
+                        double.flip(b);
+                        set.push(double);
+                    }
+                    set.push(single);
+                }
+            }
+            set.extend((0..1000).map(|_| (0..n).map(|_| rng.random::<bool>()).collect()));
+            set
+        };
+        for word in &received {
+            for decoded in [code.decode(word), code.decode_best_effort(word)] {
+                words.push(match decoded.outcome {
+                    DecodeOutcome::NoErrorDetected => 0,
+                    DecodeOutcome::Corrected { bits_flipped } => bits_flipped as u64,
+                    DecodeOutcome::DetectedUncorrectable => u64::MAX,
+                });
+                push_bits(&mut words, decoded.codeword.as_ref());
+                push_bits(&mut words, decoded.message.as_ref());
+            }
+        }
+    }
     fnv1a(words)
 }
 
@@ -289,6 +386,16 @@ fn fig5_outputs_are_identical_across_worker_counts() {
 }
 
 #[test]
+fn scalar_decode_matches_the_committed_fingerprint() {
+    assert_eq!(
+        scalar_decode_fingerprint(),
+        SCALAR_DECODE_FNV,
+        "scalar single-error or RM(1,3) decode output changed; if the \
+         decoder change is intentional, update SCALAR_DECODE_FNV"
+    );
+}
+
+#[test]
 fn batch_decode_matches_the_committed_fingerprint() {
     assert_eq!(
         secded_decode_fingerprint(),
@@ -299,7 +406,7 @@ fn batch_decode_matches_the_committed_fingerprint() {
 }
 
 /// With recording switched off, every instrumented path takes its
-/// early-out branch, and all six committed fingerprints must still hold
+/// early-out branch, and all seven committed fingerprints must still hold
 /// (the scrub reports at one worker). The synthesis memo cache is
 /// process-wide, so the catalog build here may replay cancellation searches
 /// that another test in this binary already ran with recording on.
@@ -313,6 +420,11 @@ fn runtime_recording_toggle_never_changes_outputs() {
             FIG5_ERRORS_FNV,
         ),
         ("FIG5_PAPER_FNV", fig5_paper_fingerprint(), FIG5_PAPER_FNV),
+        (
+            "SCALAR_DECODE_FNV",
+            scalar_decode_fingerprint(),
+            SCALAR_DECODE_FNV,
+        ),
         (
             "SECDED_DECODE_FNV",
             secded_decode_fingerprint(),
