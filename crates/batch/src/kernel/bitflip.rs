@@ -7,9 +7,9 @@
 //! a whole-limb 3-input majority of its check slices. Even a limb whose every
 //! lane is residual never unpacks a lane.
 //!
-//! The schedule is the synchronous one contracted by
-//! [`ecc::IterativeDecode`]: all parities from one snapshot, all flips at
-//! once. Parities are masked to the residual lanes (the dirty lanes the
+//! The schedule is the synchronous one the decoder's
+//! [`ecc::SyndromeClass::Iterative`] plan ([`ecc::BitFlipPlan`]) contracts:
+//! all parities from one snapshot, all flips at once. Parities are masked to the residual lanes (the dirty lanes the
 //! shared column stage left unmatched); every other lane holds a codeword,
 //! whose parities are zero anyway. Converged lanes are fixed points (zero
 //! parities → zero majorities), so running a limb to the shared cap is

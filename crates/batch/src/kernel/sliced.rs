@@ -25,7 +25,7 @@ const MAX_POWER_SLICES: usize = 128;
 const MAX_SYNDROMES: usize = 32;
 
 /// Per-call statistics of the sliced residual stage, flushed to the
-/// `batch.bch.*` counters once per decode call.
+/// `batch.algebraic.*` counters once per decode call.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct SlicedStats {
     /// Limbs that ran the sliced power-syndrome accumulation.

@@ -15,10 +15,12 @@
 //!
 //! ## One staged decode pipeline
 //!
-//! [`BatchCodec`] is built from any scalar [`BlockCode`] + [`HardDecoder`]
+//! [`BatchCodec::new`] builds the engine from any scalar [`HardDecoder`]
 //! whose hard decisions are **coset-invariant**: the correction applied to a
-//! received word depends only on its syndrome. Every decode runs the same
-//! stages, in one body ([`BatchCodec::try_decode_batch_with`]):
+//! received word depends only on its syndrome. The decoder's
+//! [`SyndromeClass`] carries everything construction needs beyond the code's
+//! matrices, so one constructor serves every class. Every decode runs the
+//! same stages, in one body ([`BatchCodec::try_decode_batch_with`]):
 //!
 //! 1. **Syndrome** — the `r = n − k` syndrome bit-slices of the batch.
 //! 2. **Column stage** — construction compiles a *column-match program*, a
@@ -33,15 +35,15 @@
 //!    * [`SyndromeClass::ColumnFlip`]: the program covers every correctable
 //!      syndrome, so the flag stands — detected-uncorrectable syndromes are
 //!      handled *by complement* and cost nothing;
-//!    * [`SyndromeClass::Algebraic`] (multi-error BCH,
-//!      [`BatchCodec::with_sliced_algebraic`]): odd power syndromes are
-//!      accumulated bit-sliced across each residual limb (even powers follow
-//!      from the Frobenius square), and only the scalar algebra —
-//!      Berlekamp–Massey plus a closed-form locator root solve — runs per
-//!      residual lane, with its syndromes supplied for free;
-//!    * [`SyndromeClass::Iterative`] (LDPC, [`BatchCodec::with_bit_flip`]):
-//!      synchronous bit-flip rounds run whole-limb over the residual lanes,
-//!      with no per-lane region at all.
+//!    * [`SyndromeClass::Algebraic`] (multi-error BCH): odd power
+//!      syndromes are accumulated bit-sliced across each residual limb by
+//!      the class's plan (even powers follow from the Frobenius square), and
+//!      only the class's per-lane algebra — Berlekamp–Massey plus a
+//!      closed-form locator root solve — runs per residual lane, with its
+//!      syndromes supplied for free;
+//!    * [`SyndromeClass::Iterative`] (LDPC): the class's synchronous
+//!      bit-flip rounds run whole-limb over the residual lanes, with no
+//!      per-lane region at all.
 //! 4. **One stats flush** of the call's telemetry (see below).
 //! 5. **Message extraction** from the corrected codeword lanes.
 //!
@@ -84,12 +86,10 @@
 #![warn(missing_docs)]
 
 use ecc::{
-    generator_right_inverse, AlgebraicAction, AlgebraicDecode, BatchDecode, BatchDecoded,
-    BatchEncode, BatchScratch, Bch, BchSpec, BitFlipPlan, BlockCode, ColumnCode, HardDecoder,
-    IterativeDecode, Ldpc, Rm13, SlicedSyndromePlan, SyndromeClass,
+    generator_right_inverse, AlgebraicActionFn, BatchDecode, BatchDecoded, BatchEncode,
+    BatchScratch, BitFlipPlan, HardDecoder, SlicedSyndromePlan, SyndromeClass,
 };
 use gf2::{or_reduce, BitMat, BitSlice64, BitVec};
-use std::sync::Arc;
 
 mod kernel;
 
@@ -131,10 +131,6 @@ struct ColumnMatchProgram {
     tree: Option<DecisionTree>,
 }
 
-/// The type-erased per-lane algebra of the sliced residual stage:
-/// `(power syndromes, full syndrome) → action`.
-type AlgebraicActionFn = Arc<dyn Fn(&[u16], u128) -> AlgebraicAction + Send + Sync>;
-
 /// The sliced-syndrome residual stage for [`SyndromeClass::Algebraic`]
 /// decoders: odd power syndromes are accumulated bit-sliced across each
 /// residual limb, and the per-lane algebra runs from those syndromes alone —
@@ -145,7 +141,7 @@ struct SlicedAlgebraic {
     plan: SlicedSyndromePlan,
     /// The per-lane algebra.
     action: AlgebraicActionFn,
-    /// `batch.bch.*` telemetry handles.
+    /// `batch.algebraic.*` telemetry handles.
     metrics: AlgebraicMetrics,
 }
 
@@ -183,7 +179,7 @@ enum Residual {
 }
 
 /// Telemetry handles of the sliced residual stage, registered under the
-/// `batch.bch.*` names (see `docs/OBSERVABILITY.md`). Like
+/// `batch.algebraic.*` names (see `docs/OBSERVABILITY.md`). Like
 /// [`DecodeMetrics`], the stage accumulates into locals and the decode call
 /// flushes once.
 #[derive(Debug, Clone)]
@@ -191,9 +187,9 @@ struct AlgebraicMetrics {
     /// Residual lanes (each runs the per-lane algebra).
     dirty_lanes: sfq_telemetry::Counter,
     /// Residual lanes the algebra corrected.
-    fallback_corrected: sfq_telemetry::Counter,
+    corrected: sfq_telemetry::Counter,
     /// Residual lanes the algebra flagged detected-uncorrectable.
-    fallback_flagged: sfq_telemetry::Counter,
+    flagged: sfq_telemetry::Counter,
     /// Error-locator evaluations (applied flip bits of the closed-form
     /// solve).
     locator_evals: sfq_telemetry::Counter,
@@ -209,11 +205,11 @@ impl AlgebraicMetrics {
     fn new() -> Self {
         let registry = sfq_telemetry::global();
         AlgebraicMetrics {
-            dirty_lanes: registry.counter("batch.bch.dirty_lanes"),
-            fallback_corrected: registry.counter("batch.bch.fallback_corrected"),
-            fallback_flagged: registry.counter("batch.bch.fallback_flagged"),
-            locator_evals: registry.counter("batch.bch.locator_evals"),
-            sliced_syndrome_limbs: registry.counter("batch.bch.sliced_syndrome_limbs"),
+            dirty_lanes: registry.counter("batch.algebraic.dirty_lanes"),
+            corrected: registry.counter("batch.algebraic.corrected"),
+            flagged: registry.counter("batch.algebraic.flagged"),
+            locator_evals: registry.counter("batch.algebraic.locator_evals"),
+            sliced_syndrome_limbs: registry.counter("batch.algebraic.sliced_syndrome_limbs"),
             kernel_selected: registry.counter("batch.kernel.selected.sliced"),
             kernel_limbs: registry.counter("batch.kernel.sliced.limbs"),
         }
@@ -405,102 +401,53 @@ pub struct BatchCodec {
 }
 
 impl BatchCodec {
-    /// Builds the batch engine for a [`SyndromeClass::ColumnFlip`] decoder,
-    /// compiled straight from the columns of `H` (no syndrome-space
-    /// enumeration, so the redundancy is unlimited).
+    /// Builds the batch engine for any decoder, from the decoder alone: the
+    /// column stage is compiled straight from the columns of `H` (no
+    /// syndrome-space enumeration, so the redundancy is unlimited), and the
+    /// residual stage follows the plan the decoder's [`SyndromeClass`]
+    /// carries.
+    ///
+    /// ```
+    /// use ecc::{Bch, ColumnCode, Ldpc};
+    /// use sfq_batch::BatchCodec;
+    ///
+    /// let secded = BatchCodec::new(&ColumnCode::sec_ded(6));
+    /// assert_eq!(secded.selected_kernel_name(4096), "direct8");
+    /// let bch = BatchCodec::new(&Bch::bch_31_16());
+    /// assert_eq!(bch.selected_kernel_name(4096), "tree+sliced");
+    /// let ldpc = BatchCodec::new(&Ldpc::gallager_60_32());
+    /// assert_eq!(ldpc.selected_kernel_name(4096), "tree+bit-flip");
+    /// ```
     ///
     /// # Panics
     /// Panics if the code exceeds `n ≤ 128` (masks are single `u128`s), if
     /// the parity-check matrix does not have full row rank, if the decoder
-    /// fails its per-column scalar probe, or if it declares
-    /// [`SyndromeClass::Algebraic`] (build those with
-    /// [`BatchCodec::with_sliced_algebraic`]) or
-    /// [`SyndromeClass::Iterative`] (build those with
-    /// [`BatchCodec::with_bit_flip`]).
+    /// fails its per-column scalar probe (it must answer a single-bit error
+    /// by flipping exactly that bit), or if an iterative decoder's plan
+    /// fails [`BitFlipPlan::validate`] or has more than 64 checks.
     #[must_use]
-    pub fn new<C: BlockCode + HardDecoder>(code: &C) -> Self {
-        match code.syndrome_class() {
-            SyndromeClass::ColumnFlip => {}
-            SyndromeClass::Algebraic => panic!(
-                "{}: algebraic decoders correct more than the columns of H; build with \
-                 BatchCodec::with_sliced_algebraic (registry members are one \
-                 BatchCodec::bch_spec call away)",
-                code.name()
-            ),
-            SyndromeClass::Iterative => panic!(
-                "{}: iterative decoders correct by synchronous flip rounds, not \
-                 per-syndrome lookup; build with BatchCodec::with_bit_flip",
-                code.name()
-            ),
-        }
-        Self::build(code, Residual::Flag)
-    }
-
-    /// Builds the batch engine for a [`SyndromeClass::Algebraic`] decoder
-    /// that implements [`AlgebraicDecode`]: the shared column stage corrects
-    /// the single-error lanes, and for the residual lanes odd power
-    /// syndromes are accumulated **bit-sliced across each limb** (shared by
-    /// up to 64 lanes; even powers follow from the Frobenius square) so only
-    /// the per-lane algebra — Berlekamp–Massey plus the closed-form locator
-    /// root solve — runs per residual lane, with its syndromes supplied for
-    /// free. This is the engine behind [`BatchCodec::bch`].
-    ///
-    /// # Panics
-    /// Panics under the same size/rank conditions as [`BatchCodec::new`],
-    /// or if the scalar decoder does not correct a single-bit error at some
-    /// position by flipping exactly that position.
-    #[must_use]
-    pub fn with_sliced_algebraic<C>(code: &C) -> Self
-    where
-        C: BlockCode + AlgebraicDecode + Clone + Send + Sync + 'static,
-    {
-        let owned = code.clone();
-        Self::build(
-            code,
-            Residual::Sliced(SlicedAlgebraic {
-                plan: code.sliced_syndrome_plan(),
-                action: Arc::new(move |synd: &[u16], full: u128| owned.decode_action(synd, full)),
+    pub fn new<C: HardDecoder + ?Sized>(code: &C) -> Self {
+        let residual = match code.syndrome_class() {
+            SyndromeClass::ColumnFlip => Residual::Flag,
+            SyndromeClass::Algebraic { plan, action } => Residual::Sliced(SlicedAlgebraic {
+                plan,
+                action,
                 metrics: AlgebraicMetrics::new(),
             }),
-        )
-    }
+            SyndromeClass::Iterative(plan) => {
+                plan.validate();
+                assert!(
+                    plan.check_supports.len() <= 64,
+                    "{}: bit-flip parity slices are a fixed 64-entry array",
+                    code.name()
+                );
+                Residual::BitFlip(BitFlipEngine {
+                    plan,
+                    metrics: BitFlipMetrics::new(),
+                })
+            }
+        };
 
-    /// Builds the batch engine for a [`SyndromeClass::Iterative`] decoder
-    /// that implements [`IterativeDecode`]: the shared column stage corrects
-    /// the single-error lanes, and the code's synchronous bit-flip schedule
-    /// runs **whole-limb bit-sliced** over the residual lanes — each round
-    /// is one XOR reduction per low-density check plus one 3-input majority
-    /// per variable, shared by up to 64 lanes, so even an all-dirty limb
-    /// never unpacks a lane. This is the engine behind [`BatchCodec::ldpc`].
-    ///
-    /// # Panics
-    /// Panics under the same conditions as
-    /// [`BatchCodec::with_sliced_algebraic`], or if the plan fails
-    /// [`BitFlipPlan::validate`].
-    #[must_use]
-    pub fn with_bit_flip<C>(code: &C) -> Self
-    where
-        C: BlockCode + IterativeDecode,
-    {
-        let plan = code.bit_flip_plan();
-        plan.validate();
-        assert!(
-            plan.check_supports.len() <= 64,
-            "{}: bit-flip parity slices are a fixed 64-entry array",
-            code.name()
-        );
-        Self::build(
-            code,
-            Residual::BitFlip(BitFlipEngine {
-                plan,
-                metrics: BitFlipMetrics::new(),
-            }),
-        )
-    }
-
-    /// Shared constructor body: masks, the column-match program, and
-    /// extraction lanes.
-    fn build<C: BlockCode + HardDecoder>(code: &C, residual: Residual) -> Self {
         let (n, k) = (code.n(), code.k());
         assert!(
             n <= MAX_BLOCK_LENGTH,
@@ -564,81 +511,6 @@ impl BatchCodec {
             Residual::Sliced(_) => format!("{column}+sliced"),
             Residual::BitFlip(_) => format!("{column}+bit-flip"),
         }
-    }
-
-    /// Batch engine for the Hamming(7,4) code.
-    #[must_use]
-    pub fn hamming74() -> Self {
-        Self::new(&ColumnCode::hamming74())
-    }
-
-    /// Batch engine for the extended Hamming(8,4) code.
-    #[must_use]
-    pub fn hamming84() -> Self {
-        Self::new(&ColumnCode::hamming84())
-    }
-
-    /// Batch engine for the RM(1,3) code (tie-detecting decoder).
-    #[must_use]
-    pub fn rm13() -> Self {
-        Self::new(&Rm13::new())
-    }
-
-    /// Batch engine for uncoded transmission.
-    #[must_use]
-    pub fn uncoded(k: usize) -> Self {
-        Self::new(&ColumnCode::uncoded(k))
-    }
-
-    /// Batch engine for the SEC-DED family member with `2^m` data bits
-    /// (`m = 6` is the wide (72,64) code).
-    #[must_use]
-    pub fn sec_ded(m: usize) -> Self {
-        Self::new(&ColumnCode::sec_ded(m))
-    }
-
-    /// Batch engine for the wide Shortened Hamming(85,64) demonstration code
-    /// — 21 syndrome lanes, beyond any tabulable syndrome space.
-    #[must_use]
-    pub fn wide_hamming_85_64() -> Self {
-        Self::new(&ColumnCode::wide_85_64())
-    }
-
-    /// Batch engine for the multi-error BCH(31,16) code (`t = 2`,
-    /// `d_min = 7`): the shared column stage for single errors, then
-    /// bit-sliced power-syndrome accumulation and per-lane Berlekamp–Massey
-    /// + closed-form locator solve on the residual lanes only.
-    #[must_use]
-    pub fn bch() -> Self {
-        Self::bch_spec(BchSpec::BCH_31_16)
-    }
-
-    /// Batch engine for any registry BCH member (see [`BchSpec::REGISTRY`]):
-    /// the sliced-syndrome engine parameterized by `(m, t, decode_radius)`.
-    #[must_use]
-    pub fn bch_spec(spec: BchSpec) -> Self {
-        Self::with_sliced_algebraic(&Bch::from_spec(spec))
-    }
-
-    /// Batch engine for the BCH(63,51) registry member (`t = 2`).
-    #[must_use]
-    pub fn bch_63_51() -> Self {
-        Self::bch_spec(BchSpec::BCH_63_51)
-    }
-
-    /// Batch engine for the BCH(63,45) registry member (`t = 3`) — the
-    /// strongest algebraic code in the catalog.
-    #[must_use]
-    pub fn bch_63_45() -> Self {
-        Self::bch_spec(BchSpec::BCH_63_45)
-    }
-
-    /// Batch engine for the regular Gallager LDPC(60,32) code: the shared
-    /// column stage for single errors, then whole-limb synchronous bit
-    /// flipping with no per-lane region even on all-dirty limbs.
-    #[must_use]
-    pub fn ldpc() -> Self {
-        Self::with_bit_flip(&Ldpc::gallager_60_32())
     }
 
     /// Human-readable name, derived from the scalar code's.
@@ -808,8 +680,8 @@ impl BatchCodec {
             Residual::Sliced(engine) => {
                 let m = &engine.metrics;
                 m.dirty_lanes.add(sliced.dirty_lanes);
-                m.fallback_corrected.add(sliced.corrected);
-                m.fallback_flagged.add(sliced.flagged);
+                m.corrected.add(sliced.corrected);
+                m.flagged.add(sliced.flagged);
                 m.locator_evals.add(sliced.locator_evals);
                 m.sliced_syndrome_limbs.add(sliced.sliced_limbs);
                 m.kernel_selected.inc();
@@ -977,7 +849,7 @@ fn row_mask(h: &BitMat, t: usize) -> u128 {
 /// Panics if `H` has a zero or duplicated column (single errors must be
 /// distinguishable, `d_min ≥ 3`), or if the scalar decoder's response to a
 /// single-bit error is not "flip exactly that bit".
-fn column_entries<C: BlockCode + HardDecoder>(code: &C) -> Vec<MatchEntry> {
+fn column_entries<C: HardDecoder + ?Sized>(code: &C) -> Vec<MatchEntry> {
     let n = code.n();
     let h = code.parity_check();
     let mut entries: Vec<MatchEntry> = Vec::with_capacity(n);
@@ -1017,7 +889,7 @@ fn column_entries<C: BlockCode + HardDecoder>(code: &C) -> Vec<MatchEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecc::DecodeOutcome;
+    use ecc::{Bch, BchSpec, BlockCode, ColumnCode, DecodeOutcome, Ldpc, Rm13};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1029,33 +901,36 @@ mod tests {
             .collect()
     }
 
+    /// The catalog's thirteen codes, in the order of
+    /// `encoders::EncoderKind::catalog()` (a crate this one sits below).
+    fn catalog_codes() -> Vec<Box<dyn HardDecoder>> {
+        let mut codes: Vec<Box<dyn HardDecoder>> = vec![
+            Box::new(Rm13::new()),
+            Box::new(ColumnCode::hamming74()),
+            Box::new(ColumnCode::hamming84()),
+            Box::new(ColumnCode::uncoded(4)),
+        ];
+        for m in 3..=ecc::SECDED_MAX_M {
+            codes.push(Box::new(ColumnCode::sec_ded(m)));
+        }
+        codes.push(Box::new(ColumnCode::wide_85_64()));
+        for spec in BchSpec::REGISTRY {
+            codes.push(Box::new(Bch::from_spec(spec)));
+        }
+        codes.push(Box::new(Ldpc::gallager_60_32()));
+        codes
+    }
+
     #[test]
     fn encode_batch_matches_scalar_for_all_paper_codes() {
-        type ScalarEncode = Box<dyn Fn(&BitVec) -> BitVec>;
-        let cases: Vec<(BatchCodec, ScalarEncode)> = vec![
-            (BatchCodec::hamming74(), {
-                let c = ColumnCode::hamming74();
-                Box::new(move |m| c.encode(m))
-            }),
-            (BatchCodec::hamming84(), {
-                let c = ColumnCode::hamming84();
-                Box::new(move |m| c.encode(m))
-            }),
-            (BatchCodec::rm13(), {
-                let c = Rm13::new();
-                Box::new(move |m| c.encode(m))
-            }),
-            (BatchCodec::uncoded(4), {
-                let c = ColumnCode::uncoded(4);
-                Box::new(move |m| c.encode(m))
-            }),
-        ];
-        for (codec, scalar) in cases {
+        // The paper's four designs lead the catalog.
+        for code in catalog_codes().into_iter().take(4) {
+            let codec = BatchCodec::new(&*code);
             let messages = random_messages(codec.k(), 130, 7);
             let batch = BitSlice64::pack(&messages);
             let encoded = codec.encode_batch(&batch).unpack();
             for (m, cw) in messages.iter().zip(&encoded) {
-                assert_eq!(cw, &scalar(m), "{}", codec.name());
+                assert_eq!(cw, &code.encode(m), "{}", codec.name());
             }
         }
     }
@@ -1063,7 +938,7 @@ mod tests {
     #[test]
     fn syndrome_batch_matches_scalar() {
         let code = ColumnCode::hamming84();
-        let codec = BatchCodec::hamming84();
+        let codec = BatchCodec::new(&code);
         let mut rng = StdRng::seed_from_u64(11);
         let words: Vec<BitVec> = (0..100)
             .map(|_| BitVec::from_u64(8, rng.random_range(0..256)))
@@ -1077,7 +952,7 @@ mod tests {
 
     #[test]
     fn decode_batch_roundtrips_clean_codewords() {
-        let codec = BatchCodec::hamming84();
+        let codec = BatchCodec::new(&ColumnCode::hamming84());
         let messages = random_messages(4, 96, 3);
         let batch = BitSlice64::pack(&messages);
         let decoded = codec.decode_batch(&codec.encode_batch(&batch));
@@ -1088,7 +963,7 @@ mod tests {
 
     #[test]
     fn decode_batch_corrects_single_errors_and_flags_doubles() {
-        let codec = BatchCodec::hamming84();
+        let codec = BatchCodec::new(&ColumnCode::hamming84());
         let messages = random_messages(4, 64, 9);
         let clean = codec.encode_batch(&BitSlice64::pack(&messages));
         // Message i gets a 1-bit error at position i % 8; messages 5 and 6
@@ -1120,13 +995,15 @@ mod tests {
     /// and across every residual stage (flag, sliced algebraic, bit-flip).
     #[test]
     fn detect_batch_matches_full_decode_classification() {
-        for codec in [
-            BatchCodec::sec_ded(3),
-            BatchCodec::hamming84(),
-            BatchCodec::bch(),
-            BatchCodec::bch_63_45(),
-            BatchCodec::ldpc(),
-        ] {
+        let codes: [Box<dyn HardDecoder>; 5] = [
+            Box::new(ColumnCode::sec_ded(3)),
+            Box::new(ColumnCode::hamming84()),
+            Box::new(Bch::bch_31_16()),
+            Box::new(Bch::bch_63_45()),
+            Box::new(Ldpc::gallager_60_32()),
+        ];
+        for code in codes {
+            let codec = BatchCodec::new(&*code);
             let batch = 190usize;
             let msgs = random_messages(codec.k(), batch, 21);
             let mut received = codec.encode_batch(&BitSlice64::pack(&msgs));
@@ -1160,7 +1037,7 @@ mod tests {
 
     #[test]
     fn detect_batch_reuses_scratch_without_allocating_results() {
-        let codec = BatchCodec::sec_ded(6);
+        let codec = BatchCodec::new(&ColumnCode::sec_ded(6));
         let messages = random_messages(63, 200, 5);
         let padded: Vec<BitVec> = messages
             .iter()
@@ -1200,16 +1077,21 @@ mod tests {
 
     #[test]
     fn checked_entry_points_reject_a_wrong_lane_count() {
-        let codec = BatchCodec::sec_ded(6);
+        // Every catalog codec, so each residual stage's codecs are
+        // shape-checked.
         let (mut scratch, mut out, mut dirty) =
             (BatchScratch::new(), BatchDecoded::empty(), vec![7]);
-        for got in [71, 73] {
-            let malformed = BitSlice64::zeros(got, 100);
-            let expected = ShapeError { expected: 72, got };
-            let decode = codec.try_decode_batch_with(&malformed, &mut scratch, &mut out);
-            assert_eq!(decode, Err(expected));
-            let detect = codec.try_detect_batch_with(&malformed, &mut scratch, &mut dirty);
-            assert_eq!(detect, Err(expected));
+        for code in catalog_codes() {
+            let codec = BatchCodec::new(&*code);
+            let n = codec.n();
+            for got in [n - 1, n + 1] {
+                let malformed = BitSlice64::zeros(got, 100);
+                let expected = ShapeError { expected: n, got };
+                let decode = codec.try_decode_batch_with(&malformed, &mut scratch, &mut out);
+                assert_eq!(decode, Err(expected), "{}", codec.name());
+                let detect = codec.try_detect_batch_with(&malformed, &mut scratch, &mut dirty);
+                assert_eq!(detect, Err(expected), "{}", codec.name());
+            }
         }
         // Nothing was decoded or screened.
         assert_eq!((out, dirty), (BatchDecoded::empty(), vec![7]));
@@ -1217,7 +1099,7 @@ mod tests {
 
     #[test]
     fn uncoded_codec_passes_everything_through() {
-        let codec = BatchCodec::uncoded(4);
+        let codec = BatchCodec::new(&ColumnCode::uncoded(4));
         let messages = random_messages(4, 70, 21);
         let batch = BitSlice64::pack(&messages);
         let encoded = codec.encode_batch(&batch);
@@ -1229,7 +1111,7 @@ mod tests {
 
     #[test]
     fn partial_last_limb_batches_are_handled() {
-        let codec = BatchCodec::hamming74();
+        let codec = BatchCodec::new(&ColumnCode::hamming74());
         for batch_size in [1usize, 63, 65, 127] {
             let messages = random_messages(4, batch_size, batch_size as u64);
             let clean = codec.encode_batch(&BitSlice64::pack(&messages));
@@ -1251,7 +1133,7 @@ mod tests {
 
     #[test]
     fn codec_reports_code_parameters() {
-        let codec = BatchCodec::hamming84();
+        let codec = BatchCodec::new(&ColumnCode::hamming84());
         assert_eq!((codec.n(), codec.k()), (8, 4));
         assert!(codec.name().contains("Hamming(8,4)"));
     }
@@ -1260,17 +1142,13 @@ mod tests {
     fn column_flip_codes_compile_to_n_entries() {
         // Programs compiled from the columns of H have exactly one entry per
         // codeword position, independent of the syndrome-space size — the
-        // algebraic and iterative codecs' shared column stage included.
-        assert_eq!(BatchCodec::hamming74().program_len(), 7);
-        assert_eq!(BatchCodec::hamming84().program_len(), 8);
-        assert_eq!(BatchCodec::rm13().program_len(), 8);
-        assert_eq!(BatchCodec::sec_ded(6).program_len(), 72);
-        assert_eq!(BatchCodec::wide_hamming_85_64().program_len(), 85);
-        assert_eq!(BatchCodec::bch().program_len(), 31);
-        assert_eq!(BatchCodec::bch_63_45().program_len(), 63);
-        assert_eq!(BatchCodec::ldpc().program_len(), 60);
-        // The r = 0 degenerate case has nothing to match.
-        assert_eq!(BatchCodec::uncoded(4).program_len(), 0);
+        // algebraic and iterative codecs' shared column stage included. The
+        // r = 0 degenerate case has nothing to match.
+        for code in catalog_codes() {
+            let codec = BatchCodec::new(&*code);
+            let want = if codec.n() == codec.k() { 0 } else { codec.n() };
+            assert_eq!(codec.program_len(), want, "{}", codec.name());
+        }
     }
 
     /// A column stage's starting point: the received words, no lane marked.
@@ -1351,24 +1229,24 @@ mod tests {
         // a residual stage, must equal the brute-force column stage word
         // for word, at ragged sizes and four densities. Dirty lanes take
         // one flip (matched), two flips, or a random word, in turn.
-        let builders: [fn() -> BatchCodec; 10] = [
-            BatchCodec::wide_hamming_85_64,
-            BatchCodec::bch,
-            BatchCodec::bch_63_51,
-            BatchCodec::bch_63_45,
-            BatchCodec::ldpc,
+        let codes: [Box<dyn HardDecoder>; 10] = [
+            Box::new(ColumnCode::wide_85_64()),
+            Box::new(Bch::bch_31_16()),
+            Box::new(Bch::bch_63_51()),
+            Box::new(Bch::bch_63_45()),
+            Box::new(Ldpc::gallager_60_32()),
             // r = 10, the tree kernel's second width.
-            || BatchCodec::new(&ColumnCode::shortened_hamming(26, 5, 2)),
+            Box::new(ColumnCode::shortened_hamming(26, 5, 2)),
             // r = 9, the smallest redundancy the tree kernel takes.
-            || BatchCodec::new(&ColumnCode::shortened_hamming(4, 3, 3)),
-            BatchCodec::hamming74,
-            || BatchCodec::sec_ded(6),
+            Box::new(ColumnCode::shortened_hamming(4, 3, 3)),
+            Box::new(ColumnCode::hamming74()),
+            Box::new(ColumnCode::sec_ded(6)),
             // r = 2, the smallest direct4 table.
-            || BatchCodec::new(&ColumnCode::hamming(2)),
+            Box::new(ColumnCode::hamming(2)),
         ];
         let mut rng = StdRng::seed_from_u64(0xF0CE);
-        for build in builders {
-            let codec = build();
+        for code in codes {
+            let codec = BatchCodec::new(&*code);
             let (n, k) = (codec.n(), codec.k());
             for batch_size in [1usize, 63, 64, 65, 250, 257, 320] {
                 for dirty_every in [1usize, 16, 64, usize::MAX] {
@@ -1472,16 +1350,12 @@ mod tests {
     #[test]
     #[ignore = "timing measurement; run with --release"]
     fn tree_tiers_win_on_their_own_side() {
-        let builders: [fn() -> BatchCodec; 5] = [
-            BatchCodec::wide_hamming_85_64,
-            BatchCodec::bch,
-            BatchCodec::bch_63_51,
-            BatchCodec::bch_63_45,
-            BatchCodec::ldpc,
-        ];
         let mut rng = StdRng::seed_from_u64(0x7133);
         let mut misses = Vec::new();
-        for codec in builders.map(|build| build()) {
+        // The catalog's `r > 8` codes: Shortened Hamming(85,64), the BCH
+        // registry and LDPC(60,32).
+        for code in catalog_codes().split_off(8) {
+            let codec = BatchCodec::new(&*code);
             let tree = codec.program.tree.as_ref().expect("r > 8");
             println!("{}: sparse below {}", codec.name(), tree.sparse_below);
             let shapes = [1, 4, 16, 64, 256].map(|every| (4096, every));
@@ -1538,12 +1412,14 @@ mod tests {
         let mut scratch = BatchScratch::new();
         let mut out = BatchDecoded::empty();
         let mut rng = StdRng::seed_from_u64(0x5C8A7C4);
-        for codec in [
-            BatchCodec::sec_ded(6),
-            BatchCodec::hamming84(),
-            BatchCodec::wide_hamming_85_64(),
-            BatchCodec::hamming74(),
-        ] {
+        let codes: [Box<dyn HardDecoder>; 4] = [
+            Box::new(ColumnCode::sec_ded(6)),
+            Box::new(ColumnCode::hamming84()),
+            Box::new(ColumnCode::wide_85_64()),
+            Box::new(ColumnCode::hamming74()),
+        ];
+        for code in codes {
+            let codec = BatchCodec::new(&*code);
             for batch_size in [5usize, 64, 131] {
                 let words: Vec<BitVec> = (0..batch_size)
                     .map(|_| {
@@ -1565,7 +1441,7 @@ mod tests {
 
     #[test]
     fn encode_into_reuses_buffers_bit_exactly() {
-        let codec = BatchCodec::sec_ded(4);
+        let codec = BatchCodec::new(&ColumnCode::sec_ded(4));
         let mut buffer = BitSlice64::default();
         for (batch_size, seed) in [(130usize, 1u64), (7, 2), (64, 3)] {
             let messages: Vec<BitVec> = random_messages(16, batch_size, seed);
@@ -1579,7 +1455,7 @@ mod tests {
     fn secded_72_64_batch_corrects_singles_and_flags_doubles() {
         // The widest SEC-DED member: 72 lanes (beyond one u64 mask), 8
         // syndrome lanes. Messages are 64-bit, drawn from a seeded RNG.
-        let codec = BatchCodec::sec_ded(6);
+        let codec = BatchCodec::new(&ColumnCode::sec_ded(6));
         assert_eq!((codec.n(), codec.k()), (72, 64));
         let mut rng = StdRng::seed_from_u64(0x7264);
         let messages: Vec<BitVec> = (0..130)
@@ -1619,7 +1495,7 @@ mod tests {
     fn secded_batch_matches_scalar_for_whole_family() {
         for m in 3..=6 {
             let scalar = ColumnCode::sec_ded(m);
-            let codec = BatchCodec::sec_ded(m);
+            let codec = BatchCodec::new(&scalar);
             let mut rng = StdRng::seed_from_u64(m as u64);
             let k = scalar.k();
             let messages: Vec<BitVec> = (0..64)
@@ -1662,7 +1538,7 @@ mod tests {
     #[test]
     fn bch_codec_roundtrips_and_corrects_up_to_two_errors() {
         let scalar = Bch::bch_31_16();
-        let codec = BatchCodec::bch();
+        let codec = BatchCodec::new(&scalar);
         assert_eq!((codec.n(), codec.k()), (31, 16));
         assert!(codec.name().contains("BCH(31,16)"));
         let mut rng = StdRng::seed_from_u64(0x3116);
@@ -1709,7 +1585,7 @@ mod tests {
 
     #[test]
     fn bch_scratch_reuse_is_bit_exact() {
-        let codec = BatchCodec::bch();
+        let codec = BatchCodec::new(&Bch::bch_31_16());
         let mut scratch = BatchScratch::new();
         let mut out = BatchDecoded::empty();
         let mut rng = StdRng::seed_from_u64(0xFA11_BACC);
@@ -1732,18 +1608,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "with_sliced_algebraic")]
-    fn algebraic_decoders_reject_the_plain_constructor() {
-        let _ = BatchCodec::new(&Bch::bch_31_16());
-    }
-
-    #[test]
-    #[should_panic(expected = "with_bit_flip")]
-    fn iterative_decoders_reject_the_plain_constructor() {
-        let _ = BatchCodec::new(&Ldpc::gallager_60_32());
-    }
-
-    #[test]
     fn sliced_bch_engine_matches_the_scalar_fallback_engine() {
         // The shipping engine (shared column stage, then the sliced
         // residual stage) and per-lane scalar `Bch::decode` must agree on
@@ -1752,7 +1616,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0x51_1CED);
         for spec in BchSpec::REGISTRY {
             let code = Bch::from_spec(spec);
-            let codec = BatchCodec::bch_spec(spec);
+            let codec = BatchCodec::new(&code);
             let (n, k) = (code.n(), code.k());
             for batch_size in [1usize, 63, 64, 65, 130, 257] {
                 let words: Vec<BitVec> = (0..batch_size)
@@ -1793,10 +1657,8 @@ mod tests {
     fn bch_registry_codecs_correct_up_to_their_radius() {
         // BCH(63,51) recovers every ≤2-error word; BCH(63,45) every
         // ≤3-error word. Error positions are spread deterministically.
-        for (codec, scalar, radius) in [
-            (BatchCodec::bch_63_51(), Bch::bch_63_51(), 2usize),
-            (BatchCodec::bch_63_45(), Bch::bch_63_45(), 3usize),
-        ] {
+        for (scalar, radius) in [(Bch::bch_63_51(), 2usize), (Bch::bch_63_45(), 3usize)] {
+            let codec = BatchCodec::new(&scalar);
             assert_eq!((codec.n(), codec.k()), (scalar.n(), scalar.k()));
             assert!(codec.name().contains(scalar.name()));
             let mut rng = StdRng::seed_from_u64(0x63_0000 + radius as u64);
@@ -1849,7 +1711,7 @@ mod tests {
         // over clean, single-error, double-error, and random-noise lanes,
         // at ragged batch sizes.
         let scalar = Ldpc::gallager_60_32();
-        let codec = BatchCodec::ldpc();
+        let codec = BatchCodec::new(&scalar);
         assert_eq!((codec.n(), codec.k()), (60, 32));
         let mut rng = StdRng::seed_from_u64(0x1D9C);
         for batch_size in [1usize, 63, 64, 65, 130, 257] {
@@ -1913,7 +1775,7 @@ mod tests {
 
     #[test]
     fn ldpc_scratch_reuse_is_bit_exact() {
-        let codec = BatchCodec::ldpc();
+        let codec = BatchCodec::new(&Ldpc::gallager_60_32());
         let mut scratch = BatchScratch::new();
         let mut out = BatchDecoded::empty();
         let mut rng = StdRng::seed_from_u64(0x1D9C_5C8A);
@@ -1941,7 +1803,7 @@ mod tests {
         // (its 2^21-entry build was rejected); the column-matching engine
         // compiles 85 entries and decodes exactly like the scalar path.
         let scalar = ColumnCode::wide_85_64();
-        let codec = BatchCodec::wide_hamming_85_64();
+        let codec = BatchCodec::new(&scalar);
         assert_eq!((codec.n(), codec.k()), (85, 64));
         let mut rng = StdRng::seed_from_u64(0x8564);
         let messages: Vec<BitVec> = (0..100)

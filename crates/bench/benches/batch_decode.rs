@@ -95,16 +95,10 @@ struct Case {
     link_kind: Option<EncoderKind>,
 }
 
-fn build_case(
-    slug: &'static str,
-    // The shipping codec for this code (sliced-syndrome for BCH, bit-flip
-    // for LDPC, column-matching otherwise); the measured codec must be the
-    // shipping one, and only the caller knows which registry constructor
-    // that is.
-    codec: BatchCodec,
-    link_kind: Option<EncoderKind>,
-    rng: &mut StdRng,
-) -> Case {
+/// Builds the case of a catalog code from its shipping codec; `link` asks
+/// for link-level measurement of the kind's design too.
+fn build_case(slug: &'static str, kind: EncoderKind, link: bool, rng: &mut StdRng) -> Case {
+    let codec = BatchCodec::new(&*kind.reference_code());
     // Measurement input: clean codewords with one random single-bit error
     // per word — the typical Monte-Carlo mix exercises the match path, not
     // just the all-clean fast path.
@@ -124,71 +118,29 @@ fn build_case(
         slug,
         codec,
         received,
-        link_kind,
+        link_kind: link.then_some(kind),
     }
 }
 
 fn cases() -> Vec<Case> {
     use ecc::BchSpec;
     let mut rng = StdRng::seed_from_u64(SEED);
-    vec![
-        build_case(
-            "hamming_7_4",
-            BatchCodec::hamming74(),
-            Some(EncoderKind::Hamming74),
-            &mut rng,
-        ),
-        build_case(
-            "hamming_8_4",
-            BatchCodec::hamming84(),
-            Some(EncoderKind::Hamming84),
-            &mut rng,
-        ),
-        build_case(
-            "rm_1_3",
-            BatchCodec::rm13(),
-            Some(EncoderKind::Rm13),
-            &mut rng,
-        ),
-        build_case("secded_13_8", BatchCodec::sec_ded(3), None, &mut rng),
-        build_case("secded_39_32", BatchCodec::sec_ded(5), None, &mut rng),
-        build_case(
-            "secded_72_64",
-            BatchCodec::sec_ded(6),
-            Some(EncoderKind::SecDed(6)),
-            &mut rng,
-        ),
-        build_case(
-            "shamming_85_64",
-            BatchCodec::wide_hamming_85_64(),
-            Some(EncoderKind::WideHamming8564),
-            &mut rng,
-        ),
-        build_case(
-            "bch_31_16",
-            BatchCodec::bch_spec(BchSpec::BCH_31_16),
-            Some(EncoderKind::Bch(BchSpec::BCH_31_16)),
-            &mut rng,
-        ),
-        build_case(
-            "bch_63_51",
-            BatchCodec::bch_63_51(),
-            Some(EncoderKind::Bch(BchSpec::BCH_63_51)),
-            &mut rng,
-        ),
-        build_case(
-            "bch_63_45",
-            BatchCodec::bch_63_45(),
-            Some(EncoderKind::Bch(BchSpec::BCH_63_45)),
-            &mut rng,
-        ),
-        build_case(
-            "ldpc_60_32",
-            BatchCodec::ldpc(),
-            Some(EncoderKind::Ldpc),
-            &mut rng,
-        ),
+    [
+        ("hamming_7_4", EncoderKind::Hamming74, true),
+        ("hamming_8_4", EncoderKind::Hamming84, true),
+        ("rm_1_3", EncoderKind::Rm13, true),
+        ("secded_13_8", EncoderKind::SecDed(3), false),
+        ("secded_39_32", EncoderKind::SecDed(5), false),
+        ("secded_72_64", EncoderKind::SecDed(6), true),
+        ("shamming_85_64", EncoderKind::WideHamming8564, true),
+        ("bch_31_16", EncoderKind::Bch(BchSpec::BCH_31_16), true),
+        ("bch_63_51", EncoderKind::Bch(BchSpec::BCH_63_51), true),
+        ("bch_63_45", EncoderKind::Bch(BchSpec::BCH_63_45), true),
+        ("ldpc_60_32", EncoderKind::Ldpc, true),
     ]
+    .into_iter()
+    .map(|(slug, kind, link)| build_case(slug, kind, link, &mut rng))
+    .collect()
 }
 
 struct Measurement {

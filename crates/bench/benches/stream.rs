@@ -1,6 +1,6 @@
 //! Scrub-service benchmark: the latency contract measured at three arrival
-//! intensities (nominal 1.0×, the ISSUE's 1.5× overload, and a severe 2.0×)
-//! under the standard fault soak-mix. Emits `BENCH_stream.json` at the
+//! intensities (nominal 1.0×, the 1.5× overload of `docs/STREAMING.md`, and
+//! a severe 2.0×) under the standard fault soak-mix. Emits `BENCH_stream.json` at the
 //! workspace root — sustained messages/second, p50/p99/max completion
 //! latency in simulated cycles, deadline-miss counts, peak backlog, and the
 //! ladder transition count per intensity.

@@ -475,20 +475,11 @@ impl<'a> BatchLink<'a> {
     }
 }
 
-/// The batch codec matching a design's reference code.
+/// The batch codec of a design's reference code
+/// ([`encoders::EncoderKind::reference_code`]).
 #[must_use]
 pub fn batch_codec_for(design: &EncoderDesign) -> BatchCodec {
-    use encoders::EncoderKind;
-    match design.kind() {
-        EncoderKind::None => BatchCodec::uncoded(design.k()),
-        EncoderKind::Hamming74 => BatchCodec::hamming74(),
-        EncoderKind::Hamming84 => BatchCodec::hamming84(),
-        EncoderKind::Rm13 => BatchCodec::rm13(),
-        EncoderKind::SecDed(m) => BatchCodec::sec_ded(usize::from(m)),
-        EncoderKind::WideHamming8564 => BatchCodec::wide_hamming_85_64(),
-        EncoderKind::Bch(spec) => BatchCodec::bch_spec(spec),
-        EncoderKind::Ldpc => BatchCodec::ldpc(),
-    }
+    BatchCodec::new(&*design.kind().reference_code())
 }
 
 /// Per-node downstream output channels, under two notions of reachability.

@@ -342,7 +342,7 @@ mod tests {
         // of the struck limb takes a double error (flagged); with depth-2
         // interleaving each codeword takes at most a single error (all
         // corrected).
-        let codec = BatchCodec::sec_ded(3);
+        let codec = BatchCodec::new(&ecc::ColumnCode::sec_ded(3));
         let burst = BurstSource::new(2, 1.0);
 
         // Uninterleaved reference.

@@ -1,6 +1,6 @@
-//! Syndrome-only algebraic decoding contracts for batch engines.
+//! Syndrome-only algebraic decoding data for batch engines.
 //!
-//! A scalar [`HardDecoder`] consumes a full received
+//! A scalar [`HardDecoder`](crate::HardDecoder) consumes a full received
 //! word. That forces a batch engine to *un-transpose* every dirty lane —
 //! allocate a [`BitVec`](gf2::BitVec), gather `n` bits, decode, diff the
 //! result back — which dominates the all-dirty cost of algebraic codes. For
@@ -11,18 +11,19 @@
 //! them *bit-sliced* across a whole limb and hand each dirty lane its
 //! syndromes for free.
 //!
-//! This module defines that contract. [`AlgebraicDecode`] is implemented by
-//! codes whose decoder can run from `(power syndromes, full syndrome)` alone
-//! and answer with an [`AlgebraicAction`] — either "detected, flag the lane"
-//! or "flip exactly these positions". [`SlicedSyndromePlan`] is the
-//! constant data a batch kernel needs to accumulate the power syndromes
-//! bit-sliced: per odd power, one support mask per field bit (the even
-//! powers follow from Frobenius, `S_{2i} = S_i²`, via the included squaring
-//! table).
+//! A decoder of class
+//! [`SyndromeClass::Algebraic`](crate::SyndromeClass::Algebraic) hands the
+//! batch engine two things: a [`SlicedSyndromePlan`], the constant data a
+//! kernel needs to accumulate the power syndromes bit-sliced (per odd power,
+//! one support mask per field bit; the even powers follow from Frobenius,
+//! `S_{2i} = S_i²`, via the included squaring table), and an
+//! [`AlgebraicActionFn`] that decides one dirty lane from
+//! `(power syndromes, full syndrome)` alone, answering with an
+//! [`AlgebraicAction`] — either "detected, flag the lane" or "flip exactly
+//! these positions".
 
 use serde::{Deserialize, Serialize};
-
-use crate::HardDecoder;
+use std::sync::Arc;
 
 /// The action a syndrome-only decoder takes on one dirty lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -78,28 +79,18 @@ impl SlicedSyndromePlan {
     }
 }
 
-/// A hard decoder whose decision is computable from syndromes alone, in the
-/// form batch engines consume.
+/// The per-lane algebra of the sliced residual stage:
+/// `(power syndromes, full syndrome) → action`.
 ///
-/// Implementations must be *outcome-identical* to their scalar
-/// [`decode`](crate::HardDecoder::decode): for any received word `r` with
-/// nonzero full syndrome, `decode_action(power_syndromes(r), H·rᵀ)` must
-/// return [`AlgebraicAction::Detected`] exactly when `decode(r)` flags
-/// uncorrectable, and otherwise a flip mask reproducing `decode(r)`'s
-/// corrected codeword. The workspace's equivalence suites assert this
-/// exhaustively over the syndrome space.
-pub trait AlgebraicDecode: HardDecoder {
-    /// The constant accumulation plan for this code's power syndromes.
-    fn sliced_syndrome_plan(&self) -> SlicedSyndromePlan;
-
-    /// Decides one dirty lane from its power syndromes and full syndrome.
-    ///
-    /// `power_syndromes` holds `S_1 … S_{2t}` (as produced by a
-    /// [`SlicedSyndromePlan`]); `full_syndrome` is `H·rᵀ` with bit `u` =
-    /// syndrome row `u`, guaranteed nonzero by the caller (zero-syndrome
-    /// lanes never reach the residual stage).
-    fn decode_action(&self, power_syndromes: &[u16], full_syndrome: u128) -> AlgebraicAction;
-}
+/// `power_syndromes` holds `S_1 … S_{2t}` (as produced by a
+/// [`SlicedSyndromePlan`]); `full_syndrome` is `H·rᵀ` with bit `u` =
+/// syndrome row `u`, nonzero (zero-syndrome lanes never reach the residual
+/// stage). The action must be *outcome-identical* to the scalar
+/// [`decode`](crate::HardDecoder::decode): [`AlgebraicAction::Detected`]
+/// exactly when `decode(r)` flags uncorrectable, and otherwise a flip mask
+/// reproducing `decode(r)`'s corrected codeword. The workspace's
+/// equivalence suites assert this exhaustively over the syndrome space.
+pub type AlgebraicActionFn = Arc<dyn Fn(&[u16], u128) -> AlgebraicAction + Send + Sync>;
 
 #[cfg(test)]
 mod tests {

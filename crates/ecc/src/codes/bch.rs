@@ -32,17 +32,19 @@
 //!    all raise [`DecodeOutcome::DetectedUncorrectable`](crate::DecodeOutcome).
 //!
 //! The decision depends only on the syndrome (the error pattern), so the
-//! decoder is coset-invariant like every other code in this crate; its
-//! [`SyndromeClass::Algebraic`](crate::SyndromeClass) marks that batch
-//! engines should bit-slice the syndrome accumulation and fall back to this
-//! scalar decoder on dirty lanes only.
+//! decoder is coset-invariant like every other code in this crate. Its
+//! [`SyndromeClass::Algebraic`] carries what batch engines need to
+//! bit-slice the syndrome accumulation ([`Bch::sliced_syndrome_plan`]) and
+//! run the syndrome-only mirror of this decoder ([`Bch::decode_action`]) on
+//! dirty lanes only.
 
-use crate::algebraic::{AlgebraicAction, AlgebraicDecode, SlicedSyndromePlan};
-use crate::decoder::Decoded;
+use crate::algebraic::{AlgebraicAction, SlicedSyndromePlan};
+use crate::decoder::{Decoded, SyndromeClass};
 use crate::{validate_code_matrices, BlockCode, HardDecoder};
 use gf2::field::{poly_degree, poly_rem, Gf2m};
 use gf2::{BitMat, BitVec};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A config-driven description of one binary primitive BCH family member:
 /// codes are *data*, not code. A spec names the field extension degree `m`
@@ -468,15 +470,22 @@ impl HardDecoder for Bch {
         Decoded::corrected(corrected, msg, degree)
     }
 
-    /// Multi-error algebraic decoding: batch engines bit-slice the syndrome
-    /// accumulation and fall back to this decoder on dirty lanes only.
-    fn syndrome_class(&self) -> crate::SyndromeClass {
-        crate::SyndromeClass::Algebraic
+    /// Multi-error algebraic decoding: batch engines bit-slice the power
+    /// syndrome accumulation ([`Bch::sliced_syndrome_plan`]) and run
+    /// [`Bch::decode_action`] on the residual lanes only.
+    fn syndrome_class(&self) -> SyndromeClass {
+        let code = self.clone();
+        SyndromeClass::Algebraic {
+            plan: self.sliced_syndrome_plan(),
+            action: Arc::new(move |synd: &[u16], full: u128| code.decode_action(synd, full)),
+        }
     }
 }
 
-impl AlgebraicDecode for Bch {
-    fn sliced_syndrome_plan(&self) -> SlicedSyndromePlan {
+impl Bch {
+    /// The constant accumulation plan for this code's power syndromes.
+    #[must_use]
+    pub fn sliced_syndrome_plan(&self) -> SlicedSyndromePlan {
         let f = &self.field;
         let m = f.degree();
         // Bit b of S_i is the parity of received bits j with bit b of
@@ -506,7 +515,12 @@ impl AlgebraicDecode for Bch {
     /// locators are solved in closed form instead of Chien-swept, and the
     /// post-correction codeword check becomes `full_syndrome == Σ H columns
     /// at the flips` (equivalent because `H·(r + e)ᵀ = H·rᵀ + H·eᵀ`).
-    fn decode_action(&self, power_syndromes: &[u16], full_syndrome: u128) -> AlgebraicAction {
+    ///
+    /// `power_syndromes` holds `S_1 … S_{2t}` (see
+    /// [`Bch::sliced_syndrome_plan`]); `full_syndrome` is `H·rᵀ` with bit
+    /// `u` = syndrome row `u`, nonzero.
+    #[must_use]
+    pub fn decode_action(&self, power_syndromes: &[u16], full_syndrome: u128) -> AlgebraicAction {
         debug_assert_eq!(power_syndromes.len(), 2 * self.decode_t);
         debug_assert_ne!(
             full_syndrome, 0,
@@ -705,10 +719,10 @@ mod tests {
 
     #[test]
     fn syndrome_class_is_algebraic() {
-        assert_eq!(
+        assert!(matches!(
             Bch::bch_31_16().syndrome_class(),
-            crate::SyndromeClass::Algebraic
-        );
+            SyndromeClass::Algebraic { .. }
+        ));
     }
 
     /// Full syndrome of a received word as a bitmask (bit `u` = row `u`).

@@ -30,12 +30,12 @@
 //! [`DecodeOutcome::DetectedUncorrectable`](crate::DecodeOutcome). The flip
 //! decision depends only on check parities — the decoder is coset-invariant
 //! — and the synchronous schedule is shared verbatim with the batch
-//! engine's whole-limb kernel through [`IterativeDecode::bit_flip_plan`],
+//! engine's whole-limb kernel through [`Ldpc::bit_flip_plan`],
 //! which is what makes scalar and batch decoding bit-identical even on
 //! all-dirty limbs.
 
-use crate::decoder::Decoded;
-use crate::iterative::{BitFlipPlan, IterativeDecode};
+use crate::decoder::{Decoded, SyndromeClass};
+use crate::iterative::BitFlipPlan;
 use crate::{validate_code_matrices, BlockCode, HardDecoder};
 use gf2::{BitMat, BitVec};
 
@@ -250,14 +250,16 @@ impl HardDecoder for Ldpc {
     }
 
     /// Iterative bit flipping: batch engines run the same synchronous
-    /// schedule whole-limb and never unpack a lane.
-    fn syndrome_class(&self) -> crate::SyndromeClass {
-        crate::SyndromeClass::Iterative
+    /// schedule ([`Ldpc::bit_flip_plan`]) whole-limb and never unpack a lane.
+    fn syndrome_class(&self) -> SyndromeClass {
+        SyndromeClass::Iterative(self.bit_flip_plan())
     }
 }
 
-impl IterativeDecode for Ldpc {
-    fn bit_flip_plan(&self) -> BitFlipPlan {
+impl Ldpc {
+    /// The constant synchronous bit-flipping schedule this decoder follows.
+    #[must_use]
+    pub fn bit_flip_plan(&self) -> BitFlipPlan {
         let plan = BitFlipPlan {
             check_supports: self.check_supports.clone(),
             var_checks: self.var_checks.clone(),
@@ -397,8 +399,9 @@ mod tests {
     #[test]
     fn syndrome_class_is_iterative_and_plan_matches_the_matrices() {
         let code = Ldpc::gallager_60_32();
-        assert_eq!(code.syndrome_class(), crate::SyndromeClass::Iterative);
-        let plan = code.bit_flip_plan();
+        let SyndromeClass::Iterative(plan) = code.syndrome_class() else {
+            panic!("LDPC decodes by bit flipping");
+        };
         assert_eq!(plan.checks(), 30);
         assert_eq!(plan.max_iterations, Ldpc::MAX_ITERATIONS);
         assert_eq!(plan.check_supports, code.check_supports);

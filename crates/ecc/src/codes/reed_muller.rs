@@ -29,7 +29,6 @@ pub struct ReedMuller {
     g: BitMat,
     h: BitMat,
     name: String,
-    monomials: Vec<Vec<usize>>,
 }
 
 impl ReedMuller {
@@ -57,14 +56,7 @@ impl ReedMuller {
             validate_code_matrices(&g, &h);
         }
         let name = format!("RM({r},{m})");
-        ReedMuller {
-            r,
-            m,
-            g,
-            h,
-            name,
-            monomials,
-        }
+        ReedMuller { r, m, g, h, name }
     }
 
     fn monomials_up_to_degree(r: usize, m: usize) -> Vec<Vec<usize>> {
@@ -99,18 +91,6 @@ impl ReedMuller {
             }
         }
         out
-    }
-
-    /// Order `r` of the code.
-    #[must_use]
-    pub fn order(&self) -> usize {
-        self.r
-    }
-
-    /// The monomial (set of variable indices) associated with each message bit.
-    #[must_use]
-    pub fn monomials(&self) -> &[Vec<usize>] {
-        &self.monomials
     }
 
     /// The designed minimum distance `2^(m-r)`.

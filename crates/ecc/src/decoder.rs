@@ -1,7 +1,9 @@
 //! Common decoder output types shared by every code in this crate.
 
+use crate::{AlgebraicActionFn, BitFlipPlan, SlicedSyndromePlan};
 use gf2::BitVec;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// Classification of a single decoding attempt.
 ///
@@ -40,16 +42,17 @@ impl DecodeOutcome {
     }
 }
 
-/// How a hard decoder's decision depends on the syndrome — the contract that
-/// lets batch engines compile the decoder into lane operations without
-/// enumerating the `2^(n-k)` syndrome space.
+/// How a hard decoder's decision depends on the syndrome, together with the
+/// data a batch engine compiles it from — the contract that lets batch
+/// engines turn the decoder into lane operations without enumerating the
+/// `2^(n-k)` syndrome space.
 ///
 /// Every decoder in this crate is *coset-invariant* (the correction depends
 /// only on the syndrome); this enum names the shape of the map. All three
 /// classes share the column arm (a syndrome equal to column `j` of `H` flips
 /// position `j`) and differ in what they do with the other nonzero
 /// syndromes: flag them, run the algebra, or run bit-flip rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone)]
 pub enum SyndromeClass {
     /// Textbook single-error syndrome decoding with detection fallback:
     ///
@@ -72,19 +75,38 @@ pub enum SyndromeClass {
     ///
     /// Batch engines match the `n` columns of `H` exactly as for
     /// [`SyndromeClass::ColumnFlip`] (a single error is the decoder's
-    /// answer to a column syndrome), then run the algebra — from power
-    /// syndromes accumulated bit-sliced across the limb — only on the dirty
-    /// lanes no column matched (see `ecc::AlgebraicDecode`).
-    Algebraic,
+    /// answer to a column syndrome), then, on the dirty lanes no column
+    /// matched, accumulate the power syndromes bit-sliced by `plan` and run
+    /// `action` per lane (see [`crate::algebraic`]).
+    Algebraic {
+        /// The constant accumulation plan for the code's power syndromes.
+        plan: SlicedSyndromePlan,
+        /// Decides one residual lane from its power syndromes and full
+        /// syndrome.
+        action: AlgebraicActionFn,
+    },
     /// Iterative message-passing decoding (e.g. LDPC bit flipping): the
     /// correction emerges from repeated whole-word check/flip rounds, not
     /// from a per-syndrome lookup or a locator polynomial. Batch engines
-    /// match the `n` columns of `H` first, then run the *same synchronous
-    /// schedule bit-sliced* on the lanes no column matched — each round is
-    /// whole-limb AND/XOR/majority work shared by 64 lanes — so even
-    /// all-dirty limbs never leave the sliced domain (see
-    /// `ecc::IterativeDecode`).
-    Iterative,
+    /// match the `n` columns of `H` first, then run the plan's *same
+    /// synchronous schedule bit-sliced* on the lanes no column matched —
+    /// each round is whole-limb AND/XOR/majority work shared by 64 lanes —
+    /// so even all-dirty limbs never leave the sliced domain (see
+    /// [`crate::iterative`]).
+    Iterative(BitFlipPlan),
+}
+
+impl fmt::Debug for SyndromeClass {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SyndromeClass::ColumnFlip => f.write_str("ColumnFlip"),
+            SyndromeClass::Algebraic { plan, .. } => f
+                .debug_struct("Algebraic")
+                .field("plan", plan)
+                .finish_non_exhaustive(),
+            SyndromeClass::Iterative(plan) => f.debug_tuple("Iterative").field(plan).finish(),
+        }
+    }
 }
 
 /// Result of decoding one received word.

@@ -1,4 +1,4 @@
-//! Iterative bit-flipping decoding contracts for batch engines.
+//! Iterative bit-flipping decoding data for batch engines.
 //!
 //! Algebraic codes keep a scalar region — Berlekamp–Massey and the locator
 //! solve run per dirty lane. An LDPC bit-flipping decoder has no such
@@ -17,14 +17,17 @@
 //! decision depends only on check parities, which depend only on the error
 //! pattern — the decoder is coset-invariant like every other in this crate.
 //!
-//! [`IterativeDecode`] is implemented by codes that expose this schedule as
-//! a [`BitFlipPlan`]; the batch crate compiles the plan into its bit-flip
-//! kernel, and the scalar [`decode`](crate::HardDecoder::decode) must follow
-//! the identical schedule.
+//! A decoder of class
+//! [`SyndromeClass::Iterative`](crate::SyndromeClass::Iterative) carries
+//! this schedule as a [`BitFlipPlan`]; the batch crate compiles the plan
+//! into its bit-flip kernel, and the scalar
+//! [`decode`](crate::HardDecoder::decode) must follow the identical
+//! schedule: running the plan on any received word must reproduce the
+//! scalar decoder's corrected codeword or error flag bit for bit. The
+//! workspace's equivalence suites assert this over exhaustive low-weight
+//! patterns and random noise.
 
 use serde::{Deserialize, Serialize};
-
-use crate::HardDecoder;
 
 /// Constant data for one synchronous bit-flipping schedule.
 ///
@@ -75,19 +78,6 @@ impl BitFlipPlan {
             }
         }
     }
-}
-
-/// A hard decoder that decodes by synchronous bit flipping, in the form
-/// batch engines consume.
-///
-/// Implementations must be *outcome-identical* to their scalar
-/// [`decode`](crate::HardDecoder::decode): running the plan's schedule on
-/// any received word must reproduce the scalar decoder's corrected codeword
-/// or error flag bit for bit. The workspace's equivalence suites assert
-/// this over exhaustive low-weight patterns and random noise.
-pub trait IterativeDecode: HardDecoder {
-    /// The constant synchronous bit-flipping schedule for this code.
-    fn bit_flip_plan(&self) -> BitFlipPlan;
 }
 
 #[cfg(test)]

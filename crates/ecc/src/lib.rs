@@ -57,7 +57,7 @@ pub mod decoder;
 pub mod iterative;
 pub mod weight;
 
-pub use algebraic::{AlgebraicAction, AlgebraicDecode, SlicedSyndromePlan};
+pub use algebraic::{AlgebraicAction, AlgebraicActionFn, SlicedSyndromePlan};
 pub use analysis::{CodeAnalysis, DecodingPolicy, ErrorPatternStats};
 pub use batch::{BatchDecode, BatchDecoded, BatchEncode, BatchScratch};
 pub use codes::bch::{Bch, BchSpec};
@@ -66,7 +66,7 @@ pub use codes::ldpc::Ldpc;
 pub use codes::reed_muller::{ReedMuller, Rm13};
 pub use codes::sec_ded::{SECDED_MAX_M, SECDED_MIN_M};
 pub use decoder::{DecodeOutcome, Decoded, SyndromeClass};
-pub use iterative::{BitFlipPlan, IterativeDecode};
+pub use iterative::BitFlipPlan;
 
 use gf2::{BitMat, BitVec};
 
@@ -181,12 +181,13 @@ pub trait HardDecoder: BlockCode {
     /// Panics if `received.len() != self.n()`.
     fn decode(&self, received: &BitVec) -> Decoded;
 
-    /// The shape of this decoder's syndrome → action map (see
-    /// [`SyndromeClass`]), which tells batch engines how to compile it
-    /// without enumerating the syndrome space. Every decoder states its
-    /// class: there is no default. Batch/scalar equivalence is enforced by
-    /// the workspace's exhaustive tests, and batch construction re-verifies
-    /// the column arm with one scalar probe per position.
+    /// The shape of this decoder's syndrome → action map, with the residual
+    /// plan its class needs (see [`SyndromeClass`]): everything a batch
+    /// engine compiles the decoder from, without enumerating the syndrome
+    /// space. Every decoder states its class: there is no default.
+    /// Batch/scalar equivalence is enforced by the workspace's exhaustive
+    /// tests, and batch construction re-verifies the column arm with one
+    /// scalar probe per position.
     fn syndrome_class(&self) -> SyndromeClass;
 
     /// Best-effort decoding: like [`HardDecoder::decode`] but ambiguous

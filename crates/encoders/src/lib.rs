@@ -409,7 +409,6 @@ impl EncoderDesign {
         Some(synth::synthesize_linear_encoder(
             &format!("{}_naive", self.kind.netlist_name()),
             self.code.generator(),
-            synth::SynthesisOptions::default(),
         ))
     }
 

@@ -5,8 +5,8 @@
 //! the circuit-level cost of each encoder (Table II) as the number of
 //! Josephson junctions (JJs), the static power dissipation, and the layout
 //! area. This crate provides the per-cell constants needed to perform the
-//! same bookkeeping, together with timing parameters and operating margins
-//! used by the gate-level simulator (`sfq-sim`) and its PPV fault model.
+//! same bookkeeping, together with the operating margins used by the PPV
+//! fault model of the gate-level simulator (`sfq-sim`).
 //!
 //! Per-cell JJ count, power, and area are *calibrated* so that the three
 //! encoder netlists of the paper reproduce Table II exactly (the calibration
@@ -36,11 +36,9 @@
 
 pub mod margins;
 pub mod process;
-pub mod timing;
 
 pub use margins::{MarginSpec, ParameterClass};
 pub use process::Process;
-pub use timing::TimingParams;
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -164,8 +162,6 @@ pub struct CellParams {
     pub bias_current_ua: f64,
     /// Switching energy per output pulse in attojoules (~ Ic · Φ0).
     pub switching_energy_aj: f64,
-    /// Timing parameters (delay, setup, hold).
-    pub timing: TimingParams,
     /// Operating-margin specification used by the PPV fault model.
     pub margins: MarginSpec,
 }
@@ -220,7 +216,6 @@ impl CellLibrary {
                 area_mm2: 0.0006,
                 bias_current_ua: 175.0,
                 switching_energy_aj: 0.2,
-                timing: TimingParams::combinational(2.5),
                 margins: MarginSpec::uniform(0.40),
             },
             CellParams {
@@ -230,7 +225,6 @@ impl CellLibrary {
                 area_mm2: 0.003,
                 bias_current_ua: 510.0,
                 switching_energy_aj: 0.4,
-                timing: TimingParams::combinational(3.0),
                 margins: MarginSpec::uniform(0.48),
             },
             CellParams {
@@ -240,7 +234,6 @@ impl CellLibrary {
                 area_mm2: 0.003,
                 bias_current_ua: 610.0,
                 switching_energy_aj: 0.5,
-                timing: TimingParams::combinational(4.0),
                 margins: MarginSpec::uniform(0.32),
             },
             CellParams {
@@ -250,7 +243,6 @@ impl CellLibrary {
                 area_mm2: 0.005,
                 bias_current_ua: 770.0,
                 switching_energy_aj: 0.7,
-                timing: TimingParams::clocked(5.0, 3.0, 1.0),
                 margins: MarginSpec::uniform(0.34),
             },
             CellParams {
@@ -260,7 +252,6 @@ impl CellLibrary {
                 area_mm2: 0.006,
                 bias_current_ua: 1380.0,
                 switching_energy_aj: 1.1,
-                timing: TimingParams::clocked(6.5, 3.5, 1.5),
                 margins: MarginSpec::uniform(0.31),
             },
             CellParams {
@@ -270,7 +261,6 @@ impl CellLibrary {
                 area_mm2: 0.006,
                 bias_current_ua: 1350.0,
                 switching_energy_aj: 1.1,
-                timing: TimingParams::clocked(6.5, 3.5, 1.5),
                 margins: MarginSpec::uniform(0.27),
             },
             CellParams {
@@ -280,7 +270,6 @@ impl CellLibrary {
                 area_mm2: 0.005,
                 bias_current_ua: 1150.0,
                 switching_energy_aj: 0.9,
-                timing: TimingParams::clocked(6.0, 3.0, 1.5),
                 margins: MarginSpec::uniform(0.30),
             },
             CellParams {
@@ -290,7 +279,6 @@ impl CellLibrary {
                 area_mm2: 0.005,
                 bias_current_ua: 1150.0,
                 switching_energy_aj: 0.9,
-                timing: TimingParams::clocked(6.0, 3.0, 1.5),
                 margins: MarginSpec::uniform(0.28),
             },
             CellParams {
@@ -300,7 +288,6 @@ impl CellLibrary {
                 area_mm2: 0.004,
                 bias_current_ua: 1030.0,
                 switching_energy_aj: 1.5,
-                timing: TimingParams::combinational(8.0),
                 margins: MarginSpec::uniform(0.30),
             },
             CellParams {
@@ -310,7 +297,6 @@ impl CellLibrary {
                 area_mm2: 0.003,
                 bias_current_ua: 450.0,
                 switching_energy_aj: 0.5,
-                timing: TimingParams::combinational(5.0),
                 margins: MarginSpec::uniform(0.35),
             },
         ];

@@ -118,9 +118,6 @@ impl Pass for CancellationFactoringPass {
     }
 
     fn run(&self, unit: &mut SynthUnit) -> Result<String, PassError> {
-        if !unit.options.factoring {
-            return Ok("disabled by options".to_string());
-        }
         if unit.ir.k() > MAX_SUPPORT_BITS {
             return Ok(format!(
                 "skipped: k = {} exceeds the {MAX_SUPPORT_BITS}-bit support word",

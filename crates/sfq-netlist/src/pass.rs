@@ -81,31 +81,24 @@ pub enum InputDiscipline {
     Align,
 }
 
-/// Configuration of the synthesis pipeline.
+/// Configuration of the synthesis pipeline. Every emitted encoder balances
+/// its outputs to one logic depth with DFF pad chains and drives each
+/// primary output through an SFQ-to-DC converter (the paper's encoders
+/// drive cryogenic cables); which factoring runs is a [`Schedule`] decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PipelineOptions {
     /// Operand-arrival discipline.
     pub discipline: InputDiscipline,
-    /// Run the common-pair factoring pass (disable to get the pure balanced
-    /// tree flow).
-    pub factoring: bool,
     /// Extra clocked stages the factoring pass may add beyond the naive tree
     /// depth (0 keeps the naive latency).
     pub depth_slack: usize,
-    /// Add an SFQ-to-DC output driver in front of each primary output.
-    pub output_drivers: bool,
-    /// Balance all outputs to the same logic depth with DFF pad chains.
-    pub balance_outputs: bool,
 }
 
 impl Default for PipelineOptions {
     fn default() -> Self {
         PipelineOptions {
             discipline: InputDiscipline::Hold,
-            factoring: true,
             depth_slack: 0,
-            output_drivers: true,
-            balance_outputs: true,
         }
     }
 }
@@ -537,12 +530,9 @@ pub fn planned_cost(unit: &SynthUnit) -> PlannedCost {
         };
     }
     let mut scratch = unit.ir.clone();
-    tree_balance(
-        &mut scratch,
-        unit.options.balance_outputs && unit.schedule.stretch,
-    );
+    tree_balance(&mut scratch, unit.schedule.stretch);
     let plan = FanoutPlan::compute(&scratch, &unit.options);
-    plan.planned_cost(&scratch, &unit.options)
+    plan.planned_cost(&scratch)
 }
 
 // ---------------------------------------------------------------------------
@@ -561,9 +551,6 @@ impl Pass for GreedyFactoringPass {
     }
 
     fn run(&self, unit: &mut SynthUnit) -> Result<String, PassError> {
-        if !unit.options.factoring {
-            return Ok("disabled by options".to_string());
-        }
         let budget = unit.ir.depth_budget() + unit.options.depth_slack;
         let extracted = factor_common_pairs(&mut unit.ir, budget);
         Ok(format!(
@@ -710,8 +697,7 @@ impl Pass for TreeBalancePass {
     }
 
     fn run(&self, unit: &mut SynthUnit) -> Result<String, PassError> {
-        let stretch = unit.options.balance_outputs && unit.schedule.stretch;
-        let trees = tree_balance(&mut unit.ir, stretch);
+        let trees = tree_balance(&mut unit.ir, unit.schedule.stretch);
         Ok(format!("{trees} multi-term equations lowered"))
     }
 }
@@ -848,16 +834,7 @@ impl FanoutPlan {
             roots.push(root);
             max_depth = max_depth.max(ir.depth(root));
         }
-        let pads: Vec<usize> = roots
-            .iter()
-            .map(|&r| {
-                if options.balance_outputs {
-                    max_depth - ir.depth(r)
-                } else {
-                    0
-                }
-            })
-            .collect();
+        let pads: Vec<usize> = roots.iter().map(|&r| max_depth - ir.depth(r)).collect();
         let mut align: BTreeMap<SignalId, Vec<AlignTap>> = BTreeMap::new();
         for ((signal, target_depth), consumers) in align_consumers {
             align.entry(signal).or_default().push(AlignTap {
@@ -903,7 +880,7 @@ impl FanoutPlan {
 
     /// Exact cell counts a faithful emission of this plan produces.
     #[must_use]
-    pub fn planned_cost(&self, ir: &ParityIr, options: &PipelineOptions) -> PlannedCost {
+    pub fn planned_cost(&self, ir: &ParityIr) -> PlannedCost {
         let xor = ir.factors().len() as u64;
         let mut dff = self.pads.iter().map(|&p| p as u64).sum::<u64>();
         let mut data_splitters: u64 = self.uses.iter().map(|&u| u.saturating_sub(1) as u64).sum();
@@ -916,11 +893,7 @@ impl FanoutPlan {
                 data_splitters += (tap.consumers + continues).saturating_sub(1) as u64;
             }
         }
-        let sfq_to_dc = if options.output_drivers {
-            ir.num_outputs() as u64
-        } else {
-            0
-        };
+        let sfq_to_dc = ir.num_outputs() as u64;
         let clock_sinks = xor + dff;
         let clock_splitters = clock_sinks.saturating_sub(1);
         PlannedCost {
@@ -1057,20 +1030,17 @@ impl Pass for EmitNetlistPass {
         for j in 0..ir.num_outputs() {
             let out_name = format!("c{}", j + 1);
             let root = ir.output_terms(j)[0];
-            let mut signal = ports[root].pop_front().expect("planned output port");
-            signal = dff_chain(
+            let head = ports[root].pop_front().expect("planned output port");
+            let signal = dff_chain(
                 &mut nl,
-                signal,
+                head,
                 plan.pad_stages(j),
                 &format!("{out_name}_pad"),
             );
-            if options.output_drivers {
-                let driver = nl.add_cell(CellKind::SfqToDc, format!("{out_name}_drv"));
-                nl.connect(signal, driver, 0);
-                signal = PortRef::of(driver);
-            }
+            let driver = nl.add_cell(CellKind::SfqToDc, format!("{out_name}_drv"));
+            nl.connect(signal, driver, 0);
             let output = nl.add_output(out_name);
-            nl.connect(signal, output, 0);
+            nl.connect(PortRef::of(driver), output, 0);
         }
         let cells = nl.nodes().len();
         unit.netlist = Some(nl);
@@ -1582,34 +1552,19 @@ mod tests {
 
     #[test]
     fn disabling_factoring_falls_back_to_plain_tree_lowering() {
-        let result = run_standard(PipelineOptions {
-            factoring: false,
-            ..Default::default()
-        });
-        assert_eq!(result.report.passes[0].detail, "disabled by options");
+        let schedule = Schedule {
+            factoring: FactoringKind::None,
+            ..Schedule::default()
+        };
+        let result = PassManager::with_schedule(PipelineOptions::default(), schedule)
+            .run("h84", &hamming84_generator())
+            .unwrap();
+        assert_eq!(result.report.passes[0].detail, "no factoring by schedule");
         // Identical-subtree reuse during lowering still shares one gate
         // (7 instead of the fully unshared 8 of the naive flow), but the
         // depth-budgeted factoring win (6) requires the pass.
         assert_eq!(result.netlist.count_cells(CellKind::Xor), 7);
         assert!(drc::is_clean(&result.netlist));
-    }
-
-    #[test]
-    fn options_without_drivers_or_balancing_are_respected() {
-        let result = run_standard(PipelineOptions {
-            output_drivers: false,
-            balance_outputs: false,
-            ..Default::default()
-        });
-        let nl = &result.netlist;
-        assert_eq!(nl.count_cells(CellKind::SfqToDc), 0);
-        assert_eq!(
-            nl.count_cells(CellKind::Dff),
-            0,
-            "no pads without balancing"
-        );
-        let depths = nl.output_depths();
-        assert!(depths.contains(&0) && depths.contains(&2), "{depths:?}");
     }
 
     #[test]

@@ -101,41 +101,19 @@ pub fn build_clock_tree(netlist: &mut Netlist, prefix: &str) -> usize {
     sinks.len() - 1
 }
 
-/// Options for the generic linear-encoder synthesis flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SynthesisOptions {
-    /// Add an SFQ-to-DC output driver in front of each primary output (the
-    /// paper's encoders drive cryogenic cables, so they always do).
-    pub output_drivers: bool,
-    /// Balance all outputs to the same logic depth with DFF chains.
-    pub balance_outputs: bool,
-}
-
-impl Default for SynthesisOptions {
-    fn default() -> Self {
-        SynthesisOptions {
-            output_drivers: true,
-            balance_outputs: true,
-        }
-    }
-}
-
 /// Synthesizes a gate-level SFQ encoder netlist for an arbitrary binary
 /// linear code given its `k × n` generator matrix.
 ///
 /// Each codeword bit `c_j = ⊕_{i : G[i][j]=1} m_i` becomes a balanced XOR
 /// tree; passthrough bits (single-term columns) become DFF delay chains; all
-/// outputs are balanced to the worst-case logic depth; message fan-out and
-/// the clock network are expanded into explicit splitters.
+/// outputs are balanced to the worst-case logic depth and driven through
+/// SFQ-to-DC converters; message fan-out and the clock network are expanded
+/// into explicit splitters.
 ///
 /// # Panics
 /// Panics if the generator matrix has a zero column (a codeword bit that
 /// depends on no message bit cannot be generated).
-pub fn synthesize_linear_encoder(
-    name: &str,
-    generator: &BitMat,
-    options: SynthesisOptions,
-) -> Netlist {
+pub fn synthesize_linear_encoder(name: &str, generator: &BitMat) -> Netlist {
     let k = generator.rows();
     let n = generator.cols();
     let mut netlist = Netlist::new(name);
@@ -234,22 +212,16 @@ pub fn synthesize_linear_encoder(
             level = next_level;
             depth += 1;
         }
-        let mut signal = level[0];
-        if options.balance_outputs && depth < max_depth {
-            signal = dff_chain(
-                &mut netlist,
-                signal,
-                max_depth - depth,
-                &format!("{out_name}_pad"),
-            );
-        }
-        if options.output_drivers {
-            let driver = netlist.add_cell(CellKind::SfqToDc, format!("{out_name}_drv"));
-            netlist.connect(signal, driver, 0);
-            signal = PortRef::of(driver);
-        }
+        let signal = dff_chain(
+            &mut netlist,
+            level[0],
+            max_depth - depth,
+            &format!("{out_name}_pad"),
+        );
+        let driver = netlist.add_cell(CellKind::SfqToDc, format!("{out_name}_drv"));
+        netlist.connect(signal, driver, 0);
         let output = netlist.add_output(out_name);
-        netlist.connect(signal, output, 0);
+        netlist.connect(PortRef::of(driver), output, 0);
     }
 
     build_clock_tree(&mut netlist, "clk");
@@ -332,11 +304,7 @@ mod tests {
     #[test]
     fn generic_hamming84_synthesis_is_clean_and_balanced() {
         let code = ColumnCode::hamming84();
-        let nl = synthesize_linear_encoder(
-            "hamming84_generic",
-            code.generator(),
-            SynthesisOptions::default(),
-        );
+        let nl = synthesize_linear_encoder("hamming84_generic", code.generator());
         assert!(drc::is_clean(&nl), "{:?}", drc::check(&nl));
         assert_eq!(nl.inputs().len(), 4);
         assert_eq!(nl.outputs().len(), 8);
@@ -348,24 +316,6 @@ mod tests {
         // All outputs aligned.
         let depths = nl.output_depths();
         assert!(depths.iter().all(|&d| d == depths[0]), "{depths:?}");
-    }
-
-    #[test]
-    fn generic_synthesis_without_drivers_or_balancing() {
-        let code = ColumnCode::hamming84();
-        let nl = synthesize_linear_encoder(
-            "hamming84_bare",
-            code.generator(),
-            SynthesisOptions {
-                output_drivers: false,
-                balance_outputs: false,
-            },
-        );
-        assert_eq!(nl.count_cells(CellKind::SfqToDc), 0);
-        // Passthrough outputs keep depth 0, XOR cones have depth 2.
-        let depths = nl.output_depths();
-        assert!(depths.contains(&0));
-        assert!(depths.contains(&2));
     }
 
     #[test]
@@ -435,11 +385,7 @@ mod tests {
     fn pipeline_cuts_secded_7264_jj_count_by_at_least_20_percent() {
         use sfq_cells::CellLibrary;
         let code = ecc::ColumnCode::sec_ded(6);
-        let naive = synthesize_linear_encoder(
-            "secded_72_64_naive",
-            code.generator(),
-            SynthesisOptions::default(),
-        );
+        let naive = synthesize_linear_encoder("secded_72_64_naive", code.generator());
         let optimized = synthesize_encoder(
             "secded_72_64_encoder",
             code.generator(),
@@ -469,8 +415,7 @@ mod tests {
     #[test]
     fn baseline_3832_encoder_synthesizes() {
         let code = ColumnCode::shortened_hamming_38_32();
-        let nl =
-            synthesize_linear_encoder("peng3832", code.generator(), SynthesisOptions::default());
+        let nl = synthesize_linear_encoder("peng3832", code.generator());
         assert!(drc::is_clean(&nl), "{:?}", drc::check(&nl));
         assert_eq!(nl.inputs().len(), 32);
         assert_eq!(nl.outputs().len(), 38);

@@ -31,7 +31,7 @@ use crate::fault::{Fault, FaultScript};
 use crate::queue::{BoundedQueue, TryPushError};
 use crate::report::{LatencyHistogram, StreamReport};
 use cryolink::burst::{BurstSource, SparseFlipSource};
-use ecc::{BatchDecode, BatchDecoded, BatchEncode, BatchScratch};
+use ecc::{BatchDecode, BatchDecoded, BatchEncode, BatchScratch, ColumnCode};
 use gf2::BitSlice64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -128,7 +128,8 @@ impl StreamConfig {
     }
 
     /// The same operating point with the arrival rate scaled by
-    /// `factor_milli / 1000` (1500 = the ISSUE's 1.5× overload).
+    /// `factor_milli / 1000` (1500 = the 1.5× overload of
+    /// `docs/STREAMING.md`).
     #[must_use]
     pub fn with_rate_factor(mut self, factor_milli: u64) -> Self {
         self.arrivals_per_1024 = self.arrivals_per_1024 * factor_milli / 1000;
@@ -658,7 +659,7 @@ struct Executor {
 
 impl Executor {
     fn new(config: &StreamConfig) -> Self {
-        let codec = BatchCodec::sec_ded(config.secded_m);
+        let codec = BatchCodec::new(&ColumnCode::sec_ded(config.secded_m));
         Executor {
             flips: SparseFlipSource::new(config.flip_prob),
             scratch: BatchScratch::new(),

@@ -17,6 +17,7 @@ use sfq_ecc::ecc::{
     validate_code_matrices, BatchDecode, BatchEncode, BchSpec, BlockCode, ColumnCode,
     DecodeOutcome, Decoded, HardDecoder, Rm13, SyndromeClass,
 };
+use sfq_ecc::encoders::EncoderKind;
 use sfq_ecc::gf2::{
     syndrome_bytes, syndrome_bytes_inverse, BitMat, BitSlice64, BitVec, WeightPatterns,
 };
@@ -165,9 +166,8 @@ fn assert_batch_matches_scalar_on<C: BlockCode + HardDecoder>(code: &C, received
     assert_codec_matches_scalar_on(&BatchCodec::new(code), code, received);
 }
 
-/// Word-for-word scalar-vs-batch agreement through a caller-built codec
-/// (algebraic and iterative codes need their own constructors instead of
-/// the plain one).
+/// Word-for-word scalar-vs-batch agreement through a caller-built codec,
+/// for callers that decode through it again.
 fn assert_codec_matches_scalar_on<C: BlockCode + HardDecoder>(
     codec: &BatchCodec,
     code: &C,
@@ -316,7 +316,7 @@ fn bch_exhaustive_double_error_corpus(code: &sfq_ecc::ecc::Bch, messages: usize)
 #[test]
 fn bch_31_16_batch_is_bit_exact_on_all_zero_one_and_two_bit_patterns() {
     let code = sfq_ecc::ecc::Bch::bch_31_16();
-    let codec = BatchCodec::bch();
+    let codec = BatchCodec::new(&code);
     let received = bch_exhaustive_double_error_corpus(&code, 2);
     assert_eq!(received.len(), 2 * (1 + 31 + 465));
     assert_codec_matches_scalar_on(&codec, &code, &received);
@@ -334,7 +334,7 @@ fn bch_31_16_batch_is_bit_exact_on_all_zero_one_and_two_bit_patterns() {
 #[test]
 fn bch_63_51_batch_is_bit_exact_on_all_zero_one_and_two_bit_patterns() {
     let code = sfq_ecc::ecc::Bch::bch_63_51();
-    let codec = BatchCodec::bch_63_51();
+    let codec = BatchCodec::new(&code);
     let received = bch_exhaustive_double_error_corpus(&code, 2);
     assert_eq!(received.len(), 2 * (1 + 63 + 1953));
     assert_codec_matches_scalar_on(&codec, &code, &received);
@@ -378,7 +378,7 @@ fn bch_63_45_batch_corrects_seeded_triple_errors_identically() {
         );
         assert_eq!(scalar.message.as_ref(), Some(msg));
     }
-    let codec = BatchCodec::bch_63_45();
+    let codec = BatchCodec::new(&code);
     assert_codec_matches_scalar_on(&codec, &code, &received);
     let decoded = codec.decode_batch(&BitSlice64::pack(&received));
     assert_eq!(decoded.flagged_count(), 0);
@@ -393,7 +393,7 @@ fn bch_63_45_batch_corrects_seeded_triple_errors_identically() {
 #[test]
 fn bch_63_45_flags_sampled_four_bit_patterns_identically() {
     let code = sfq_ecc::ecc::Bch::bch_63_45();
-    let codec = BatchCodec::bch_63_45();
+    let codec = BatchCodec::new(&code);
     let mut rng = StdRng::seed_from_u64(0xBC43_6346);
     let mut received = Vec::new();
     for positions in [[0usize, 1, 2, 3], [7, 19, 33, 60], [2, 20, 40, 62]] {
@@ -428,7 +428,7 @@ fn bch_63_45_flags_sampled_four_bit_patterns_identically() {
 #[ignore = "heavy exhaustive tier; run with --include-ignored bch (nightly CI leg)"]
 fn bch_63_45_exhaustive_triple_error_tier_is_bit_exact() {
     let code = sfq_ecc::ecc::Bch::bch_63_45();
-    let codec = BatchCodec::bch_63_45();
+    let codec = BatchCodec::new(&code);
     let mut rng = StdRng::seed_from_u64(0xBC43_6347);
     let msg: BitVec = (0..code.k())
         .map(|_| rng.random::<u64>() & 1 == 1)
@@ -469,7 +469,7 @@ fn bch_63_51_exhaustive_double_error_tier_over_widened_message_sample() {
     let code = sfq_ecc::ecc::Bch::bch_63_51();
     let received = bch_exhaustive_double_error_corpus(&code, 20);
     assert_eq!(received.len(), 20 * (1 + 63 + 1953));
-    assert_codec_matches_scalar_on(&BatchCodec::bch_63_51(), &code, &received);
+    assert_batch_matches_scalar_on(&code, &received);
 }
 
 /// The nightly `bch` tier (CI matrix flag, `--include-ignored bch`): the
@@ -481,7 +481,7 @@ fn bch_31_16_exhaustive_double_error_tier_over_widened_message_sample() {
     let code = sfq_ecc::ecc::Bch::bch_31_16();
     let received = bch_exhaustive_double_error_corpus(&code, 40);
     assert_eq!(received.len(), 40 * 497);
-    assert_codec_matches_scalar_on(&BatchCodec::bch(), &code, &received);
+    assert_batch_matches_scalar_on(&code, &received);
 }
 
 /// Random triple-error words: with d_min = 7 and decode radius 2, no
@@ -515,7 +515,7 @@ fn bch_31_16_triple_errors_are_detected_identically_in_both_paths() {
             "d_min = 7 guarantees triples are detected at radius 2"
         );
     }
-    let codec = BatchCodec::bch();
+    let codec = BatchCodec::new(&code);
     assert_codec_matches_scalar_on(&codec, &code, &received);
     let decoded = codec.decode_batch(&BitSlice64::pack(&received));
     assert_eq!(decoded.flagged_count(), received.len());
@@ -533,7 +533,7 @@ fn bch_31_16_random_words_agree_with_scalar_decode() {
                 .collect()
         })
         .collect();
-    assert_codec_matches_scalar_on(&BatchCodec::bch(), &code, &words);
+    assert_batch_matches_scalar_on(&code, &words);
 }
 
 /// A test-local single-error-correcting code over a *random* parity-check
@@ -731,12 +731,8 @@ fn bch_registry_matches_the_scalar_decoder_at_ragged_batch_sizes() {
     for (s, spec) in BchSpec::REGISTRY.into_iter().enumerate() {
         let code = sfq_ecc::ecc::Bch::from_spec(spec);
         let radius = spec.decode_radius as usize;
-        assert_sweep_matches_scalar(
-            &BatchCodec::bch_spec(spec),
-            &code,
-            radius + 1,
-            0xBC43_2001 + s as u64,
-        );
+        let seed = 0xBC43_2001 + s as u64;
+        assert_sweep_matches_scalar(&BatchCodec::new(&code), &code, radius + 1, seed);
     }
 }
 
@@ -750,31 +746,37 @@ fn bch_registry_matches_the_scalar_decoder_at_ragged_batch_sizes() {
 #[test]
 fn ldpc_bit_flip_engine_is_kernel_invariant_and_matches_scalar_decode() {
     let code = sfq_ecc::ecc::Ldpc::gallager_60_32();
-    assert_sweep_matches_scalar(&BatchCodec::ldpc(), &code, 3, 0xBC43_2002);
+    assert_sweep_matches_scalar(&BatchCodec::new(&code), &code, 3, 0xBC43_2002);
 }
 
-/// Every column-stage kernel is reached by a code the sweeps above decode:
-/// the code's redundancy picks direct dispatch (`r ≤ 8`) or the decision
-/// tree, at every batch length. Algebraic and iterative codecs name their
-/// residual stage too.
+/// Every column-stage kernel is reached by a catalog code the sweeps above
+/// decode: the code's redundancy picks direct dispatch (`r ≤ 8`) or the
+/// decision tree, at every batch length. Algebraic and iterative codecs name
+/// their residual stage too.
 #[test]
 fn selected_kernel_names_follow_the_code_and_batch_shape() {
-    let cases = [
-        (BatchCodec::hamming74(), "direct4"),
-        (BatchCodec::hamming84(), "direct4"),
-        (BatchCodec::rm13(), "direct4"),
-        (BatchCodec::sec_ded(3), "direct8"),
-        (BatchCodec::sec_ded(4), "direct8"),
-        (BatchCodec::sec_ded(5), "direct8"),
-        (BatchCodec::sec_ded(6), "direct8"),
-        (BatchCodec::wide_hamming_85_64(), "tree"),
-        (BatchCodec::bch(), "tree+sliced"),
-        (BatchCodec::bch_63_51(), "tree+sliced"),
-        (BatchCodec::bch_63_45(), "tree+sliced"),
-        (BatchCodec::ldpc(), "tree+bit-flip"),
-        (BatchCodec::uncoded(4), "none"),
+    // In catalog order: RM(1,3), Hamming(7,4), Hamming(8,4), uncoded, the
+    // four SEC-DED members, Shortened Hamming(85,64), the three BCH members
+    // and LDPC(60,32).
+    let names = [
+        "direct4",
+        "direct4",
+        "direct4",
+        "none",
+        "direct8",
+        "direct8",
+        "direct8",
+        "direct8",
+        "tree",
+        "tree+sliced",
+        "tree+sliced",
+        "tree+sliced",
+        "tree+bit-flip",
     ];
-    for (codec, name) in cases {
+    let kinds = EncoderKind::catalog();
+    assert_eq!(kinds.len(), names.len());
+    for (kind, name) in kinds.into_iter().zip(names) {
+        let codec = BatchCodec::new(&*kind.reference_code());
         for lanes in [64, 192, 4096] {
             assert_eq!(
                 codec.selected_kernel_name(lanes),
@@ -884,7 +886,7 @@ fn sixty_four_lane_roundtrip_with_seeded_rng() {
     // The headline configuration: exactly one limb of 64 independent
     // codewords per bit lane, random messages, random single-bit errors.
     let mut rng = StdRng::seed_from_u64(0xBA7C4);
-    let codec = BatchCodec::hamming84();
+    let codec = BatchCodec::new(&ColumnCode::hamming84());
     let messages: Vec<BitVec> = (0..64)
         .map(|_| BitVec::from_u64(4, rng.random_range(0..16)))
         .collect();

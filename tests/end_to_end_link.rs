@@ -141,7 +141,7 @@ fn fig5_curves_are_bit_identical_for_one_and_eight_threads() {
     }
 }
 
-/// The wide-word scenario of the ISSUE: SEC-DED(72,64) words through the
+/// The wide-word scenario: SEC-DED(72,64) words through the
 /// cryo link under ±20 % PPV, on both the scalar pulse-level path and the
 /// bit-sliced batch driver. The curves must agree: overlapping 95 % Wilson
 /// intervals on the zero-error probability and a small gap between the point

@@ -13,11 +13,7 @@ use sfq_ecc::sim::{GateLevelSim, Stimulus};
 #[test]
 fn generic_synthesis_and_paper_circuit_agree_functionally() {
     let code = ColumnCode::hamming84();
-    let generic = synth::synthesize_linear_encoder(
-        "hamming84_generic",
-        code.generator(),
-        synth::SynthesisOptions::default(),
-    );
+    let generic = synth::synthesize_linear_encoder("hamming84_generic", code.generator());
     assert!(drc::is_clean(&generic));
     let sim = GateLevelSim::new(&generic);
     let latency = generic.logic_depth();
@@ -41,11 +37,7 @@ fn generic_synthesis_and_paper_circuit_agree_functionally() {
 fn paper_circuits_are_smaller_than_generic_synthesis() {
     let lib = CellLibrary::coldflux();
     let code = ColumnCode::hamming84();
-    let generic = synth::synthesize_linear_encoder(
-        "hamming84_generic",
-        code.generator(),
-        synth::SynthesisOptions::default(),
-    );
+    let generic = synth::synthesize_linear_encoder("hamming84_generic", code.generator());
     let generic_stats = NetlistStats::compute(&generic, &lib);
     let paper_stats = EncoderDesign::build(EncoderKind::Hamming84).stats(&lib);
     assert!(paper_stats.cost.jj_count < generic_stats.cost.jj_count);
@@ -59,11 +51,7 @@ fn paper_circuits_are_smaller_than_generic_synthesis() {
 #[test]
 fn baseline_3832_encoder_is_functional_at_gate_level() {
     let code = ColumnCode::shortened_hamming_38_32();
-    let netlist = synth::synthesize_linear_encoder(
-        "peng3832",
-        code.generator(),
-        synth::SynthesisOptions::default(),
-    );
+    let netlist = synth::synthesize_linear_encoder("peng3832", code.generator());
     assert!(drc::is_clean(&netlist));
     let sim = GateLevelSim::new(&netlist);
     let latency = netlist.logic_depth();

@@ -141,7 +141,6 @@ proptest! {
         let netlist = synth::synthesize_linear_encoder(
             "rm_generic",
             code.generator(),
-            synth::SynthesisOptions::default(),
         );
         prop_assert!(sfq_ecc::netlist::drc::is_clean(&netlist));
         let sim = sfq_ecc::sim::GateLevelSim::new(&netlist);
@@ -409,7 +408,7 @@ proptest! {
         use sfq_ecc::link::burst::{BurstSource, Interleaver};
 
         let width = 1 + width_offset % depth;
-        let codec = BatchCodec::sec_ded(3); // SEC-DED(13,8)
+        let codec = BatchCodec::new(&ColumnCode::sec_ded(3)); // SEC-DED(13,8)
         let interleaver = Interleaver::new(depth);
 
         let blocks: Vec<(Vec<BitVec>, BitSlice64)> = (0..depth)

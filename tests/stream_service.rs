@@ -125,8 +125,9 @@ fn severe_overload_walks_the_ladder_and_recovers() {
 #[test]
 fn moderate_overload_degrades_without_shedding() {
     let config = test_config();
-    // The ISSUE's 1.5x overload: the widened/detection rungs absorb it; the
-    // shedding rung must never engage and nothing may be lost.
+    // The 1.5x overload of docs/STREAMING.md: the widened/detection rungs
+    // absorb it; the shedding rung must never engage and nothing may be
+    // lost.
     let script = FaultScript::quiet().with(
         2048,
         Fault::RateSpike {

@@ -102,17 +102,8 @@ fn assert_catalog_matches(prefixes: &[&str]) {
 #[test]
 fn batch_metric_names_match_the_observability_catalog() {
     // Every catalog member's shipping codec.
-    let codecs = EncoderKind::catalog().into_iter().map(|kind| match kind {
-        EncoderKind::None => BatchCodec::uncoded(4),
-        EncoderKind::Hamming74 => BatchCodec::hamming74(),
-        EncoderKind::Hamming84 => BatchCodec::hamming84(),
-        EncoderKind::Rm13 => BatchCodec::rm13(),
-        EncoderKind::SecDed(m) => BatchCodec::sec_ded(usize::from(m)),
-        EncoderKind::WideHamming8564 => BatchCodec::wide_hamming_85_64(),
-        EncoderKind::Bch(spec) => BatchCodec::bch_spec(spec),
-        EncoderKind::Ldpc => BatchCodec::ldpc(),
-    });
-    for codec in codecs {
+    for kind in EncoderKind::catalog() {
+        let codec = BatchCodec::new(&*kind.reference_code());
         let mut received = BitSlice64::zeros(codec.n(), 130);
         for lane in (0..130).step_by(3) {
             received.set(lane, lane % codec.n(), true);

@@ -10,7 +10,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sfq_ecc::batch::BatchCodec;
 use sfq_ecc::cells::CellLibrary;
-use sfq_ecc::ecc::{BatchDecode, BatchEncode, BchSpec, DecodeOutcome, HardDecoder};
+use sfq_ecc::ecc::{
+    BatchDecode, BatchEncode, Bch, BchSpec, ColumnCode, DecodeOutcome, HardDecoder, Ldpc, Rm13,
+};
 use sfq_ecc::encoders::{EncoderDesign, EncoderKind};
 use sfq_ecc::gf2::{BitSlice64, BitVec};
 use sfq_ecc::link::Fig5Experiment;
@@ -79,7 +81,7 @@ fn fig5_paper_fingerprint() -> u64 {
 const SECDED_DECODE_FNV: u64 = 0x1cbf_80f6_f8ae_c63b;
 
 fn secded_decode_fingerprint() -> u64 {
-    let codec = BatchCodec::new(&sfq_ecc::ecc::ColumnCode::sec_ded(6));
+    let codec = BatchCodec::new(&ColumnCode::sec_ded(6));
     let mut rng = StdRng::seed_from_u64(0x00DE_7E81);
     let messages: Vec<BitVec> = (0..256)
         .map(|_| BitVec::from_u64(64, rng.random::<u64>()))
@@ -114,7 +116,6 @@ const SCALAR_DECODE_FNV: u64 = 0x952c_4096_9532_7938;
 /// `min_distance()` is pinned (not for the Hamming codes with `r ≥ 5`,
 /// whose `k > 24` once put them beyond exhaustive enumeration).
 fn scalar_codes() -> Vec<(Box<dyn HardDecoder>, bool)> {
-    use sfq_ecc::ecc::{ColumnCode, Rm13};
     let mut codes: Vec<(Box<dyn HardDecoder>, bool)> = vec![
         (Box::new(ColumnCode::hamming74()), true),
         (Box::new(ColumnCode::hamming84()), true),
@@ -210,12 +211,14 @@ const REGISTRY_DECODE_FNV: u64 = 0x659d_be88_a366_4393;
 fn registry_decode_fingerprint() -> u64 {
     let mut words: Vec<u64> = Vec::new();
     let mut rng = StdRng::seed_from_u64(0xBC4_1D9C);
-    for codec in [
-        BatchCodec::bch(),
-        BatchCodec::bch_63_51(),
-        BatchCodec::bch_63_45(),
-        BatchCodec::ldpc(),
-    ] {
+    let codes: [Box<dyn HardDecoder>; 4] = [
+        Box::new(Bch::bch_31_16()),
+        Box::new(Bch::bch_63_51()),
+        Box::new(Bch::bch_63_45()),
+        Box::new(Ldpc::gallager_60_32()),
+    ];
+    for code in codes {
+        let codec = BatchCodec::new(&*code);
         let (n, k) = (codec.n(), codec.k());
         let messages: Vec<BitVec> = (0..192)
             .map(|_| (0..k).map(|_| rng.random::<u64>() & 1 == 1).collect())
