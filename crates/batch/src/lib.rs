@@ -889,7 +889,8 @@ fn column_entries<C: HardDecoder + ?Sized>(code: &C) -> Vec<MatchEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecc::{Bch, BchSpec, BlockCode, ColumnCode, DecodeOutcome, Ldpc, Rm13};
+    use ecc::{Bch, BchSpec, BlockCode, ColumnCode, DecodeOutcome, Ldpc};
+    use encoders::EncoderKind;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -901,24 +902,12 @@ mod tests {
             .collect()
     }
 
-    /// The catalog's thirteen codes, in the order of
-    /// `encoders::EncoderKind::catalog()` (a crate this one sits below).
-    fn catalog_codes() -> Vec<Box<dyn HardDecoder>> {
-        let mut codes: Vec<Box<dyn HardDecoder>> = vec![
-            Box::new(Rm13::new()),
-            Box::new(ColumnCode::hamming74()),
-            Box::new(ColumnCode::hamming84()),
-            Box::new(ColumnCode::uncoded(4)),
-        ];
-        for m in 3..=ecc::SECDED_MAX_M {
-            codes.push(Box::new(ColumnCode::sec_ded(m)));
-        }
-        codes.push(Box::new(ColumnCode::wide_85_64()));
-        for spec in BchSpec::REGISTRY {
-            codes.push(Box::new(Bch::from_spec(spec)));
-        }
-        codes.push(Box::new(Ldpc::gallager_60_32()));
-        codes
+    /// The catalog's thirteen codes, in `EncoderKind::catalog()` order.
+    fn catalog_codes() -> Vec<Box<dyn HardDecoder + Send + Sync>> {
+        EncoderKind::catalog()
+            .iter()
+            .map(EncoderKind::reference_code)
+            .collect()
     }
 
     #[test]

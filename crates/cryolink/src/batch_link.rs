@@ -476,10 +476,10 @@ impl<'a> BatchLink<'a> {
 }
 
 /// The batch codec of a design's reference code
-/// ([`encoders::EncoderKind::reference_code`]).
+/// ([`EncoderDesign::reference_code`]).
 #[must_use]
 pub fn batch_codec_for(design: &EncoderDesign) -> BatchCodec {
-    BatchCodec::new(&*design.kind().reference_code())
+    BatchCodec::new(design.reference_code())
 }
 
 /// Per-node downstream output channels, under two notions of reachability.

@@ -57,6 +57,7 @@ use sfq_netlist::pass::{
 use sfq_netlist::{synth, Netlist, NetlistStats};
 use sfq_sim::equivalence;
 use sfq_sim::{FaultMap, GateLevelSim, Stimulus, Trace};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which encoder design to build.
 ///
@@ -318,6 +319,13 @@ impl EncoderDesign {
 
     /// Builds all four designs of the paper (three encoders + uncoded
     /// baseline).
+    ///
+    /// Unlike [`EncoderDesign::build_catalog`], this builds one design
+    /// after another on the calling thread: the four paper designs
+    /// synthesize in under 1 ms in total, too little to pay for a worker
+    /// thread. Built on worker threads instead, the Fig. 5 benchmark's
+    /// set-up read 0.69 → 0.84 ms and 0.96 → 1.22 ms (×1.21–1.27, slower
+    /// in 37–39 of 40 alternating runs each, 2-core x86-64).
     #[must_use]
     pub fn build_all() -> Vec<EncoderDesign> {
         EncoderKind::ALL.iter().map(|&k| Self::build(k)).collect()
@@ -325,6 +333,20 @@ impl EncoderDesign {
 
     /// Builds every member of [`EncoderKind::catalog`], including the
     /// synthesized SEC-DED family.
+    ///
+    /// The designs are independent, so they are built concurrently, each by
+    /// [`EncoderDesign::build`], on up to
+    /// [`std::thread::available_parallelism`] scoped workers; the calling
+    /// thread is one of them, so on one core nothing is spawned. Workers
+    /// claim kinds one at a time, and the result is in catalog order
+    /// whatever the interleaving. Synthesis is a function of the kind
+    /// alone, so every design (netlist, reports, plan) is the one a serial
+    /// build returns.
+    ///
+    /// # Panics
+    /// Panics, with the original message, if a design fails synthesis (see
+    /// [`EncoderDesign::build`]): a worker's panic is re-raised on the
+    /// calling thread once every worker has stopped.
     ///
     /// # Example
     ///
@@ -344,10 +366,7 @@ impl EncoderDesign {
     /// ```
     #[must_use]
     pub fn build_catalog() -> Vec<EncoderDesign> {
-        EncoderKind::catalog()
-            .into_iter()
-            .map(Self::build)
-            .collect()
+        build_concurrently(&EncoderKind::catalog())
     }
 
     /// Which design this is.
@@ -389,6 +408,13 @@ impl EncoderDesign {
     #[must_use]
     pub fn pareto_sweep(&self, library: &CellLibrary, max_slack: usize) -> Vec<ParetoPoint> {
         self.kind.pareto_sweep(library, max_slack)
+    }
+
+    /// The scalar reference code and decoder this design was built from
+    /// (its kind's [`EncoderKind::reference_code`]).
+    #[must_use]
+    pub fn reference_code(&self) -> &(dyn HardDecoder + Send + Sync) {
+        &*self.code
     }
 
     /// The generator matrix of the reference code.
@@ -503,6 +529,41 @@ impl EncoderDesign {
             .run_with_faults(&stim, self.latency + 1, faults, rng);
         trace.dc_word_at(self.latency)
     }
+}
+
+/// Builds `kinds` with [`EncoderDesign::build`] on up to
+/// `available_parallelism()` workers, the calling thread among them, and
+/// returns the designs in the order of `kinds`. Workers claim kinds from a
+/// shared index; a worker's panic is re-raised with its own payload rather
+/// than `std::thread::scope`'s generic one.
+fn build_concurrently(kinds: &[EncoderKind]) -> Vec<EncoderDesign> {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(kinds.len());
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut built = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&kind) = kinds.get(i) else {
+                return built;
+            };
+            built.push((i, EncoderDesign::build(kind)));
+        }
+    };
+    let mut built = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut built = work();
+        for handle in spawned {
+            match handle.join() {
+                Ok(more) => built.extend(more),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        built
+    });
+    built.sort_unstable_by_key(|&(i, _)| i);
+    built.into_iter().map(|(_, design)| design).collect()
 }
 
 #[cfg(test)]
@@ -690,7 +751,19 @@ mod tests {
         );
         assert_eq!(EncoderKind::Ldpc.name(), "LDPC(60,32)");
         assert_eq!(EncoderKind::Ldpc.netlist_name(), "ldpc_60_32_encoder");
-        assert_eq!(EncoderDesign::build_catalog().len(), 13);
+        let built = EncoderDesign::build_catalog();
+        assert_eq!(built.len(), 13);
+        // Concurrent workers still return the designs in catalog order.
+        let kinds: Vec<EncoderKind> = built.iter().map(EncoderDesign::kind).collect();
+        assert_eq!(kinds, catalog);
+    }
+
+    #[test]
+    #[should_panic(expected = "SEC-DED data-width exponent must be in")]
+    fn concurrent_builds_re_raise_the_original_panic() {
+        // Every kind panics, so whichever worker panics first, its own
+        // message must surface, not the scope's generic one.
+        build_concurrently(&[EncoderKind::SecDed(9); 4]);
     }
 
     #[test]

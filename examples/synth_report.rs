@@ -137,11 +137,11 @@ fn main() {
     w.begin_object();
     w.key("designs");
     w.begin_array();
-    for kind in EncoderKind::catalog() {
-        if kind == EncoderKind::None {
+    for design in EncoderDesign::build_catalog() {
+        if design.kind() == EncoderKind::None {
             continue;
         }
-        write_design(&mut w, &EncoderDesign::build(kind), &library);
+        write_design(&mut w, &design, &library);
     }
     w.end_array();
     w.end_object();
