@@ -51,8 +51,8 @@ use gf2::{BitMat, BitVec};
 use serde::{Deserialize, Serialize};
 use sfq_cells::CellLibrary;
 use sfq_netlist::pass::{
-    pareto_sweep, InputDiscipline, ParetoPoint, PassManager, PipelineOptions, PipelineReport,
-    SchedulePlan, SynthPlanner,
+    pareto_sweep, InputDiscipline, ParetoPoint, PipelineOptions, PipelineReport, SchedulePlan,
+    SynthPlanner,
 };
 use sfq_netlist::{synth, Netlist, NetlistStats};
 use sfq_sim::equivalence;
@@ -262,11 +262,11 @@ impl EncoderDesign {
     /// Every coded design is synthesized from its generator matrix by the
     /// cost-model-driven pass pipeline (a
     /// [`sfq_netlist::pass::SynthPlanner`] prices every [`Schedule`]
-    /// candidate and the [`sfq_netlist::pass::PassManager`] runs the
-    /// cheapest) with the per-design [`EncoderKind::pipeline_options`], and
-    /// the resulting netlist is simulation-checked against the reference
-    /// code before it is accepted. The uncoded baseline keeps its trivial
-    /// hand-built data path.
+    /// candidate and lowers the cheapest one's factored IR) with the
+    /// per-design [`EncoderKind::pipeline_options`], and the resulting
+    /// netlist is simulation-checked against the reference code before it
+    /// is accepted. The uncoded baseline keeps its trivial hand-built data
+    /// path.
     ///
     /// [`Schedule`]: sfq_netlist::pass::Schedule
     ///
@@ -294,13 +294,10 @@ impl EncoderDesign {
         let (netlist, synthesis_report, schedule_plan) = if kind == EncoderKind::None {
             (no_encoder::build_netlist(), None, None)
         } else {
-            let planner = SynthPlanner::new(kind.pipeline_options(), library);
-            let plan = planner.plan(code.generator());
-            let result = PassManager::with_schedule(kind.pipeline_options(), plan.chosen)
+            let (result, plan) = SynthPlanner::new(kind.pipeline_options(), library)
                 .with_netlist_verifier(equivalence::verifier())
                 .run(&kind.netlist_name(), code.generator())
                 .unwrap_or_else(|e| panic!("synthesis pipeline failed for {}: {e}", kind.name()));
-            sfq_netlist::pass::record_plan_metrics(&plan, &result, library);
             (result.netlist, Some(result.report), Some(plan))
         };
         let latency = netlist.logic_depth();

@@ -12,28 +12,31 @@
 //!
 //! [`CancellationFactoringPass`] lifts the restriction. It works on the
 //! *support* level (each signal's GF(2) footprint over the message bits,
-//! packed into a `u128` word) and greedily applies three rewrite families to
+//! packed into a `u128` word) and greedily applies these rewrite families to
 //! the per-output term lists, all under the same depth budget as the Paar
 //! pass:
 //!
-//! * **free rewrites** — a subset of 2–4 terms whose supports XOR to the
-//!   support of an *existing* signal (or to zero) collapses onto that signal
-//!   at zero gate cost;
+//! * **free rewrites** — a pair of terms whose supports XOR to the support
+//!   of an *existing* signal (or to zero) collapses onto that signal at zero
+//!   gate cost;
+//! * **rectangles** — the signals shared by a subset of equations fold into
+//!   one shared sum (see `State::best_rectangle`);
 //! * **pair factors** — the classic Paar move, generalized to match by
 //!   support rather than by signal identity;
-//! * **cancelling factors** — a new gate `v = x ⊕ y` built from any two
-//!   existing signals whose combined support equals the XOR of *three or
-//!   four* terms of one or more equations; each use replaces that subset
-//!   with the single signal `v`, which is exactly the Boyar–Peralta "use a
-//!   known sum and cancel the overlap" step.
+//! * **companion rewrites** — a new gate `v = x ⊕ y` built from two existing
+//!   signals, used to replace *three or four* terms of an equation by the
+//!   pair `{v, w}`, where `w` is an existing signal and the supports agree:
+//!   the Boyar–Peralta "use a known sum and cancel the overlap" step in its
+//!   depth-feasible shape. Once built, `v` also replaces any 2–4 terms of
+//!   any equation whose supports XOR to its own.
 //!
 //! The search is a *bounded-distance* heuristic: rewrites look at subsets of
 //! at most [`MAX_SUBSET`] terms and constructor candidates at distance one
 //! gate, rather than solving the (NP-hard) minimum straight-line program.
-//! Candidate scoring is lazy — while plain pair sharing still pays well the
-//! pass behaves exactly like a support-level Paar and skips the subset
-//! enumeration entirely, so the expensive cancellation search only runs on
-//! the small residual systems where it matters.
+//! Candidate scoring is lazy — while rectangles and plain pair sharing still
+//! pay, no 3/4-term subset is scored; only a full stall pays for the
+//! companion scan, so the expensive cancellation search only runs on the
+//! small residual systems where it matters.
 //!
 //! When no rewrite earns anything, the pass performs one **cost-neutral
 //! lowering step**: it combines the two shallowest terms of the largest
@@ -56,20 +59,21 @@
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ir::{ParityIr, SignalId};
 use crate::pass::{Pass, PassError, SynthUnit};
-use std::collections::HashMap;
 
 /// Largest term subset a cancellation rewrite may replace at once.
 ///
-/// Subsets of two are ordinary sharing, three and four are the cancelling
-/// rewrites. Five and beyond cost `O(|terms|^5)` to enumerate and almost
-/// never survive the depth budget; bounding the distance here is what keeps
-/// the pass polynomial and fast.
+/// Subsets of two are ordinary sharing and the free rewrites; three and
+/// four are the companion rewrites, and what a newly built gate may replace.
+/// Five and beyond cost `O(|terms|^5)` to enumerate and almost never survive
+/// the depth budget; bounding the distance here is what keeps the pass
+/// polynomial and fast.
 pub const MAX_SUBSET: usize = 4;
 
-/// Term lists longer than this skip the 3/4-subset enumeration (pairs are
-/// always scored). Long lists appear only in the early dense phase, where no
-/// useful constructor signals exist yet anyway; bounding the enumeration
-/// keeps the pass near the Paar pass's cost on wide codes.
+/// Term lists longer than this skip the companion rewrites' 3/4-subset
+/// enumeration (pairs are always scored). Long lists appear only in the
+/// early dense phase, where no useful constructor signals exist yet anyway;
+/// bounding the enumeration keeps the pass near the Paar pass's cost on wide
+/// codes.
 pub const SUBSET_DEC_CAP: usize = 18;
 
 /// Term lists longer than this skip the 4-subset enumeration (cubic vs
@@ -156,48 +160,12 @@ pub struct CancellationOutcome {
 /// arrangement on the widest — so both run and the cheaper program is
 /// kept (ties go to the lexicographic arrangement).
 ///
-/// Results for factor-free input IRs are memoized process-wide: the search
-/// is deterministic in `(term lists, budget)`, and the same catalog
-/// generators are synthesized many times per process (schedule planning
-/// prices this pass before the pipeline runs it, and test suites rebuild
-/// the catalog per module), so repeat calls are clone-cheap.
-///
 /// # Panics
 /// Panics if `ir.k()` exceeds [`MAX_SUPPORT_BITS`] (the pass wrapper guards
 /// this and skips instead).
 pub fn factor_with_cancellation(ir: &mut ParityIr, budget: usize) -> CancellationOutcome {
-    use std::sync::{Mutex, OnceLock};
-    type CacheKey = (usize, Vec<u128>, usize);
-    static CACHE: OnceLock<Mutex<HashMap<CacheKey, (ParityIr, CancellationOutcome)>>> =
-        OnceLock::new();
-
-    let key = ir.factors().is_empty().then(|| {
-        let columns: Vec<u128> = (0..ir.num_outputs())
-            .map(|j| {
-                ir.output_terms(j)
-                    .iter()
-                    .map(|&t| 1u128 << t)
-                    .fold(0, |acc, bit| acc | bit)
-            })
-            .collect();
-        (ir.k(), columns, budget)
-    });
-    if let Some(key) = &key {
-        let cache = CACHE
-            .get_or_init(Mutex::default)
-            .lock()
-            .expect("cache lock");
-        if let Some((cached, outcome)) = cache.get(key) {
-            *ir = cached.clone();
-            sfq_telemetry::global()
-                .counter("synth.cancel.cache_hits")
-                .inc();
-            return *outcome;
-        }
-    }
-    sfq_telemetry::global()
-        .counter("synth.cancel.cache_misses")
-        .inc();
+    let registry = sfq_telemetry::global();
+    registry.counter("synth.cancel.searches").inc();
     let mut best: Option<(ParityIr, CancellationOutcome)> = None;
     for rollout_ties in [false, true] {
         let mut candidate = ir.clone();
@@ -211,7 +179,6 @@ pub fn factor_with_cancellation(ir: &mut ParityIr, budget: usize) -> Cancellatio
     }
     let (winner, outcome) = best.expect("both arrangements ran");
     *ir = winner;
-    let registry = sfq_telemetry::global();
     registry
         .counter("synth.cancel.factors")
         .add(outcome.gates as u64);
@@ -224,13 +191,6 @@ pub fn factor_with_cancellation(ir: &mut ParityIr, budget: usize) -> Cancellatio
     registry
         .counter("synth.cancel.pruned")
         .add(outcome.pruned as u64);
-    if let Some(key) = key {
-        CACHE
-            .get_or_init(Mutex::default)
-            .lock()
-            .expect("cache lock")
-            .insert(key, (ir.clone(), outcome));
-    }
     outcome
 }
 
@@ -852,8 +812,7 @@ impl<'a> State<'a> {
         }
         let rectangle = self.best_rectangle();
         let rect_saving = rectangle.as_ref().map_or(0, |(_, _, s)| *s);
-        let pair_cands = self.score_pairs();
-        let best_pair = best_candidate(&pair_cands);
+        let best_pair = best_candidate(&self.score_pairs());
         // Rectangles first: a wide shared sum saves (|I|−1)(|J|−1) at once,
         // and taking the pair tier first would fragment it.
         if rect_saving >= 2 && rect_saving > best_pair.map_or(0, |c| c.net) {
@@ -875,13 +834,7 @@ impl<'a> State<'a> {
             self.extract_rectangle(&takers, &members);
             return true;
         }
-        let subsets = self.subset_xors();
-        let subset_cands = self.score_subsets(&pair_cands, &subsets);
-        let best = match (best_pair, best_candidate(&subset_cands)) {
-            (Some(p), Some(s)) => Some(if better(&s, &p) { s } else { p }),
-            (p, s) => p.or(s),
-        };
-        if let Some(c) = best {
+        if let Some(c) = best_pair {
             if c.net >= 1 {
                 self.apply_scored(c);
                 return true;
@@ -896,7 +849,7 @@ impl<'a> State<'a> {
         // materialized sums to cancel against).
         self.companion_dry.1 += 1;
         if self.companion_dry.0 < 2 || self.companion_dry.1.is_multiple_of(4) {
-            let companion_cands = self.score_companions(&subsets);
+            let companion_cands = self.score_companions(&self.subset_xors());
             match best_candidate(&companion_cands) {
                 Some(c) if c.net >= 1 => {
                     self.companion_dry.0 = 0;
@@ -960,7 +913,7 @@ impl<'a> State<'a> {
         true
     }
 
-    /// Collapses every subset that already equals an existing signal (or
+    /// Collapses every term pair that already equals an existing signal (or
     /// zero) — pure wins that cost no gate. Returns whether any fired.
     fn apply_free_rewrites(&mut self) -> bool {
         let mut any = false;
@@ -993,64 +946,10 @@ impl<'a> State<'a> {
                         }
                     }
                 }
-                // Larger free subsets only pay off (and stay affordable)
-                // once the term lists are short.
-                if dec.len() <= SUBSET_DEC_CAP {
-                    if let Some((subset, w)) = self.find_free_subset(j) {
-                        if let Some(w) = w {
-                            self.toggle(j, w);
-                        }
-                        self.apply_collapse(j, &subset);
-                        self.outcome.free_rewrites += 1;
-                        any = true;
-                        continue 'rescan;
-                    }
-                }
                 break;
             }
         }
         any
-    }
-
-    /// A free subset of size 3..=[`MAX_SUBSET`]: XORs to zero, or to an
-    /// existing signal outside the subset within the depth budget.
-    fn find_free_subset(&self, j: usize) -> Option<(Vec<SignalId>, Option<SignalId>)> {
-        let dec = &self.decs[j];
-        let n = dec.len();
-        for x in 0..n {
-            let sx = self.supports[dec[x]];
-            for y in (x + 1)..n {
-                let sxy = sx ^ self.supports[dec[y]];
-                for z in (y + 1)..n {
-                    let sxyz = sxy ^ self.supports[dec[z]];
-                    let triple = [dec[x], dec[y], dec[z]];
-                    if sxyz == 0 {
-                        return Some((triple.to_vec(), None));
-                    }
-                    if let Some(&w) = self.by_support.get(&sxyz) {
-                        if !triple.contains(&w) && self.feasible(j, &triple, self.ir.depth(w)) {
-                            return Some((triple.to_vec(), Some(w)));
-                        }
-                    }
-                    if MAX_SUBSET < 4 || n > QUAD_DEC_CAP {
-                        continue;
-                    }
-                    for u in (z + 1)..n {
-                        let s4 = sxyz ^ self.supports[dec[u]];
-                        let quad = [dec[x], dec[y], dec[z], dec[u]];
-                        if s4 == 0 {
-                            return Some((quad.to_vec(), None));
-                        }
-                        if let Some(&w) = self.by_support.get(&s4) {
-                            if !quad.contains(&w) && self.feasible(j, &quad, self.ir.depth(w)) {
-                                return Some((quad.to_vec(), Some(w)));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        None
     }
 
     /// Occurrence count of every signal across all multi-term lists, indexed
@@ -1119,8 +1018,9 @@ impl<'a> State<'a> {
     }
 
     /// XOR supports of every 3- and 4-term subset of the (short enough)
-    /// term lists, each with the occurrences that produced it, so scoring
-    /// can check depth feasibility per occurrence.
+    /// term lists that no signal carries yet, each with the occurrences that
+    /// produced it, so the companion scan can check depth feasibility per
+    /// occurrence.
     fn subset_xors(&self) -> FxHashMap<u128, Vec<SubsetUse>> {
         let mut uses: FxHashMap<u128, Vec<SubsetUse>> = FxHashMap::default();
         for (j, dec) in self.decs.iter().enumerate() {
@@ -1163,47 +1063,6 @@ impl<'a> State<'a> {
             }
         }
         uses
-    }
-
-    /// Scores supports reachable as the XOR of 3..=[`MAX_SUBSET`] terms —
-    /// the direct cancelling candidates, constructible in one gate. Only
-    /// depth-feasible occurrences count toward a candidate's net gain.
-    fn score_subsets(
-        &self,
-        pair_cands: &FxHashMap<u128, Candidate>,
-        subsets: &FxHashMap<u128, Vec<SubsetUse>>,
-    ) -> FxHashMap<u128, Candidate> {
-        let cap = 1u128 << self.budget;
-        let mut cands: FxHashMap<u128, Candidate> = FxHashMap::default();
-        for (&support, occurrences) in subsets {
-            if self.banned.contains(&support) {
-                continue;
-            }
-            let extra = pair_cands.get(&support).map_or(0, |c| c.net + 1);
-            let Some(&(x, y, depth)) = self.reachable.get(&support) else {
-                continue;
-            };
-            let added = 1u128 << depth;
-            let gain: i64 = occurrences
-                .iter()
-                .filter(|o| self.sums[o.output] - o.removed + added <= cap)
-                .map(|o| o.gain)
-                .sum();
-            if gain == 0 {
-                continue;
-            }
-            cands.insert(
-                support,
-                Candidate {
-                    support,
-                    ctor: (x, y),
-                    depth,
-                    net: gain + extra - 1,
-                    freq: 0,
-                },
-            );
-        }
-        cands
     }
 
     /// Scores the companion rewrites: replace a 3/4-term subset `U` by the
@@ -1463,6 +1322,7 @@ mod oracle {
     //! against these.
 
     use super::*;
+    use std::collections::HashMap;
 
     /// Reference rectangle mining: every signal's mask is scanned for
     /// every output subset.
@@ -1706,18 +1566,11 @@ mod tests {
     /// The cancellation-free Paar factoring of the same system under the
     /// same depth budget — the baseline the cancellation pass must beat.
     fn paar_xor_count(g: &BitMat, depth_slack: usize) -> usize {
-        let mut unit = SynthUnit {
-            name: "paar".to_string(),
-            generator: g.clone(),
-            options: crate::pass::PipelineOptions {
-                depth_slack,
-                ..Default::default()
-            },
-            schedule: crate::pass::Schedule::default(),
-            ir: ParityIr::from_generator(g),
-            plan: None,
-            netlist: None,
+        let options = crate::pass::PipelineOptions {
+            depth_slack,
+            ..Default::default()
         };
+        let mut unit = SynthUnit::new("paar", g, options, crate::pass::Schedule::default());
         crate::pass::GreedyFactoringPass
             .run(&mut unit)
             .expect("paar is infallible");

@@ -42,7 +42,10 @@
 //! `planned_costs_match_the_emitted_netlist_exactly` test), prices each with
 //! [`CellLibrary::cost_of`], and picks the cheapest, with ties resolved in
 //! favor of the earlier (more conservative) candidate so the paper's
-//! encoders keep their published cell-for-cell budgets. [`pareto_sweep`]
+//! encoders keep their published cell-for-cell budgets.
+//! [`SynthPlanner::run`] then lowers the chosen candidate's own factored IR
+//! through the remaining passes, so each factoring kind runs once per
+//! design. [`pareto_sweep`]
 //! runs the same planning across a range of `depth_slack` values and marks
 //! the latency/area Pareto front — the encoding-latency vs. JJ-budget
 //! trade-off superconducting decoders care about.
@@ -224,6 +227,27 @@ pub struct SynthUnit {
     pub plan: Option<FanoutPlan>,
     /// The netlist under construction (after [`EmitNetlistPass`]).
     pub netlist: Option<Netlist>,
+}
+
+impl SynthUnit {
+    /// A unit holding the generator's unfactored IR, with no plan or
+    /// netlist yet.
+    pub(crate) fn new(
+        name: &str,
+        generator: &BitMat,
+        options: PipelineOptions,
+        schedule: Schedule,
+    ) -> Self {
+        SynthUnit {
+            name: name.to_string(),
+            generator: generator.clone(),
+            options,
+            schedule,
+            ir: ParityIr::from_generator(generator),
+            plan: None,
+            netlist: None,
+        }
+    }
 }
 
 /// Planned (or, once the netlist exists, actual) circuit cost of a unit.
@@ -457,54 +481,68 @@ impl PassManager {
     /// Panics if the generator has a zero column, or if the final pass did
     /// not produce a netlist.
     pub fn run(&self, name: &str, generator: &BitMat) -> Result<SynthResult, PassError> {
-        let mut unit = SynthUnit {
-            name: name.to_string(),
-            generator: generator.clone(),
-            options: self.options,
-            schedule: self.schedule,
-            ir: ParityIr::from_generator(generator),
-            plan: None,
-            netlist: None,
-        };
+        let unit = SynthUnit::new(name, generator, self.options, self.schedule);
+        self.lower(unit, Vec::new())
+    }
+
+    /// Runs the passes that `reports` does not yet account for over `unit`
+    /// (every pass for a fresh unit; the lowering passes once
+    /// [`SynthPlanner::run`] has run the factoring slot), then the attached
+    /// verifier.
+    fn lower(
+        &self,
+        mut unit: SynthUnit,
+        mut reports: Vec<PassReport>,
+    ) -> Result<SynthResult, PassError> {
         sfq_telemetry::global().counter("synth.runs").inc();
-        let mut reports = Vec::with_capacity(self.passes.len());
-        for (pass, timer) in self.passes.iter().zip(&self.pass_timers) {
+        let done = reports.len();
+        for (pass, timer) in self.passes.iter().zip(&self.pass_timers).skip(done) {
             let before = planned_cost(&unit);
             let detail = {
                 // Records the pass's wall time on scope exit, error or not.
                 let _span = sfq_telemetry::SpanTimer::start(timer.clone());
                 pass.run(&mut unit)?
             };
-            unit.ir
-                .verify_against(&unit.generator)
-                .map_err(|error| PassError::Equivalence {
-                    pass: pass.name().to_string(),
-                    error,
-                })?;
-            let after = planned_cost(&unit);
-            reports.push(PassReport {
-                pass: pass.name().to_string(),
-                before,
-                after,
-                detail,
-            });
+            reports.push(account(&unit, pass.name(), before, detail)?);
         }
         let netlist = unit
             .netlist
             .expect("the pipeline's emission pass must produce a netlist");
         if let Some((verifier, timer)) = &self.verifier {
             let _span = sfq_telemetry::SpanTimer::start(timer.clone());
-            verifier(&netlist, generator).map_err(PassError::Verifier)?;
+            verifier(&netlist, &unit.generator).map_err(PassError::Verifier)?;
         }
         Ok(SynthResult {
             netlist,
             report: PipelineReport {
-                name: name.to_string(),
+                name: unit.name,
                 schedule: self.schedule,
                 passes: reports,
             },
         })
     }
+}
+
+/// Re-verifies the IR `pass` left in `unit` against the generator, then
+/// accounts for the pass: planned cost before and after, and its note.
+fn account(
+    unit: &SynthUnit,
+    pass: &str,
+    before: PlannedCost,
+    detail: String,
+) -> Result<PassReport, PassError> {
+    unit.ir
+        .verify_against(&unit.generator)
+        .map_err(|error| PassError::Equivalence {
+            pass: pass.to_string(),
+            error,
+        })?;
+    Ok(PassReport {
+        pass: pass.to_string(),
+        before,
+        after: planned_cost(unit),
+        detail,
+    })
 }
 
 /// A fresh shard of the `synth.pass.<name>.ns` span-timer histogram.
@@ -1074,43 +1112,6 @@ impl Pass for ClockTreePass {
 // Cost-model-driven schedule planning and the latency/area Pareto sweep.
 // ---------------------------------------------------------------------------
 
-/// Exact planned cost of running the pipeline on `generator` with
-/// `factoring` under each tree shaping (stretch, then compact), computed at
-/// the IR level: the factoring pass runs once, for real, timed into its
-/// `synth.pass.<name>.ns` histogram like a [`PassManager`] pass; tree
-/// balancing and fan-out planning are simulated per shaping by
-/// [`planned_cost`], which matches emission exactly. One factored IR prices
-/// both shapings because no factoring pass reads [`Schedule::stretch`]. No
-/// netlist is built.
-#[must_use]
-pub fn plan_schedule(
-    generator: &BitMat,
-    options: &PipelineOptions,
-    factoring: FactoringKind,
-) -> [(Schedule, PlannedCost); 2] {
-    let shapings = Schedule::shapings(factoring);
-    let mut unit = SynthUnit {
-        name: "plan".to_string(),
-        generator: generator.clone(),
-        options: *options,
-        schedule: shapings[0],
-        ir: ParityIr::from_generator(generator),
-        plan: None,
-        netlist: None,
-    };
-    let pass = factoring.pass();
-    {
-        let _span = sfq_telemetry::SpanTimer::start(pass_timer(pass.as_ref()));
-        pass.run(&mut unit)
-            .expect("IR factoring passes are infallible");
-    }
-    debug_assert!(unit.ir.verify_against(generator).is_ok());
-    shapings.map(|schedule| {
-        unit.schedule = schedule;
-        (schedule, planned_cost(&unit))
-    })
-}
-
 /// One priced schedule candidate from a [`SynthPlanner`] evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PlannedCandidate {
@@ -1171,10 +1172,7 @@ impl SchedulePlan {
 /// exactly, and the planned-vs-emitted JJ delta. The planner prices
 /// candidates on a scratch lowering, so any delta against the emitted
 /// netlist is a cost-model bug worth surfacing in the run report.
-/// [`SynthPlanner::run`] calls this automatically; callers that drive
-/// [`SynthPlanner::plan`] and [`PassManager`] separately (e.g. to attach a
-/// verifier) should call it after synthesis.
-pub fn record_plan_metrics(plan: &SchedulePlan, result: &SynthResult, library: &CellLibrary) {
+fn record_plan_metrics(plan: &SchedulePlan, result: &SynthResult, library: &CellLibrary) {
     let planned = plan.chosen_cost();
     let emitted = result.report.final_cost();
     let registry = sfq_telemetry::global();
@@ -1201,6 +1199,12 @@ pub fn record_plan_metrics(plan: &SchedulePlan, result: &SynthResult, library: &
 /// libraries with different DFF/splitter cost ratios genuinely produce
 /// different pipelines.
 ///
+/// [`SynthPlanner::run`] is the planned-synthesis path. Pricing runs each
+/// factoring kind once; the chosen kind's factored IR then goes through the
+/// rest of [`PassManager::run`]'s loop, so no design is factored twice and
+/// the netlist and report equal a [`PassManager::with_schedule`] run of the
+/// chosen schedule.
+///
 /// # Example
 ///
 /// ```
@@ -1210,59 +1214,118 @@ pub fn record_plan_metrics(plan: &SchedulePlan, result: &SynthResult, library: &
 ///
 /// let generator = BitMat::from_str_rows(&["11100001", "10011001", "01010101", "11010010"]);
 /// let library = CellLibrary::coldflux();
-/// let planner = SynthPlanner::new(PipelineOptions::default(), &library);
-/// let (result, plan) = planner.run("h84", &generator).unwrap();
+/// // The catalog attaches `sfq_sim::equivalence::verifier()`; this stand-in
+/// // only checks the output count.
+/// let (result, plan) = SynthPlanner::new(PipelineOptions::default(), &library)
+///     .with_netlist_verifier(Box::new(|netlist, g| {
+///         (netlist.outputs().len() == g.cols())
+///             .then_some(())
+///             .ok_or_else(|| "output count mismatch".to_string())
+///     }))
+///     .run("h84", &generator)
+///     .unwrap();
 /// // The paper's Hamming(8,4) budget: factoring cannot beat 6 XOR at depth
 /// // 2, so the conservative Paar schedule wins the tie and the netlist
 /// // matches Table II cell for cell.
 /// assert_eq!(result.report.final_cost().xor, 6);
+/// assert_eq!(result.report.final_cost(), plan.chosen_cost());
 /// assert_eq!(plan.candidates.len(), 6);
 /// ```
 pub struct SynthPlanner<'lib> {
     options: PipelineOptions,
     library: &'lib CellLibrary,
+    verifier: Option<NetlistVerifier>,
 }
 
 impl<'lib> SynthPlanner<'lib> {
     /// A planner for the given pipeline options and cell library.
     #[must_use]
     pub fn new(options: PipelineOptions, library: &'lib CellLibrary) -> Self {
-        SynthPlanner { options, library }
+        SynthPlanner {
+            options,
+            library,
+            verifier: None,
+        }
+    }
+
+    /// Attaches a gate-level verifier to [`SynthPlanner::run`] (see
+    /// [`PassManager::with_netlist_verifier`]).
+    #[must_use]
+    pub fn with_netlist_verifier(mut self, verifier: NetlistVerifier) -> Self {
+        self.verifier = Some(verifier);
+        self
     }
 
     /// Prices every schedule candidate for `generator` and picks the
     /// cheapest (by JJ count, then by candidate order on ties).
     #[must_use]
     pub fn plan(&self, generator: &BitMat) -> SchedulePlan {
-        let candidates: Vec<PlannedCandidate> = FactoringKind::ALL
-            .into_iter()
-            .flat_map(|factoring| plan_schedule(generator, &self.options, factoring))
-            .map(|(schedule, planned)| PlannedCandidate {
-                schedule,
-                planned,
-                jj: planned.jj(self.library),
-            })
-            .collect();
+        self.price(generator).0
+    }
+
+    /// The body of [`SynthPlanner::plan`]. Each factoring kind runs once,
+    /// for real, on a fresh unit, timed into its `synth.pass.<name>.ns`
+    /// histogram like a [`PassManager`] pass; [`planned_cost`] then prices
+    /// the factored IR under each tree shaping (stretch, then compact) by
+    /// simulating tree balancing and fan-out planning, which matches
+    /// emission exactly. One factored IR prices both shapings because no
+    /// factoring pass reads [`Schedule::stretch`]. No netlist is built, and
+    /// every kind's factored unit and pass note come back with the plan.
+    fn price(&self, generator: &BitMat) -> (SchedulePlan, [(SynthUnit, String); 3]) {
+        let mut candidates = Vec::new();
+        let factored = FactoringKind::ALL.map(|factoring| {
+            let shapings = Schedule::shapings(factoring);
+            let mut unit = SynthUnit::new("plan", generator, self.options, shapings[0]);
+            let pass = factoring.pass();
+            let detail = {
+                let _span = sfq_telemetry::SpanTimer::start(pass_timer(pass.as_ref()));
+                pass.run(&mut unit)
+                    .expect("IR factoring passes are infallible")
+            };
+            debug_assert!(unit.ir.verify_against(generator).is_ok());
+            for schedule in shapings {
+                unit.schedule = schedule;
+                let planned = planned_cost(&unit);
+                candidates.push(PlannedCandidate {
+                    schedule,
+                    planned,
+                    jj: planned.jj(self.library),
+                });
+            }
+            (unit, detail)
+        });
         let chosen = candidates
             .iter()
             .min_by_key(|c| c.jj)
             .expect("candidate list is never empty")
             .schedule;
-        SchedulePlan { chosen, candidates }
+        (SchedulePlan { chosen, candidates }, factored)
     }
 
-    /// Plans and synthesizes in one step.
+    /// Plans, then lowers the chosen factoring kind's own factored IR
+    /// through the remaining passes and the attached verifier.
     ///
     /// # Errors
     /// Propagates any [`PassError`] from the chosen pipeline (see
     /// [`PassManager::run`]).
     pub fn run(
-        &self,
+        self,
         name: &str,
         generator: &BitMat,
     ) -> Result<(SynthResult, SchedulePlan), PassError> {
-        let plan = self.plan(generator);
-        let result = PassManager::with_schedule(self.options, plan.chosen).run(name, generator)?;
+        let (plan, factored) = self.price(generator);
+        let (mut unit, detail) = (factored.into_iter())
+            .find(|(unit, _)| unit.schedule.factoring == plan.chosen.factoring)
+            .expect("every factoring kind is priced");
+        let before = planned_cost(&SynthUnit::new(name, generator, self.options, plan.chosen));
+        unit.name = name.to_string();
+        unit.schedule = plan.chosen;
+        let mut manager = PassManager::with_schedule(self.options, plan.chosen);
+        if let Some(verifier) = self.verifier {
+            manager = manager.with_netlist_verifier(verifier);
+        }
+        let factoring = account(&unit, manager.passes[0].name(), before, detail)?;
+        let result = manager.lower(unit, vec![factoring])?;
         record_plan_metrics(&plan, &result, self.library);
         Ok((result, plan))
     }
@@ -1747,9 +1810,7 @@ mod tests {
         );
         // Both choices are netlist-exact under their own library.
         for (plan, lib) in [(&a, &coldflux), (&b, &xor_heavy)] {
-            let result = PassManager::with_schedule(options, plan.chosen)
-                .run("flip", &g)
-                .unwrap();
+            let result = assert_planned_lowering_matches_a_fixed_run(&g, options, lib);
             assert_eq!(
                 result.report.final_cost().cost(lib).jj_count,
                 plan.candidates
@@ -1759,6 +1820,39 @@ mod tests {
                     .jj
             );
         }
+        // Planned lowering holds on systems outside the catalog too.
+        for seed in 0..4u64 {
+            let mut state = seed;
+            let k = 4 + crate::testkit::splitmix(&mut state) as usize % 9;
+            let outputs = 2 + crate::testkit::splitmix(&mut state) as usize % 7;
+            let g = crate::testkit::random_parity_system(state, k, outputs);
+            for (depth_slack, lib) in (0..=2).flat_map(|s| [(s, &coldflux), (s, &xor_heavy)]) {
+                let options = PipelineOptions {
+                    depth_slack,
+                    ..options
+                };
+                assert_planned_lowering_matches_a_fixed_run(&g, options, lib);
+            }
+        }
+    }
+
+    /// `SynthPlanner::run` lowers the chosen kind's factored IR; the result
+    /// must equal factoring again from the generator with the fixed
+    /// schedule it chose, netlist and report alike.
+    fn assert_planned_lowering_matches_a_fixed_run(
+        g: &BitMat,
+        options: PipelineOptions,
+        lib: &CellLibrary,
+    ) -> SynthResult {
+        let (planned, plan) = SynthPlanner::new(options, lib).run("flip", g).unwrap();
+        let fixed = PassManager::with_schedule(options, plan.chosen)
+            .run("flip", g)
+            .unwrap();
+        let case = format!("{g:?}, {options:?}, {}", plan.chosen.label());
+        assert_eq!(planned.netlist.to_text(), fixed.netlist.to_text(), "{case}");
+        assert_eq!(planned.report, fixed.report, "{case}");
+        assert_eq!(plan, SynthPlanner::new(options, lib).plan(g), "{case}");
+        planned
     }
 
     #[test]

@@ -14,10 +14,12 @@
 //!   flow (one XOR tree per parity equation, zero sharing). It is kept as the
 //!   cost baseline the optimizing pipeline is measured against;
 //! * [`synthesize_encoder`] — the optimizing pass pipeline (see
-//!   [`crate::pass`]): common-pair XOR factoring, tree balancing, fan-out /
-//!   alignment planning, emission, clock tree. All encoder circuits of the
-//!   `encoders` crate — including the paper's three hand-drawn designs —
-//!   are derived through this flow.
+//!   [`crate::pass`]) on its fixed default schedule: common-pair XOR
+//!   factoring, tree balancing, fan-out / alignment planning, emission,
+//!   clock tree. The `encoders` crate derives its circuits — including the
+//!   paper's three hand-drawn designs — through the same passes, but lets
+//!   [`SynthPlanner`](crate::pass::SynthPlanner) pick the factoring and tree
+//!   shaping per design.
 
 use crate::pass::{PassManager, PipelineOptions, SynthResult};
 use crate::{Netlist, NodeId, PortRef};

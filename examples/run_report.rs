@@ -75,7 +75,7 @@ fn main() {
     registry.reset();
 
     // Synthesis leg: building a SEC-DED(72,64) encoder drives the planner,
-    // the pass pipeline, and the cancellation-aware factoring memo cache,
+    // the pass pipeline, and the cancellation-aware factoring search,
     // populating the synth.* metrics.
     let library = CellLibrary::coldflux();
     let design = EncoderDesign::build(EncoderKind::SecDed(6));

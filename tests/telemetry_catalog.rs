@@ -116,8 +116,8 @@ fn batch_metric_names_match_the_observability_catalog() {
 
 #[test]
 fn synthesis_metric_names_match_the_observability_catalog() {
-    // Planning prices every factoring kind, and the catalog's chosen
-    // schedules replay at least one memoized cancellation search.
+    // Planning prices every factoring kind, and every coded design is
+    // lowered and verified through the planner.
     let _ = EncoderDesign::build_catalog();
     assert_catalog_matches(&["synth.", "encoders."]);
 }

@@ -410,9 +410,8 @@ fn batch_decode_matches_the_committed_fingerprint() {
 
 /// With recording switched off, every instrumented path takes its
 /// early-out branch, and all seven committed fingerprints must still hold
-/// (the scrub reports at one worker). The synthesis memo cache is
-/// process-wide, so the catalog build here may replay cancellation searches
-/// that another test in this binary already ran with recording on.
+/// (the scrub reports at one worker). The catalog build here runs every
+/// cancellation search with recording off.
 #[test]
 fn runtime_recording_toggle_never_changes_outputs() {
     sfq_ecc::telemetry::set_recording(false);
