@@ -250,7 +250,7 @@ impl<'a> BatchLink<'a> {
     /// Every faulty cell of the chip becomes a correlated error source whose
     /// per-message firing probability depends on its failure mode:
     ///
-    /// * **drop / invert** faults fire at `q/2` — although the pulse-level
+    /// * **drop** faults fire at `q/2` — although the pulse-level
     ///   oracle rolls such cells on every activation, a dropped pulse only
     ///   corrupts on the one cycle the data (or the clock pulse releasing
     ///   it) transits the cell, and only for one of the two nominal bit
@@ -262,7 +262,7 @@ impl<'a> BatchLink<'a> {
     ///   sampling cycle are visible.
     ///
     /// When a source fires it flips every affected output channel together:
-    /// the full data+clock fan-out cone for drop/invert, the data-port-only
+    /// the full data+clock fan-out cone for a drop, the data-port-only
     /// cone for spurious (an extra edge on a clock port evaluates an empty
     /// cell, which emits nothing). Channel noise is injected independently
     /// per channel at the cable's crossover probability.
@@ -276,12 +276,12 @@ impl<'a> BatchLink<'a> {
         for (id, fault) in faults.iter_faulty() {
             let q = fault.activation_failure_prob;
             let (prob, data_only) = match fault.mode {
-                // A dropped (or inverted) pulse is only visible on the
-                // one cycle the data transits the cell, and only for one
-                // of the two nominal bit values. Dropped *clock* pulses
-                // corrupt too (held flux is released late), so the full
-                // data+clock cone is affected.
-                FailureMode::DropPulse | FailureMode::Invert => (0.5 * q, false),
+                // A dropped pulse is only visible on the one cycle the
+                // data transits the cell, and only for one of the two
+                // nominal bit values. Dropped *clock* pulses corrupt too
+                // (held flux is released late), so the full data+clock
+                // cone is affected.
+                FailureMode::DropPulse => (0.5 * q, false),
                 // A spurious emission only corrupts where it can inject a
                 // *data* pulse (an extra edge on a clock port evaluates
                 // an empty cell, which emits nothing). The pulse-level

@@ -367,53 +367,40 @@ fn parallel_chip_map<S>(
     per_chip: &(dyn Fn(u64, &mut S) -> usize + Sync),
 ) -> (Vec<usize>, Parallelism) {
     let threads = threads.max(1).min(chips.max(1));
+    // At least 1, so zero chips give the calling thread one empty chunk.
+    let chunk = chips.div_ceil(threads).max(1);
     let mut results = vec![0usize; chips];
-    if threads <= 1 || chips == 0 {
+    // (chips processed, busy ns) per worker; each worker owns one slot, like
+    // its disjoint chunk of `results`.
+    let mut loads = vec![(0usize, 0u64); chips.div_ceil(chunk).max(1)];
+    let work = |first_chip: usize, slice: &mut [usize], load: &mut (usize, u64)| {
         let mut worker = make_worker();
+        // Handles created inside the worker are that worker's own shards —
+        // no cross-thread contention on the hot path.
         let chip_ns = sfq_telemetry::global().histogram("fig5.chip_ns");
+        let chip_count = sfq_telemetry::global().counter("fig5.chips");
         let busy = sfq_telemetry::Stopwatch::start();
-        for (chip, slot) in results.iter_mut().enumerate() {
+        for (i, slot) in slice.iter_mut().enumerate() {
             let watch = sfq_telemetry::Stopwatch::start();
-            *slot = per_chip(chip as u64, &mut worker);
+            *slot = per_chip((first_chip + i) as u64, &mut worker);
             chip_ns.record(watch.elapsed_ns());
         }
-        sfq_telemetry::global()
-            .counter("fig5.chips")
-            .add(chips as u64);
-        let parallelism = Parallelism {
-            threads: 1,
-            chips_per_worker: vec![chips],
-            busy_ns_per_worker: vec![busy.elapsed_ns()],
-        };
-        return (results, parallelism);
-    }
-    let chunk = chips.div_ceil(threads);
-    let workers = chips.div_ceil(chunk);
-    // (chips processed, busy ns) per worker; each spawn owns one slot, like
-    // its disjoint chunk of `results`.
-    let mut loads = vec![(0usize, 0u64); workers];
+        chip_count.add(slice.len() as u64);
+        *load = (slice.len(), busy.elapsed_ns());
+    };
+    // The calling thread runs the first chunk and spawns one worker per
+    // other chunk, so one thread spawns nothing.
+    let (own, rest) = results.split_at_mut(chunk.min(chips));
+    let (own_load, rest_loads) = loads.split_first_mut().expect("one worker at least");
     crossbeam::scope(|scope| {
-        for (t, (slice, load)) in results.chunks_mut(chunk).zip(loads.iter_mut()).enumerate() {
-            scope.spawn(move |_| {
-                let mut worker = make_worker();
-                // Handles created inside the worker are that worker's own
-                // shards — no cross-thread contention on the hot path.
-                let chip_ns = sfq_telemetry::global().histogram("fig5.chip_ns");
-                let chip_count = sfq_telemetry::global().counter("fig5.chips");
-                let busy = sfq_telemetry::Stopwatch::start();
-                for (i, slot) in slice.iter_mut().enumerate() {
-                    let watch = sfq_telemetry::Stopwatch::start();
-                    *slot = per_chip((t * chunk + i) as u64, &mut worker);
-                    chip_ns.record(watch.elapsed_ns());
-                }
-                chip_count.add(slice.len() as u64);
-                *load = (slice.len(), busy.elapsed_ns());
-            });
+        for (t, (slice, load)) in rest.chunks_mut(chunk).zip(rest_loads).enumerate() {
+            scope.spawn(move |_| work((t + 1) * chunk, slice, load));
         }
+        work(0, own, own_load);
     })
     .expect("Monte-Carlo worker thread panicked");
     let parallelism = Parallelism {
-        threads: workers,
+        threads: loads.len(),
         chips_per_worker: loads.iter().map(|&(n, _)| n).collect(),
         busy_ns_per_worker: loads.iter().map(|&(_, ns)| ns).collect(),
     };

@@ -51,8 +51,8 @@ use gf2::{BitMat, BitVec};
 use serde::{Deserialize, Serialize};
 use sfq_cells::CellLibrary;
 use sfq_netlist::pass::{
-    pareto_sweep, InputDiscipline, ParetoPoint, PipelineOptions, PipelineReport, SchedulePlan,
-    SynthPlanner,
+    pareto_sweep, pareto_sweep_from, InputDiscipline, ParetoPoint, PipelineOptions, PipelineReport,
+    SchedulePlan, SynthPlanner,
 };
 use sfq_netlist::{synth, Netlist, NetlistStats};
 use sfq_sim::equivalence;
@@ -400,11 +400,17 @@ impl EncoderDesign {
         self.schedule_plan.as_ref()
     }
 
-    /// The `depth_slack` latency/area Pareto sweep of this design (see
-    /// [`EncoderKind::pareto_sweep`]).
+    /// The `depth_slack` latency/area Pareto sweep of this design: the
+    /// points of [`EncoderKind::pareto_sweep`], with slack 0 taken from
+    /// this design's own [`EncoderDesign::schedule_plan`] re-priced under
+    /// `library`, so only the larger slacks are planned.
     #[must_use]
     pub fn pareto_sweep(&self, library: &CellLibrary, max_slack: usize) -> Vec<ParetoPoint> {
-        self.kind.pareto_sweep(library, max_slack)
+        let Some(slack0) = &self.schedule_plan else {
+            return Vec::new();
+        };
+        let options = self.kind.pipeline_options();
+        pareto_sweep_from(slack0, self.generator(), &options, library, max_slack)
     }
 
     /// The scalar reference code and decoder this design was built from
@@ -905,6 +911,27 @@ mod tests {
             chosen_xor,
             design.netlist().count_cells(sfq_cells::CellKind::Xor) as u64
         );
+    }
+
+    #[test]
+    fn a_design_sweeps_from_its_held_plan_to_the_points_of_a_fresh_sweep() {
+        // Built under ColdFlux, swept under the XOR-heavy library of
+        // `sfq_netlist`'s `different_cost_ratios_produce_different_schedules`:
+        // the held slack-0 plan is re-priced, every other slack re-planned.
+        let mut xor_heavy = CellLibrary::coldflux();
+        let xor = sfq_cells::CellParams {
+            jj_count: 150,
+            ..xor_heavy.params(sfq_cells::CellKind::Xor).clone()
+        };
+        xor_heavy.set_params(xor);
+        for design in EncoderDesign::build_catalog() {
+            assert_eq!(
+                design.pareto_sweep(&xor_heavy, 2),
+                design.kind().pareto_sweep(&xor_heavy, 2),
+                "{}",
+                design.name()
+            );
+        }
     }
 
     #[test]

@@ -1136,6 +1136,32 @@ pub struct SchedulePlan {
 }
 
 impl SchedulePlan {
+    /// The plan over `candidates`: the cheapest by JJ count, ties going to
+    /// the earlier candidate.
+    fn cheapest_of(candidates: Vec<PlannedCandidate>) -> SchedulePlan {
+        let chosen = candidates
+            .iter()
+            .min_by_key(|c| c.jj)
+            .expect("candidate list is never empty")
+            .schedule;
+        SchedulePlan { chosen, candidates }
+    }
+
+    /// The same candidates priced under `library`, and the winner chosen
+    /// again. Planned cell counts do not depend on the library, so this is
+    /// the plan [`SynthPlanner::plan`] makes under `library`.
+    fn repriced(&self, library: &CellLibrary) -> SchedulePlan {
+        SchedulePlan::cheapest_of(
+            self.candidates
+                .iter()
+                .map(|c| PlannedCandidate {
+                    jj: c.planned.jj(library),
+                    ..*c
+                })
+                .collect(),
+        )
+    }
+
     /// The planned cost of the chosen schedule.
     ///
     /// # Panics
@@ -1294,12 +1320,7 @@ impl<'lib> SynthPlanner<'lib> {
             }
             (unit, detail)
         });
-        let chosen = candidates
-            .iter()
-            .min_by_key(|c| c.jj)
-            .expect("candidate list is never empty")
-            .schedule;
-        (SchedulePlan { chosen, candidates }, factored)
+        (SchedulePlan::cheapest_of(candidates), factored)
     }
 
     /// Plans, then lowers the chosen factoring kind's own factored IR
@@ -1379,13 +1400,37 @@ pub fn pareto_sweep(
     library: &CellLibrary,
     max_slack: usize,
 ) -> Vec<ParetoPoint> {
+    let options = PipelineOptions {
+        depth_slack: 0,
+        ..*options
+    };
+    let slack0 = SynthPlanner::new(options, library).plan(generator);
+    pareto_sweep_from(&slack0, generator, &options, library, max_slack)
+}
+
+/// [`pareto_sweep`] with slack 0 taken from `slack0`, a plan of `generator`
+/// at `depth_slack` 0 under any cell library (such as the one a design was
+/// built with): re-priced under `library`, it is the plan the sweep would
+/// make, so only slacks 1 to `max_slack` are planned.
+#[must_use]
+pub fn pareto_sweep_from(
+    slack0: &SchedulePlan,
+    generator: &BitMat,
+    options: &PipelineOptions,
+    library: &CellLibrary,
+    max_slack: usize,
+) -> Vec<ParetoPoint> {
     let mut points: Vec<ParetoPoint> = (0..=max_slack)
         .map(|depth_slack| {
-            let options = PipelineOptions {
-                depth_slack,
-                ..*options
+            let plan = if depth_slack == 0 {
+                slack0.repriced(library)
+            } else {
+                let options = PipelineOptions {
+                    depth_slack,
+                    ..*options
+                };
+                SynthPlanner::new(options, library).plan(generator)
             };
-            let plan = SynthPlanner::new(options, library).plan(generator);
             let planned = plan.chosen_cost();
             ParetoPoint {
                 depth_slack,
@@ -1807,6 +1852,14 @@ mod tests {
             "coldflux {} vs xor-heavy {}",
             a.chosen.label(),
             b.chosen.label()
+        );
+        // Planned cell counts do not depend on the library, so re-pricing
+        // one library's plan under the other makes the other's choice, and a
+        // sweep may start from it.
+        assert_eq!(a.repriced(&xor_heavy), b);
+        assert_eq!(
+            pareto_sweep_from(&a, &g, &options, &xor_heavy, 2),
+            pareto_sweep(&g, &options, &xor_heavy, 2)
         );
         // Both choices are netlist-exact under their own library.
         for (plan, lib) in [(&a, &coldflux), (&b, &xor_heavy)] {

@@ -17,9 +17,6 @@ pub enum FailureMode {
     /// The cell emits a pulse it should not have (premature or thermally
     /// induced switching).
     SpuriousPulse,
-    /// The output is inverted: a pulse that should appear is dropped and a
-    /// missing pulse appears — models a storage loop stuck in the wrong state.
-    Invert,
 }
 
 /// Fault state of one cell for one fabricated chip.

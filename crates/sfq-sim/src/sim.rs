@@ -29,8 +29,7 @@
 //!
 //! [`GateLevelSim::run_with_faults`] consults a [`FaultMap`]: every time a
 //! faulty cell is activated it malfunctions with its per-activation
-//! probability, either dropping its output pulse, emitting a spurious one, or
-//! inverting its output.
+//! probability, either dropping its output pulse or emitting a spurious one.
 
 use crate::fault::{FailureMode, FaultMap};
 use gf2::BitVec;
@@ -334,7 +333,7 @@ impl GateLevelSim {
                     SimNode::Combinational(kind) => {
                         let fault = faults.get(NodeId(node));
                         let dropped = fault.is_faulty()
-                            && matches!(fault.mode, FailureMode::DropPulse | FailureMode::Invert)
+                            && fault.mode == FailureMode::DropPulse
                             && roll(fault.activation_failure_prob);
                         if dropped {
                             continue;
@@ -385,7 +384,6 @@ impl GateLevelSim {
                     out = match fault.mode {
                         FailureMode::DropPulse => false,
                         FailureMode::SpuriousPulse => true,
-                        FailureMode::Invert => !out,
                     };
                 }
                 if out {

@@ -216,9 +216,11 @@ impl StreamReport {
         )
     }
 
-    /// Writes the report as a JSON object through the given writer. Used by
-    /// the bench artifact (`BENCH_stream.json`) and the example.
-    pub fn write_json(&self, w: &mut JsonWriter) {
+    /// The report as a standalone JSON document (`examples/stream_scrub.rs`
+    /// prints one per scenario).
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let mut w = JsonWriter::new();
         w.begin_object();
         for (key, value) in [
             ("arrivals", self.arrivals),
@@ -278,13 +280,6 @@ impl StreamReport {
         w.key("throughput_msgs_per_sec");
         w.float(self.throughput_msgs_per_sec);
         w.end_object();
-    }
-
-    /// The report as a standalone JSON document.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        self.write_json(&mut w);
         w.finish()
     }
 }

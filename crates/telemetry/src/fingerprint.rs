@@ -1,7 +1,7 @@
-//! Run-configuration fingerprints. Every benchmark banner and every
-//! `RUN_REPORT.json` carries one so an artifact is attributable to the
-//! exact configuration (code, workload size, seed, thread count, git
-//! revision) that produced it.
+//! Run-configuration fingerprints. `sfqbench`'s detailed report and every
+//! `RUN_REPORT.json` carry one so an artifact is attributable to the exact
+//! configuration (code, workload size, seed, thread count, git revision)
+//! that produced it.
 
 use crate::json::JsonWriter;
 
@@ -37,21 +37,6 @@ impl Fingerprint {
         }
     }
 
-    /// One-line render for console banners, e.g.
-    /// `code=secded(72,64) chips=1000 messages=4096 seed=7 threads=8 git=ab12cd34ef56`.
-    #[must_use]
-    pub fn line(&self) -> String {
-        format!(
-            "code={} chips={} messages={} seed={} threads={} git={}",
-            self.code,
-            self.chips,
-            self.messages,
-            self.seed,
-            self.threads,
-            self.git_sha.as_deref().unwrap_or("unknown"),
-        )
-    }
-
     /// Writes the fingerprint as a JSON object through the given writer.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
@@ -84,8 +69,8 @@ impl Fingerprint {
 
 /// Best-effort git revision of the current checkout: `GITHUB_SHA` or
 /// `GIT_SHA` from the environment (truncated to 12 hex chars), else
-/// `git rev-parse --short=12 HEAD`. Returns `None` when neither works —
-/// callers render that as `"unknown"` / JSON `null`.
+/// `git rev-parse --short=12 HEAD`. Returns `None` when neither works,
+/// which the JSON renders as `null`.
 #[must_use]
 pub fn detect_git_sha() -> Option<String> {
     for var in ["GITHUB_SHA", "GIT_SHA"] {
@@ -112,7 +97,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn line_and_json_render_all_fields() {
+    fn json_renders_all_fields() {
         let fp = Fingerprint {
             code: "secded(72,64)".to_string(),
             chips: 1000,
@@ -121,18 +106,22 @@ mod tests {
             threads: 8,
             git_sha: Some("ab12cd34ef56".to_string()),
         };
-        assert_eq!(
-            fp.line(),
-            "code=secded(72,64) chips=1000 messages=4096 seed=7 threads=8 git=ab12cd34ef56"
-        );
         let json = fp.to_json();
         crate::json::validate(&json).expect("fingerprint JSON parses");
-        assert!(json.contains("\"seed\": 7"));
-        assert!(json.contains("\"git_sha\": \"ab12cd34ef56\""));
+        for field in [
+            "\"code\": \"secded(72,64)\"",
+            "\"chips\": 1000",
+            "\"messages\": 4096",
+            "\"seed\": 7",
+            "\"threads\": 8",
+            "\"git_sha\": \"ab12cd34ef56\"",
+        ] {
+            assert!(json.contains(field), "{field} missing from {json}");
+        }
     }
 
     #[test]
-    fn missing_sha_renders_as_unknown_and_null() {
+    fn missing_sha_renders_as_null() {
         let fp = Fingerprint {
             code: "c".to_string(),
             chips: 1,
@@ -141,7 +130,6 @@ mod tests {
             threads: 1,
             git_sha: None,
         };
-        assert!(fp.line().ends_with("git=unknown"));
         assert!(fp.to_json().contains("\"git_sha\": null"));
     }
 }

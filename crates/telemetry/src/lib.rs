@@ -41,8 +41,8 @@
 //!
 //! Instrumentation is always compiled in. The process-wide kill-switch
 //! ([`set_recording`]) turns every recording call into an early-out, which
-//! lets a build measure its own overhead (the batch-decode bench gate uses
-//! it).
+//! lets a build measure its own overhead (the release-only
+//! `tests/throughput_gates.rs` uses it).
 //!
 //! ## Naming conventions
 //!

@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Process-wide runtime kill-switch. Instrumentation records only while
-/// this is `true` (the default). The batch-decode bench gate flips it to
+/// this is `true` (the default). The release-only overhead test flips it to
 /// measure the build's own overhead.
 static RECORDING: AtomicBool = AtomicBool::new(true);
 

@@ -111,7 +111,7 @@ fn main() {
         experiment.seed,
         experiment.threads,
     );
-    println!("{}", fingerprint.line());
+    print!("{}", fingerprint.to_json());
 
     let snapshot = registry.snapshot();
     println!();

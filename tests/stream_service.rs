@@ -39,8 +39,8 @@ fn nominal_load_meets_the_latency_contract() {
     );
 }
 
-/// The stream report is one of the emitted artifacts (`BENCH_stream.json`
-/// embeds it), so it must pass the same JSON validator as the others.
+/// The stream report's JSON (`examples/stream_scrub.rs` prints it) must
+/// pass the same validator as every emitted artifact.
 #[test]
 fn report_json_passes_the_artifact_validator() {
     let report = ScrubService::run(&test_config(), &FaultScript::quiet());
@@ -63,6 +63,55 @@ fn nominal_load_sustains_ten_million_messages_per_second() {
         report.throughput_msgs_per_sec >= 1e7,
         "sustained {} msg/s, need 1e7",
         report.throughput_msgs_per_sec
+    );
+}
+
+/// Backlog bound of the 1.5× soak leg. The widen and detect rungs absorb a
+/// 1.5× overload with backlog oscillating around the detection-engage
+/// threshold (measured peak 29); crossing the shed-engage threshold (48)
+/// would mean the ladder failed to hold the line.
+#[cfg(not(debug_assertions))]
+const SOAK_OVERLOAD_BACKLOG_BOUND: usize = 96;
+
+/// The fault-injected soak at full scale: 2^22 cycles of the soak mix at
+/// 1.0× and 1.5× the nominal arrival rate, about 10 s in an optimized
+/// build. Nominal load keeps the latency contract and the rate bar; the
+/// overload leg degrades through the ladder with bounded backlog.
+#[cfg(not(debug_assertions))]
+#[test]
+fn soak_keeps_the_contract_at_nominal_load_and_bounds_backlog_at_one_and_a_half_times() {
+    let soak = |factor_milli| {
+        let total_cycles = 1 << 22;
+        let config = StreamConfig {
+            total_cycles,
+            drain_limit: total_cycles,
+            ..StreamConfig::nominal()
+        }
+        .with_rate_factor(factor_milli);
+        let script = FaultScript::soak_mix(total_cycles, config.shards, 2);
+        let report = ScrubService::run(&config, &script);
+        if let Err(e) = report.validate() {
+            panic!("the {factor_milli}/1000 soak leg broke a run invariant: {e}");
+        }
+        report
+    };
+    let nominal = soak(1000);
+    assert_eq!(nominal.deadline_misses, 0, "nominal soak missed a deadline");
+    assert_eq!(nominal.shed_batches, 0, "nominal soak shed a batch");
+    assert!(
+        nominal.throughput_msgs_per_sec >= 1e7,
+        "nominal soak sustained {:.3e} msg/s, need 1e7",
+        nominal.throughput_msgs_per_sec
+    );
+    let overload = soak(1500);
+    println!(
+        "soak: nominal {:.3e} msg/s over {} batches, 1.5x backlog peak {}",
+        nominal.throughput_msgs_per_sec, nominal.completed_batches, overload.max_backlog
+    );
+    assert!(
+        overload.max_backlog < SOAK_OVERLOAD_BACKLOG_BOUND,
+        "1.5x soak peaked at {} batches of backlog, bound {SOAK_OVERLOAD_BACKLOG_BOUND}",
+        overload.max_backlog
     );
 }
 

@@ -243,8 +243,10 @@ fn registry_decode_fingerprint() -> u64 {
 /// Committed fingerprint of everything synthesis emits for the catalog:
 /// each design's netlist text, its pass reports, its schedule plan (the
 /// chosen schedule and every priced candidate) and its `depth_slack` 0–2
-/// Pareto sweep. The golden cost files pin cell counts only; this pins the
-/// wiring, so a netlist rewired at equal cost fails here.
+/// Pareto sweep, which starts from that plan (`EncoderDesign::pareto_sweep`;
+/// `tests/golden/pareto_front.txt` pins `EncoderKind::pareto_sweep`). The
+/// golden cost files pin cell counts only; this pins the wiring, so a
+/// netlist rewired at equal cost fails here.
 const CATALOG_SYNTH_FNV: u64 = 0x6575_6ad6_91fb_2a92;
 
 fn catalog_synth_fingerprint() -> u64 {
@@ -254,7 +256,7 @@ fn catalog_synth_fingerprint() -> u64 {
         text.push_str(&design.netlist().to_text());
         text.push_str(&format!("{:?}\n", design.synthesis_report()));
         text.push_str(&format!("{:?}\n", design.schedule_plan()));
-        for point in design.kind().pareto_sweep(&library, 2) {
+        for point in design.pareto_sweep(&library, 2) {
             text.push_str(&format!("{point:?}\n"));
         }
     }
