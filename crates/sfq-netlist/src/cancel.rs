@@ -20,7 +20,7 @@
 //!   of an *existing* signal (or to zero) collapses onto that signal at zero
 //!   gate cost;
 //! * **rectangles** — the signals shared by a subset of equations fold into
-//!   one shared sum (see `State::best_rectangle`);
+//!   one shared sum (see `State::best_rectangles`);
 //! * **pair factors** — the classic Paar move, generalized to match by
 //!   support rather than by signal identity;
 //! * **companion rewrites** — a new gate `v = x ⊕ y` built from two existing
@@ -37,6 +37,14 @@
 //! pay, no 3/4-term subset is scored; only a full stall pays for the
 //! companion scan, so the expensive cancellation search only runs on the
 //! small residual systems where it matters.
+//!
+//! Rectangle mining is incremental. Each signal's participation mask over
+//! the dense outputs and the per-subset miss counts (`MissCounts`) live
+//! across steps: a step recounts only the signals whose masks it changed.
+//! Every output subset gets an O(1) score from those counts, and member
+//! lists and depth checks are built for the top-ranked group only. The two
+//! rectangle tie rules (see [`factor_with_cancellation`]) share one search
+//! until they first pick different rectangles.
 //!
 //! When no rewrite earns anything, the pass performs one **cost-neutral
 //! lowering step**: it combines the two shallowest terms of the largest
@@ -59,6 +67,8 @@
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::ir::{ParityIr, SignalId};
 use crate::pass::{Pass, PassError, SynthUnit};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Largest term subset a cancellation rewrite may replace at once.
 ///
@@ -81,10 +91,10 @@ pub const SUBSET_DEC_CAP: usize = 18;
 pub const QUAD_DEC_CAP: usize = 12;
 
 /// How many top rectangle candidates get a full mask-level rollout before
-/// one is chosen (see `best_rectangle`).
+/// one is chosen (see `best_rectangles`).
 pub const RECT_ROLLOUT_WIDTH: usize = 8;
 
-/// Total corrections a rectangle may spend (see `best_rectangle`): elements
+/// Total corrections a rectangle may spend (see `best_rectangles`): elements
 /// missing from this many taker term lists in total may still join the
 /// shared sum, with the missing targets toggling the element back in.
 pub const CORRECTION_CAP: i64 = 2;
@@ -153,12 +163,18 @@ pub struct CancellationOutcome {
 /// Runs the bounded-distance cancellation-aware factoring over the IR's
 /// term lists in place.
 ///
-/// The search is a *portfolio of two deterministic arrangements*: one takes
-/// every rectangle tie lexicographically, the other arbitrates ties with a
-/// mask-level greedy rollout (see `best_rectangle`). Neither dominates —
-/// the rollout wins on the narrow SEC-DED members, the lexicographic
-/// arrangement on the widest — so both run and the cheaper program is
-/// kept (ties go to the lexicographic arrangement).
+/// The search has *two deterministic arrangements*: one takes every
+/// rectangle tie lexicographically, the other arbitrates ties with a
+/// mask-level greedy rollout (see `State::best_rectangles`). Neither
+/// dominates — the rollout wins on the narrow SEC-DED members, the
+/// lexicographic arrangement on the widest — so both are searched and the
+/// cheaper program is kept (ties go to the lexicographic arrangement).
+///
+/// The arrangements differ only in which rectangle they take, so they run
+/// as one search while their tie rules pick the same rectangle. At the
+/// first tie the rules break differently, the search forks and finishes
+/// each arrangement from there. The result is exactly that of running the
+/// two separately; most catalog designs never fork.
 ///
 /// # Panics
 /// Panics if `ir.k()` exceeds [`MAX_SUPPORT_BITS`] (the pass wrapper guards
@@ -166,19 +182,15 @@ pub struct CancellationOutcome {
 pub fn factor_with_cancellation(ir: &mut ParityIr, budget: usize) -> CancellationOutcome {
     let registry = sfq_telemetry::global();
     registry.counter("synth.cancel.searches").inc();
-    let mut best: Option<(ParityIr, CancellationOutcome)> = None;
-    for rollout_ties in [false, true] {
-        let mut candidate = ir.clone();
-        let outcome = factor_arrangement(&mut candidate, budget, rollout_ties);
-        if best
-            .as_ref()
-            .is_none_or(|(b, _)| candidate.xor_count() < b.xor_count())
-        {
-            best = Some((candidate, outcome));
-        }
-    }
-    let (winner, outcome) = best.expect("both arrangements ran");
-    *ir = winner;
+    // Registered before the search, so the name exists when none forks.
+    let forks = registry.counter("synth.cancel.forks");
+    let search = Search::run(ir.clone(), budget);
+    forks.add(u64::from(search.forked));
+    registry
+        .counter("synth.cancel.rewrites_applied")
+        .add(search.steps);
+    *ir = search.ir;
+    let outcome = search.outcome;
     registry
         .counter("synth.cancel.factors")
         .add(outcome.gates as u64);
@@ -194,29 +206,81 @@ pub fn factor_with_cancellation(ir: &mut ParityIr, budget: usize) -> Cancellatio
     outcome
 }
 
-/// One deterministic arrangement of the factoring search (see
-/// [`factor_with_cancellation`]).
-fn factor_arrangement(ir: &mut ParityIr, budget: usize, rollout_ties: bool) -> CancellationOutcome {
-    let mut state = State::new(ir, budget, rollout_ties);
-    // Safety valve: every step strictly shrinks the term lists or adds a
-    // distinct new support, both of which are bounded; the cap only guards
-    // against a future broken edit looping forever.
-    let max_steps = 4 * state.decs.iter().map(Vec::len).sum::<usize>() + 64;
-    let mut rewrites_applied = 0u64;
-    for _ in 0..max_steps {
-        if !state.step() {
-            break;
+/// One finished search (see [`factor_with_cancellation`]).
+struct Search {
+    /// The cheaper arrangement's program.
+    ir: ParityIr,
+    outcome: CancellationOutcome,
+    /// Whether the two arrangements took different rectangles at some step.
+    forked: bool,
+    /// Steps applied, a shared prefix counted once.
+    steps: u64,
+}
+
+impl Search {
+    fn run(ir: ParityIr, budget: usize) -> Self {
+        let mut steps = 0;
+        let mut shared = State::new(ir, budget, Arrangement::Shared);
+        let Some((lexicographic, rollout)) = shared.run(&mut steps) else {
+            let (ir, outcome) = shared.finish();
+            return Search {
+                ir,
+                outcome,
+                forked: false,
+                steps,
+            };
+        };
+        let other = shared.clone();
+        let lex = shared.resume(Arrangement::Lexicographic, &lexicographic, &mut steps);
+        let roll = other.resume(Arrangement::Rollout, &rollout, &mut steps);
+        let (ir, outcome) = if roll.0.xor_count() < lex.0.xor_count() {
+            roll
+        } else {
+            lex
+        };
+        Search {
+            ir,
+            outcome,
+            forked: true,
+            steps,
         }
-        rewrites_applied += 1;
     }
-    sfq_telemetry::global()
-        .counter("synth.cancel.rewrites_applied")
-        .add(rewrites_applied);
-    for (j, dec) in state.decs.iter().enumerate() {
-        state.ir.set_output_terms(j, dec.clone());
-    }
-    state.outcome.pruned = state.ir.retain_live_factors();
-    state.outcome
+}
+
+/// Which rectangle a search takes when several tie on saving.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arrangement {
+    /// The top-ranked one: saving, then the wider member set, then the
+    /// lexicographically smallest member list.
+    Lexicographic,
+    /// The one whose mask-level greedy rollout saves the most.
+    Rollout,
+    /// Both rules while they agree; the search forks where they do not.
+    Shared,
+}
+
+/// What one search step did.
+enum Step {
+    /// A rewrite was applied.
+    Applied,
+    /// No rewrite remains.
+    Done,
+    /// The shared arrangement's two tie rules picked different rectangles,
+    /// the lexicographic pick first; nothing was applied.
+    Fork(Rectangle, Rectangle),
+}
+
+/// A rectangle candidate (see `State::best_rectangles`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Rectangle {
+    /// Gates the extraction saves.
+    saving: i64,
+    /// The target outputs, as a mask over the dense outputs.
+    subset: u32,
+    /// The signals folded into the shared sum, ascending.
+    members: Vec<SignalId>,
+    /// The target outputs' indices.
+    takers: Vec<usize>,
 }
 
 /// A scored candidate gate: its support, how to build it, and what it earns.
@@ -237,8 +301,9 @@ struct Candidate {
     freq: usize,
 }
 
-struct State<'a> {
-    ir: &'a mut ParityIr,
+#[derive(Clone)]
+struct State {
+    ir: ParityIr,
     budget: usize,
     /// Support word per signal.
     supports: Vec<u128>,
@@ -258,16 +323,23 @@ struct State<'a> {
     /// (then smallest) constructor pair. Kept up to date by
     /// `register_pairs_of` so stall-time scoring never rescans all pairs.
     reachable: FxHashMap<u128, (SignalId, SignalId, usize)>,
-    /// Whether rectangle ties are arbitrated by the mask-level rollout.
-    rollout_ties: bool,
+    /// The participation masks and miss counts rectangle mining reads,
+    /// over the dense outputs of the last mining step (`None` while those
+    /// are outside the 2–16 outputs mining enumerates).
+    index: Option<MaskIndex>,
+    arrangement: Arrangement,
+    /// Steps this arrangement may still apply. Every step strictly shrinks
+    /// the term lists or adds a distinct new support, both of which are
+    /// bounded; the cap only guards against a broken edit looping forever.
+    steps_left: usize,
     /// Consecutive full stalls whose companion scan found nothing, and the
     /// number of full stalls seen — used to back the expensive scan off.
     companion_dry: (u32, u32),
     outcome: CancellationOutcome,
 }
 
-impl<'a> State<'a> {
-    fn new(ir: &'a mut ParityIr, budget: usize, rollout_ties: bool) -> Self {
+impl State {
+    fn new(ir: ParityIr, budget: usize, arrangement: Arrangement) -> Self {
         assert!(ir.k() <= MAX_SUPPORT_BITS, "support word too narrow");
         let supports: Vec<u128> = ir
             .supports()
@@ -294,6 +366,7 @@ impl<'a> State<'a> {
             .iter()
             .map(|dec| dec.iter().map(|&t| 1u128 << ir.depth(t)).sum())
             .collect();
+        let steps_left = 4 * decs.iter().map(Vec::len).sum::<usize>() + 64;
         let mut state = State {
             ir,
             budget,
@@ -303,7 +376,9 @@ impl<'a> State<'a> {
             sums,
             banned: FxHashSet::default(),
             reachable: FxHashMap::default(),
-            rollout_ties,
+            index: None,
+            arrangement,
+            steps_left,
             companion_dry: (0, 0),
             outcome: CancellationOutcome::default(),
         };
@@ -313,12 +388,58 @@ impl<'a> State<'a> {
         state
     }
 
+    /// Applies steps until no rewrite remains, adding each to `steps`. In
+    /// the shared arrangement it stops early at the first step whose tie
+    /// rules disagree and returns their picks (lexicographic first),
+    /// leaving the state as it was before that step.
+    fn run(&mut self, steps: &mut u64) -> Option<(Rectangle, Rectangle)> {
+        while self.steps_left > 0 {
+            match self.step() {
+                Step::Applied => {
+                    self.steps_left -= 1;
+                    *steps += 1;
+                }
+                Step::Done => break,
+                Step::Fork(lexicographic, rollout) => return Some((lexicographic, rollout)),
+            }
+        }
+        None
+    }
+
+    /// Finishes a forked search as `arrangement`: takes its pick as the
+    /// fork step, then runs to the end.
+    fn resume(
+        mut self,
+        arrangement: Arrangement,
+        pick: &Rectangle,
+        steps: &mut u64,
+    ) -> (ParityIr, CancellationOutcome) {
+        self.arrangement = arrangement;
+        self.extract_rectangle(pick);
+        self.steps_left -= 1;
+        *steps += 1;
+        let fork = self.run(steps);
+        debug_assert!(fork.is_none(), "only the shared arrangement forks");
+        self.finish()
+    }
+
+    /// Writes the term lists back and prunes dead factors.
+    fn finish(mut self) -> (ParityIr, CancellationOutcome) {
+        for (j, dec) in self.decs.iter().enumerate() {
+            self.ir.set_output_terms(j, dec.clone());
+        }
+        self.outcome.pruned = self.ir.retain_live_factors();
+        (self.ir, self.outcome)
+    }
+
     fn depth_bit(&self, signal: SignalId) -> u128 {
         1u128 << self.ir.depth(signal)
     }
 
     /// Toggles `signal` in output `j`'s term list (XOR-set semantics: adding
     /// a signal that is already present removes it, because `x ⊕ x = 0`).
+    /// This is the only place a term list changes, so it also keeps the
+    /// mask index current.
     fn toggle(&mut self, j: usize, signal: SignalId) {
         let bit = self.depth_bit(signal);
         match self.decs[j].binary_search(&signal) {
@@ -330,6 +451,9 @@ impl<'a> State<'a> {
                 self.decs[j].insert(pos, signal);
                 self.sums[j] += bit;
             }
+        }
+        if let Some(index) = &mut self.index {
+            index.flip(j, signal);
         }
     }
 
@@ -496,208 +620,248 @@ impl<'a> State<'a> {
         None
     }
 
-    /// Finds the best *rectangle*: a target subset `J` (as a bit mask over
-    /// outputs) and the set `I` of signals currently appearing in every term
-    /// list of `J`. Replacing `I` by its one shared sum in all of `J` saves
-    /// `(|I| − 1) · (|J| − 1)` gates — the `|I| > 2` generalization of the
-    /// Paar pair that pair-greedy fragments. With at most `2^outputs` target
-    /// subsets the mining is exact over `J`. Outputs beyond 16 are not
-    /// enumerated: a system with more than 16 dense (multi-term) rows skips
-    /// this tier until lowering brings it to 16 or fewer. Three catalog codes
-    /// start above the cap — BCH(63,45) with 18 dense rows, Shortened
-    /// Hamming(85,64) with 21 and LDPC(60,32) with 28.
+    /// The top *rectangles*: a rectangle is a target subset `J` (as a bit
+    /// mask over the dense outputs) and the set `I` of signals appearing in
+    /// every term list of `J`. Replacing `I` by its one shared sum in all of
+    /// `J` saves `(|I| − 1) · (|J| − 1)` gates — the `|I| > 2`
+    /// generalization of the Paar pair that pair-greedy fragments. With at
+    /// most `2^outputs` target subsets the mining is exact over `J`.
+    /// Outputs beyond 16 are not enumerated: a system with more than 16
+    /// dense (multi-term) rows skips this tier until lowering brings it to
+    /// 16 or fewer. Three catalog codes start above the cap — BCH(63,45)
+    /// with 18 dense rows, Shortened Hamming(85,64) with 21 and LDPC(60,32)
+    /// with 28.
     ///
-    /// Which subsets can pay is read off [`MissCounts`], one
-    /// `O(outputs · 2^outputs)` transform per call; only those subsets get a
-    /// member list, a depth check and a place in the ranking.
-    fn best_rectangle(&self) -> Option<(Vec<usize>, Vec<SignalId>, i64)> {
-        let found = self.mine_rectangle();
+    /// Candidates rank by saving, then the wider member set, then the
+    /// lexicographically smallest member list, then the smallest subset.
+    /// The result is the top of that ranking at the top saving: its first
+    /// candidate alone for the lexicographic arrangement, and up to
+    /// [`RECT_ROLLOUT_WIDTH`] for the arrangements whose rollout arbitrates
+    /// the ties.
+    fn best_rectangles(&mut self) -> Vec<Rectangle> {
+        self.sync_index();
+        let want = match self.arrangement {
+            Arrangement::Lexicographic => 1,
+            Arrangement::Rollout | Arrangement::Shared => RECT_ROLLOUT_WIDTH,
+        };
+        let found = self.mine_rectangles(want);
         #[cfg(test)]
-        assert_eq!(
-            found,
-            oracle::best_rectangle(self),
-            "superset-count mining diverged from the per-subset scan"
-        );
+        {
+            let mut expected = oracle::best_rectangles(self);
+            expected.truncate(want);
+            assert_eq!(
+                found, expected,
+                "superset-count mining diverged from the per-subset scan"
+            );
+        }
         found
     }
 
-    /// The body of [`State::best_rectangle`].
-    fn mine_rectangle(&self) -> Option<(Vec<usize>, Vec<SignalId>, i64)> {
+    /// Brings the mask index up to date with the term lists: rebuilt when
+    /// the set of dense outputs changed, else only the signals whose masks
+    /// changed are recounted.
+    fn sync_index(&mut self) {
         let dense: Vec<usize> = (0..self.decs.len())
             .filter(|&j| self.decs[j].len() >= 2)
             .collect();
-        if dense.len() < 2 || dense.len() > 16 {
-            return None;
+        if let Some(index) = self.index.as_mut().filter(|index| index.dense == dense) {
+            index.sync();
+            return;
         }
-        // Participation mask of every signal over the dense outputs, in
-        // signal order.
-        let mut mask_of = vec![0u32; self.supports.len()];
-        for (bit, &j) in dense.iter().enumerate() {
-            for &t in &self.decs[j] {
-                mask_of[t] |= 1 << bit;
-            }
+        self.index = None;
+        if (2..=16).contains(&dense.len()) {
+            self.index = Some(MaskIndex::new(dense, &self.decs, self.supports.len()));
         }
-        let masks: Vec<(SignalId, u32)> = mask_of
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, mask)| mask != 0)
-            .collect();
-        let counts = MissCounts::new(masks.iter().map(|&(_, mask)| mask), dense.len());
-        // Depth of a balanced fold of `count` leaves no deeper than
-        // `max_leaf`, as a `2^depth` capacity bit.
-        let fold_depth_bit = |count: usize, max_leaf: u128| -> u128 {
-            let mut bit = max_leaf.max(1);
-            let mut n = count;
-            while n > 1 {
-                bit <<= 1;
-                n = n.div_ceil(2);
-            }
-            bit
+    }
+
+    /// The body of [`State::best_rectangles`]. Each subset's saving and
+    /// member count are read off the [`MissCounts`] in O(1), so only the
+    /// subsets ranked at the top get a member list and a depth check: one
+    /// (saving, member count) group at a time, until the top saving level
+    /// holds `want` feasible candidates or the next group saves less.
+    fn mine_rectangles(&self, want: usize) -> Vec<Rectangle> {
+        let Some(index) = &self.index else {
+            return Vec::new();
         };
-        let cap = 1u128 << self.budget;
-        let mut candidates: Vec<(i64, u32, Vec<SignalId>, Vec<usize>)> = Vec::new();
-        for subset in 3u32..(1 << dense.len()) {
-            let width = i64::from(subset.count_ones());
-            if width < 2 || !counts.pays(subset, width) {
-                continue;
+        let mut ranked: BinaryHeap<(i64, usize, Reverse<u32>)> = (3u32..(1 << index.dense.len()))
+            .filter_map(|subset| {
+                let (saving, count) = index.counts.score(subset)?;
+                Some((saving, count, Reverse(subset)))
+            })
+            .collect();
+        let mut top: Vec<Rectangle> = Vec::new();
+        while let Some(&(saving, count, _)) = ranked.peek() {
+            if top
+                .first()
+                .is_some_and(|first| saving < first.saving || top.len() >= want)
+            {
+                break;
             }
-            // Majority inclusion with a bounded correction budget: an
-            // element in `c` of the `width` targets contributes
-            // `2c − width − 1` to the saving — it is removed from `c` term
-            // lists and toggled back in as a *correction* in the `width − c`
-            // others, which is sound because `x ⊕ x = 0`. Exact rectangles
-            // are the `c = width` special case. Corrections are capped
-            // ([`CORRECTION_CAP`]): an unbounded majority sum saves more in
-            // one step but scrambles the residual system so badly that the
-            // later exact extractions lose more than it gained.
-            let mut partial: Vec<(i64, SignalId)> = Vec::new();
-            let mut members: Vec<SignalId> = Vec::new();
-            let mut saving = -(width - 1);
-            for &(t, mask) in &masks {
-                let c = i64::from((mask & subset).count_ones());
-                if c == width {
-                    members.push(t);
-                    saving += width - 1;
-                } else if 2 * c > width + 1 {
-                    partial.push((width - c, t));
-                }
+            let group = top.len();
+            while ranked
+                .peek()
+                .is_some_and(|&(s, c, _)| (s, c) == (saving, count))
+            {
+                let (_, _, Reverse(subset)) = ranked.pop().expect("peeked");
+                top.extend(self.build_rectangle(index, subset));
             }
-            partial.sort_unstable();
-            let mut correction_budget = CORRECTION_CAP;
-            for &(corrections, t) in &partial {
-                if corrections > correction_budget {
-                    break;
-                }
-                correction_budget -= corrections;
+            // A stable sort: equal member lists stay in subset order.
+            top[group..].sort_by(|a, b| a.members.cmp(&b.members));
+        }
+        top.truncate(want);
+        top
+    }
+
+    /// `subset`'s rectangle, or `None` when a target would exceed its depth
+    /// budget.
+    fn build_rectangle(&self, index: &MaskIndex, subset: u32) -> Option<Rectangle> {
+        let width = i64::from(subset.count_ones());
+        // Majority inclusion with a bounded correction budget: an element
+        // in `c` of the `width` targets contributes `2c − width − 1` to the
+        // saving — it is removed from `c` term lists and toggled back in as
+        // a *correction* in the `width − c` others, which is sound because
+        // `x ⊕ x = 0`. Exact rectangles are the `c = width` special case.
+        // Corrections are capped ([`CORRECTION_CAP`]): an unbounded
+        // majority sum saves more in one step but scrambles the residual
+        // system so badly that the later exact extractions lose more than
+        // it gained.
+        let mut partial: Vec<(i64, SignalId)> = Vec::new();
+        let mut members: Vec<SignalId> = Vec::new();
+        let mut saving = -(width - 1);
+        for (t, &mask) in index.masks.iter().enumerate() {
+            let c = i64::from((mask & subset).count_ones());
+            if c == width {
                 members.push(t);
-                saving += width - 2 * corrections - 1;
+                saving += width - 1;
+            } else if 2 * c > width + 1 {
+                partial.push((width - c, t));
             }
-            debug_assert!(
-                members.len() >= 2 && saving >= 1,
-                "MissCounts::pays is exact"
-            );
-            members.sort_unstable();
-            let max_leaf = members
-                .iter()
-                .map(|&t| self.depth_bit(t))
-                .max()
-                .unwrap_or(1);
-            let added = fold_depth_bit(members.len(), max_leaf);
-            // Every target of the subset must stay within its depth budget:
-            // members it holds leave its tree, corrections and the shared
-            // sum enter it.
-            let takers: Vec<usize> = dense
-                .iter()
-                .enumerate()
-                .filter(|&(bit, _)| subset & (1 << bit) != 0)
-                .map(|(_, &j)| j)
-                .collect();
-            let all_feasible = takers.iter().all(|&j| {
-                let mut sum = self.sums[j] + added;
-                for &t in &members {
-                    let bit = self.depth_bit(t);
-                    if self.decs[j].binary_search(&t).is_ok() {
-                        sum -= bit;
-                    } else {
-                        sum += bit;
-                    }
-                }
-                sum <= cap
-            });
-            if !all_feasible {
+        }
+        partial.sort_unstable();
+        let mut correction_budget = CORRECTION_CAP;
+        for &(corrections, t) in &partial {
+            if corrections > correction_budget {
+                break;
+            }
+            correction_budget -= corrections;
+            members.push(t);
+            saving += width - 2 * corrections - 1;
+        }
+        #[cfg(test)]
+        assert_eq!(
+            index.counts.score(subset),
+            Some((saving, members.len())),
+            "the O(1) score diverged from the built rectangle"
+        );
+        members.sort_unstable();
+        let max_leaf = members
+            .iter()
+            .map(|&t| self.depth_bit(t))
+            .max()
+            .unwrap_or(1);
+        // Depth of a balanced fold of the members, as a `2^depth` capacity
+        // bit.
+        let mut added = max_leaf;
+        let mut n = members.len();
+        while n > 1 {
+            added <<= 1;
+            n = n.div_ceil(2);
+        }
+        // Every target of the subset must stay within its depth budget:
+        // members it holds leave its tree, corrections and the shared sum
+        // enter it.
+        let cap = 1u128 << self.budget;
+        let mut takers = Vec::with_capacity(width as usize);
+        for (bit, &j) in index.dense.iter().enumerate() {
+            if subset & (1 << bit) == 0 {
                 continue;
             }
-            // Deterministic collection: candidates carry their myopic
-            // saving; the cascade-aware selection happens below.
-            candidates.push((saving, subset, members, takers));
-        }
-        if candidates.is_empty() {
-            return None;
-        }
-        // Deterministic ranking: saving, then the wider member set, then the
-        // lexicographically smallest member list (a stable sort, so equal
-        // member lists stay in subset order).
-        candidates.sort_by(|a, b| {
-            (b.0, b.2.len(), std::cmp::Reverse(&b.2)).cmp(&(
-                a.0,
-                a.2.len(),
-                std::cmp::Reverse(&a.2),
-            ))
-        });
-        if !self.rollout_ties {
-            let (saving, _, members, takers) = candidates.swap_remove(0);
-            return Some((takers, members, saving));
-        }
-        // Greedy-by-saving alone can walk into cascade traps: a merged
-        // two-target rectangle may "steal" elements that a wider rectangle
-        // would have shared with a third target, losing more later than the
-        // merge gains now. In the tie-arbitrating arrangement, candidates
-        // tied on myopic saving are ranked by rolling the mask-level greedy
-        // out to exhaustion — the best *cascade* wins, not the best step.
-        // (The rollout ignores the pair tier and depth, so it only
-        // arbitrates decisions the myopic score cannot.)
-        let top_saving = candidates[0].0;
-        candidates.retain(|c| c.0 == top_saving);
-        candidates.truncate(RECT_ROLLOUT_WIDTH);
-        let outputs = dense.len() as u32;
-        let mut best: Option<(i64, usize)> = None;
-        for (idx, (saving, subset, members, _)) in candidates.iter().enumerate() {
-            let score = if candidates.len() == 1 {
-                *saving
-            } else {
-                // The masks after this extraction: members drop the subset
-                // (corrections gain the bits they missed), and the shared
-                // sum joins as a signal of its own.
-                let mut after = MaskSet {
-                    masks: masks.iter().map(|&(_, mask)| mask).collect(),
-                    supersets: counts.supersets(),
-                };
-                for (i, (t, _)) in masks.iter().enumerate() {
-                    if members.binary_search(t).is_ok() {
-                        after.toggle(i, *subset);
-                    }
+            let mut sum = self.sums[j] + added;
+            for &t in &members {
+                if index.masks[t] & (1 << bit) != 0 {
+                    sum -= self.depth_bit(t);
+                } else {
+                    sum += self.depth_bit(t);
                 }
-                after.insert(*subset);
-                #[cfg(test)]
-                let expected = oracle::rollout_saving(after.masks.clone(), outputs);
-                let rollout = after.rollout_saving(outputs);
-                #[cfg(test)]
-                assert_eq!(rollout, expected, "incremental rollout diverged");
-                saving + rollout
+            }
+            if sum > cap {
+                return None;
+            }
+            takers.push(j);
+        }
+        Some(Rectangle {
+            saving,
+            subset,
+            members,
+            takers,
+        })
+    }
+
+    /// Which of `top` (see [`State::best_rectangles`]) the rollout rule
+    /// takes. Greedy-by-saving alone can walk into cascade traps: a merged
+    /// two-target rectangle may "steal" elements that a wider rectangle
+    /// would have shared with a third target, losing more later than the
+    /// merge gains now. So candidates tied on myopic saving are ranked by
+    /// rolling the mask-level greedy out to exhaustion — the best *cascade*
+    /// wins, not the best step, and ties go to the higher-ranked candidate.
+    /// (The rollout ignores the pair tier and depth, so it only arbitrates
+    /// decisions the myopic score cannot.)
+    fn rollout_pick(&self, top: &[Rectangle]) -> usize {
+        if top.len() == 1 {
+            return 0;
+        }
+        let index = self.index.as_ref().expect("mined rectangles have an index");
+        let outputs = index.dense.len() as u32;
+        let supersets = index.counts.supersets();
+        let mut best: Option<(i64, usize)> = None;
+        for (idx, rect) in top.iter().enumerate() {
+            // The masks after this extraction: members drop the subset
+            // (corrections gain the bits they missed), and the shared sum
+            // joins as a signal of its own.
+            let mut after = MaskSet {
+                masks: index.masks.clone(),
+                supersets: supersets.clone(),
             };
+            for &t in &rect.members {
+                after.toggle(t, rect.subset);
+            }
+            after.insert(rect.subset);
+            #[cfg(test)]
+            let expected = oracle::rollout_saving(after.masks.clone(), outputs);
+            let rollout = after.rollout_saving(outputs);
+            #[cfg(test)]
+            assert_eq!(rollout, expected, "incremental rollout diverged");
+            let score = rect.saving + rollout;
             if best.is_none_or(|(bs, _)| score > bs) {
                 best = Some((score, idx));
             }
         }
-        let (_, idx) = best.expect("candidates is non-empty");
-        let (saving, _, members, takers) = candidates.swap_remove(idx);
-        Some((takers, members, saving))
+        best.expect("top is non-empty").1
     }
 
-    /// Extracts a rectangle found by [`State::best_rectangle`]: folds the
+    /// Extracts the rectangle this arrangement takes from `top`, or, in the
+    /// shared arrangement when the two tie rules pick differently, returns
+    /// both picks without applying either.
+    fn take_rectangle(&mut self, mut top: Vec<Rectangle>) -> Step {
+        let pick = match self.arrangement {
+            Arrangement::Lexicographic => 0,
+            Arrangement::Rollout | Arrangement::Shared => self.rollout_pick(&top),
+        };
+        if pick != 0 && self.arrangement == Arrangement::Shared {
+            let rollout = top.swap_remove(pick);
+            return Step::Fork(top.swap_remove(0), rollout);
+        }
+        self.extract_rectangle(&top[pick]);
+        Step::Applied
+    }
+
+    /// Extracts a rectangle found by [`State::best_rectangles`]: folds the
     /// member signals into one balanced shared sum (reusing existing gates
     /// where supports match) and substitutes it into every taker output.
-    fn extract_rectangle(&mut self, takers: &[usize], members: &[SignalId]) {
+    fn extract_rectangle(&mut self, rect: &Rectangle) {
+        let Rectangle {
+            members, takers, ..
+        } = rect;
         // Huffman fold: always combine within the two shallowest depth
         // classes (depth-optimal, so the feasibility pre-check holds).
         // Among admissible pairs prefer one whose gate already exists (free
@@ -805,20 +969,18 @@ impl<'a> State<'a> {
         }
     }
 
-    /// One greedy step. Returns `false` when no profitable rewrite remains.
-    fn step(&mut self) -> bool {
+    /// One greedy step.
+    fn step(&mut self) -> Step {
         if self.apply_free_rewrites() {
-            return true;
+            return Step::Applied;
         }
-        let rectangle = self.best_rectangle();
-        let rect_saving = rectangle.as_ref().map_or(0, |(_, _, s)| *s);
+        let rectangles = self.best_rectangles();
+        let rect_saving = rectangles.first().map_or(0, |r| r.saving);
         let best_pair = best_candidate(&self.score_pairs());
         // Rectangles first: a wide shared sum saves (|I|−1)(|J|−1) at once,
         // and taking the pair tier first would fragment it.
         if rect_saving >= 2 && rect_saving > best_pair.map_or(0, |c| c.net) {
-            let (takers, members, _) = rectangle.expect("saving implies a rectangle");
-            self.extract_rectangle(&takers, &members);
-            return true;
+            return self.take_rectangle(rectangles);
         }
         // Lazy staging: while plain support-level sharing still earns ≥ 2
         // gates per step there is no point paying for subset enumeration —
@@ -826,18 +988,16 @@ impl<'a> State<'a> {
         if let Some(c) = best_pair {
             if c.net >= 2 {
                 self.apply_candidate(c);
-                return true;
+                return Step::Applied;
             }
         }
         if rect_saving >= 1 {
-            let (takers, members, _) = rectangle.expect("saving implies a rectangle");
-            self.extract_rectangle(&takers, &members);
-            return true;
+            return self.take_rectangle(rectangles);
         }
         if let Some(c) = best_pair {
             if c.net >= 1 {
                 self.apply_scored(c);
-                return true;
+                return Step::Applied;
             }
         }
         // Full stall: pay for the companion search — replace 3–4 terms by
@@ -854,12 +1014,16 @@ impl<'a> State<'a> {
                 Some(c) if c.net >= 1 => {
                     self.companion_dry.0 = 0;
                     self.apply_scored(c);
-                    return true;
+                    return Step::Applied;
                 }
                 _ => self.companion_dry.0 += 1,
             }
         }
-        self.lower_one()
+        if self.lower_one() {
+            Step::Applied
+        } else {
+            Step::Done
+        }
     }
 
     /// Applies a scored candidate; if the apply pass disagrees with the
@@ -1150,24 +1314,27 @@ impl<'a> State<'a> {
 
 /// How many participation masks miss exactly zero, one or two bits of each
 /// output subset `S` (masks may carry any bits outside `S`), as
-/// `misses[S] = [zero, one, two]`.
+/// `misses[S] = [zero, one, two]`. Zero masks (signals in no dense output)
+/// are not counted.
 ///
 /// `misses[S][0]` is the superset count `E[S]`, the number of masks ⊇ `S`.
 /// By inclusion–exclusion `misses[S][1] = Σ_b (E[S∖b] − E[S])` and
 /// `misses[S][2] = Σ_{b1<b2} (E[S∖{b1,b2}] − E[S∖b1] − E[S∖b2] + E[S])`,
 /// and one sum-over-supersets pass computes all three in
-/// `O(outputs · 2^outputs)`.
+/// `O(outputs · 2^outputs)`. [`MissCounts::count`] then adds or removes one
+/// mask at a time.
+#[derive(Clone)]
 struct MissCounts {
     misses: Vec<[u32; 3]>,
 }
 
-// `MissCounts::pays` spells out the correction rule for this budget.
+// `MissCounts::score` spells out the correction rule for this budget.
 const _: () = assert!(CORRECTION_CAP == 2);
 
 impl MissCounts {
     fn new(masks: impl Iterator<Item = u32>, outputs: usize) -> Self {
         let mut misses = vec![[0u32; 3]; 1 << outputs];
-        for mask in masks {
+        for mask in masks.filter(|&mask| mask != 0) {
             misses[mask as usize][0] += 1;
         }
         // After folding bit `b`, entry `S` counts the masks that equal `S`
@@ -1188,18 +1355,53 @@ impl MissCounts {
         MissCounts { misses }
     }
 
+    /// Counts `mask` in (or, with `add` false, out of) every entry it
+    /// touches: it misses no bit of its own submasks, and one or two bits
+    /// of a submask joined with one or two of the bits it lacks.
+    fn count(&mut self, mask: u32, outputs: usize, add: bool) {
+        if mask == 0 {
+            return;
+        }
+        let mut lacking = [0u32; 16];
+        let mut n = 0;
+        for b in 0..outputs {
+            if mask & 1 << b == 0 {
+                lacking[n] = 1 << b;
+                n += 1;
+            }
+        }
+        let lacking = &lacking[..n];
+        let bump = |slot: &mut u32| *slot = if add { *slot + 1 } else { *slot - 1 };
+        let mut sub = mask;
+        loop {
+            let sub_slot = sub as usize;
+            bump(&mut self.misses[sub_slot][0]);
+            for (i, &x) in lacking.iter().enumerate() {
+                bump(&mut self.misses[sub_slot | x as usize][1]);
+                for &y in &lacking[i + 1..] {
+                    bump(&mut self.misses[sub_slot | (x | y) as usize][2]);
+                }
+            }
+            if sub == 0 {
+                break;
+            }
+            sub = (sub - 1) & mask;
+        }
+    }
+
     /// The superset counts `E[S]` alone.
     fn supersets(&self) -> Vec<u32> {
         self.misses.iter().map(|m| m[0]).collect()
     }
 
-    /// Whether `best_rectangle`'s majority-inclusion rule gives `subset`
-    /// (of `width` outputs) at least two members and a positive saving.
-    /// Exact members save `width − 1` each; within the correction budget of
-    /// two, up to two one-miss signals join (`width − 3` each, admitted from
-    /// `width ≥ 4`), or else one two-miss signal (`width − 5`, from
-    /// `width ≥ 6`).
-    fn pays(&self, subset: u32, width: i64) -> bool {
+    /// The saving and member count of the rectangle the majority-inclusion
+    /// rule (see `State::build_rectangle`) builds on `subset`, if it has at
+    /// least two members and a positive saving. Exact members save
+    /// `width − 1` each; within the correction budget of two, up to two
+    /// one-miss signals join (`width − 3` each, admitted from `width ≥ 4`),
+    /// or else one two-miss signal (`width − 5`, from `width ≥ 6`).
+    fn score(&self, subset: u32) -> Option<(i64, usize)> {
+        let width = i64::from(subset.count_ones());
         let [exact, ones, twos] = self.misses[subset as usize];
         let exact = i64::from(exact);
         let ones = if width >= 4 { ones } else { 0 };
@@ -1210,7 +1412,80 @@ impl MissCounts {
             (0, 1..) => (1, width - 5),
             (0, 0) => (0, 0),
         };
-        exact + joined >= 2 && (exact - 1) * (width - 1) + bonus >= 1
+        let saving = (exact - 1) * (width - 1) + bonus;
+        let members = exact + joined;
+        (members >= 2 && saving >= 1).then_some((saving, members as usize))
+    }
+}
+
+/// Every signal's participation mask over the dense (multi-term) outputs,
+/// with their [`MissCounts`], kept across search steps. Bit `b` of a mask
+/// stands for output `dense[b]`. [`State::toggle`] flips mask bits and
+/// notes the signal; [`MaskIndex::sync`] then recounts each noted signal
+/// once, out under the mask it was counted with and in under its current
+/// one, instead of redoing the whole transform.
+#[derive(Clone)]
+struct MaskIndex {
+    dense: Vec<usize>,
+    /// Current mask per signal.
+    masks: Vec<u32>,
+    /// The mask each signal is counted under in `counts`.
+    counted: Vec<u32>,
+    /// Signals whose mask may differ from their counted one.
+    changed: Vec<SignalId>,
+    counts: MissCounts,
+}
+
+impl MaskIndex {
+    fn new(dense: Vec<usize>, decs: &[Vec<SignalId>], signals: usize) -> Self {
+        let mut masks = vec![0u32; signals];
+        for (bit, &j) in dense.iter().enumerate() {
+            for &t in &decs[j] {
+                masks[t] |= 1 << bit;
+            }
+        }
+        let counts = MissCounts::new(masks.iter().copied(), dense.len());
+        MaskIndex {
+            counted: masks.clone(),
+            masks,
+            dense,
+            changed: Vec::new(),
+            counts,
+        }
+    }
+
+    /// Flips output `j`'s bit of `signal`'s mask (nothing when `j` is not
+    /// dense).
+    fn flip(&mut self, j: usize, signal: SignalId) {
+        let Ok(bit) = self.dense.binary_search(&j) else {
+            return;
+        };
+        if signal >= self.masks.len() {
+            self.masks.resize(signal + 1, 0);
+            self.counted.resize(signal + 1, 0);
+        }
+        if self.masks[signal] == self.counted[signal] {
+            self.changed.push(signal);
+        }
+        self.masks[signal] ^= 1 << bit;
+    }
+
+    /// Recounts the signals whose masks changed since the last sync.
+    fn sync(&mut self) {
+        let outputs = self.dense.len();
+        for signal in self.changed.drain(..) {
+            let (old, new) = (self.counted[signal], self.masks[signal]);
+            if old != new {
+                self.counts.count(old, outputs, false);
+                self.counts.count(new, outputs, true);
+                self.counted[signal] = new;
+            }
+        }
+        #[cfg(test)]
+        assert!(
+            self.counts.misses == MissCounts::new(self.masks.iter().copied(), outputs).misses,
+            "incremental miss counts diverged from the transform"
+        );
     }
 }
 
@@ -1297,7 +1572,6 @@ impl MaskSet {
 /// signals (the Paar tie-break), then shallower, then the smallest support
 /// word (a total, deterministic order).
 fn better(a: &Candidate, b: &Candidate) -> bool {
-    use std::cmp::Reverse;
     (a.net, Reverse(a.freq), Reverse(a.depth), Reverse(a.support))
         > (b.net, Reverse(b.freq), Reverse(b.depth), Reverse(b.support))
 }
@@ -1318,20 +1592,22 @@ fn best_candidate(cands: &FxHashMap<u128, Candidate>) -> Option<Candidate> {
 mod oracle {
     //! The per-subset scans that superset-count mining and the incremental
     //! rollout replaced, kept as differential oracles: in a test build every
-    //! `State::best_rectangle` call and every rollout checks its answer
-    //! against these.
+    //! `State::best_rectangles` call and every rollout checks its answer
+    //! against these. [`arrangements`] runs the two arrangements separately,
+    //! the way the shared search must reproduce.
 
     use super::*;
     use std::collections::HashMap;
 
     /// Reference rectangle mining: every signal's mask is scanned for
-    /// every output subset.
-    pub(super) fn best_rectangle(state: &State) -> Option<(Vec<usize>, Vec<SignalId>, i64)> {
+    /// every output subset. Returns every feasible candidate at the top
+    /// saving in rank order, at most [`RECT_ROLLOUT_WIDTH`].
+    pub(super) fn best_rectangles(state: &State) -> Vec<Rectangle> {
         let dense: Vec<usize> = (0..state.decs.len())
             .filter(|&j| state.decs[j].len() >= 2)
             .collect();
         if dense.len() < 2 || dense.len() > 16 {
-            return None;
+            return Vec::new();
         }
         // Participation mask of every signal over the dense outputs.
         let mut masks: HashMap<SignalId, u32> = HashMap::new();
@@ -1427,9 +1703,6 @@ mod oracle {
             // saving; the cascade-aware selection happens below.
             candidates.push((saving, subset, members, takers));
         }
-        if candidates.is_empty() {
-            return None;
-        }
         // Deterministic ranking: saving, then the wider member set, then the
         // lexicographically smallest member list.
         candidates.sort_by(|a, b| {
@@ -1439,48 +1712,18 @@ mod oracle {
                 std::cmp::Reverse(&a.2),
             ))
         });
-        if !state.rollout_ties {
-            let (saving, _, members, takers) = candidates.swap_remove(0);
-            return Some((takers, members, saving));
-        }
-        // Greedy-by-saving alone can walk into cascade traps: a merged
-        // two-target rectangle may "steal" elements that a wider rectangle
-        // would have shared with a third target, losing more later than the
-        // merge gains now. In the tie-arbitrating arrangement, candidates
-        // tied on myopic saving are ranked by rolling the mask-level greedy
-        // out to exhaustion — the best *cascade* wins, not the best step.
-        // (The rollout ignores the pair tier and depth, so it only
-        // arbitrates decisions the myopic score cannot.)
-        let top_saving = candidates[0].0;
+        let top_saving = candidates.first().map_or(0, |c| c.0);
         candidates.retain(|c| c.0 == top_saving);
         candidates.truncate(RECT_ROLLOUT_WIDTH);
-        let outputs = dense.len() as u32;
-        let mut best: Option<(i64, usize)> = None;
-        for (idx, (saving, subset, members, _)) in candidates.iter().enumerate() {
-            let score = if candidates.len() == 1 {
-                *saving
-            } else {
-                let mut after: Vec<u32> = Vec::with_capacity(masks.len() + 1);
-                for (&t, &mask) in &masks {
-                    let mask = if members.binary_search(&t).is_ok() {
-                        mask ^ subset
-                    } else {
-                        mask
-                    };
-                    if mask != 0 {
-                        after.push(mask);
-                    }
-                }
-                after.push(*subset);
-                saving + rollout_saving(after, outputs)
-            };
-            if best.is_none_or(|(bs, _)| score > bs) {
-                best = Some((score, idx));
-            }
-        }
-        let (_, idx) = best.expect("candidates is non-empty");
-        let (saving, _, members, takers) = candidates.swap_remove(idx);
-        Some((takers, members, saving))
+        candidates
+            .into_iter()
+            .map(|(saving, subset, members, takers)| Rectangle {
+                saving,
+                subset,
+                members,
+                takers,
+            })
+            .collect()
     }
 
     /// One mask-level rectangle step: the best `(subset, member-masks, saving)`
@@ -1531,6 +1774,22 @@ mod oracle {
             masks.retain(|&m| m != 0);
         }
         total
+    }
+
+    /// The lexicographic and the rollout arrangement, each run from the
+    /// start on its own: the portfolio the shared search replaced.
+    pub(super) fn arrangements(
+        ir: &ParityIr,
+        budget: usize,
+    ) -> [(ParityIr, CancellationOutcome); 2] {
+        [Arrangement::Lexicographic, Arrangement::Rollout].map(|arrangement| {
+            let mut state = State::new(ir.clone(), budget, arrangement);
+            assert!(
+                state.run(&mut 0).is_none(),
+                "only the shared arrangement forks"
+            );
+            state.finish()
+        })
     }
 }
 
@@ -1659,24 +1918,47 @@ mod tests {
             .any(|p| p.pass == "factor-cancellation"));
     }
 
-    /// Factors each `(seed, k, outputs, depth slack)` system in both
-    /// arrangements. In a test build every `best_rectangle` call checks its
-    /// `(takers, members, saving)` against the per-subset scan and every
-    /// rollout against the rescanning one (see `oracle`), so a divergence
-    /// panics mid-search; the finished program must also verify and meet
-    /// its depth budget.
+    /// Factors each `(seed, k, outputs, depth slack)` system with the shared
+    /// search and with each arrangement run on its own. In a test build
+    /// every mining step checks its incremental miss counts against the
+    /// full transform, every built rectangle its O(1) score, every
+    /// `best_rectangles` call its top candidates against the per-subset
+    /// scan and every rollout against the rescanning one (see `oracle`), so
+    /// a divergence panics mid-search. The shared search must then return
+    /// the cheaper arrangement's term lists, factors and outcome (ties to
+    /// the lexicographic one), and both arrangements' programs must verify
+    /// and meet the depth budget. Both forking and non-forking systems must
+    /// occur, so both paths of the shared search are covered.
     fn differential_sweep(cases: &[(u64, usize, usize, usize)]) {
+        let (mut forked, mut unforked) = (0, 0);
         for &(seed, k, outputs, slack) in cases {
             let g = random_parity_system(seed, k, outputs);
-            for rollout_ties in [false, true] {
-                let mut ir = ParityIr::from_generator(&g);
-                let budget = ir.depth_budget() + slack;
-                factor_arrangement(&mut ir, budget, rollout_ties);
-                let case = format!("seed {seed}, k {k}, {outputs} outputs, slack {slack}");
-                assert!(ir.verify_against(&g).is_ok(), "{case}");
-                assert!(ir.max_output_depth() <= budget, "{case}");
+            let ir = ParityIr::from_generator(&g);
+            let budget = ir.depth_budget() + slack;
+            let case = format!("seed {seed}, k {k}, {outputs} outputs, slack {slack}");
+            let [lex, rollout] = oracle::arrangements(&ir, budget);
+            for (program, _) in [&lex, &rollout] {
+                assert!(program.verify_against(&g).is_ok(), "{case}");
+                assert!(program.max_output_depth() <= budget, "{case}");
+            }
+            let (expected, outcome) = if rollout.0.xor_count() < lex.0.xor_count() {
+                rollout
+            } else {
+                lex
+            };
+            let search = Search::run(ir, budget);
+            assert_eq!(search.ir, expected, "{case}");
+            assert_eq!(search.outcome, outcome, "{case}");
+            if search.forked {
+                forked += 1;
+            } else {
+                unforked += 1;
             }
         }
+        assert!(
+            forked > 0 && unforked > 0,
+            "{forked} systems forked and {unforked} did not"
+        );
     }
 
     /// Sweep cases: `seeds` systems for every output count 2–16, each with

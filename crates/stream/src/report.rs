@@ -134,14 +134,19 @@ pub struct StreamReport {
 }
 
 impl StreamReport {
-    /// Checks the conservation invariants every run must satisfy: all
-    /// arrivals accounted for (completed, shed, or rejected — nothing
-    /// vanishes), message outcomes summing to the decoded total, and a full
-    /// drain back to [`ServiceMode::FullCorrection`].
+    /// Checks the invariants every run must satisfy: a full drain within
+    /// the drain limit, all arrivals accounted for (completed, shed, or
+    /// rejected — nothing vanishes), message outcomes summing to the
+    /// decoded total, and a recovery to [`ServiceMode::FullCorrection`].
+    /// An undrained run fails on the drain alone: the batches it left
+    /// queued or in flight are in none of the counts.
     ///
     /// # Errors
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
+        if !self.drained {
+            return Err("pipeline did not drain within the drain limit".into());
+        }
         let accounted = self.completed_batches + self.shed_batches + self.poisoned_rejected;
         if self.arrivals != accounted {
             return Err(format!(
@@ -167,9 +172,6 @@ impl StreamReport {
                 "outcome conservation violated: {} outcomes vs {} decoded",
                 outcomes, self.messages_decoded
             ));
-        }
-        if !self.drained {
-            return Err("pipeline did not drain within the drain limit".into());
         }
         if self.final_mode != ServiceMode::FullCorrection {
             return Err(format!(

@@ -255,3 +255,20 @@ fn fault_soak_holds_the_contract_with_no_silent_loss() {
     assert!(report.flagged_rescrub > 0, "burst casualties were flagged");
     assert!(report.corrected > 0, "single flips were corrected");
 }
+
+/// A run cut at its drain limit while jobs are still in flight returns a
+/// report that says it did not drain, instead of panicking in the
+/// scheduler's cross-check of simulated against executed batches.
+#[test]
+fn a_run_cut_at_its_drain_limit_reports_that_it_did_not_drain() {
+    let config = StreamConfig {
+        total_cycles: 1 << 12,
+        drain_limit: 0,
+        ..StreamConfig::nominal()
+    };
+    let script = FaultScript::soak_mix(config.total_cycles, config.shards, 2);
+    let report = ScrubService::run(&config, &script);
+    assert!(!report.drained, "a zero drain limit ends the run undrained");
+    let err = report.validate().expect_err("an undrained run is invalid");
+    assert!(err.contains("drain limit"), "{err}");
+}

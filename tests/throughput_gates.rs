@@ -53,6 +53,10 @@ const DECODE_FLOORS: [(EncoderKind, f64); 6] = [
 /// is well under 1 %.
 const RECORDING_RATIO_FLOOR: f64 = 0.95;
 
+/// Recording-off/recording-on loop pairs the overhead gate alternates, so
+/// host load that comes and goes during the test moves both rates alike.
+const RECORDING_PAIRS: usize = 5;
+
 static TIMING: Mutex<()> = Mutex::new(());
 
 /// `kind`'s batch codec, and a batch of its codewords with one random bit
@@ -117,12 +121,23 @@ fn batch_decode_meets_the_committed_floors() {
 fn telemetry_recording_keeps_its_overhead_budget() {
     let _timing = TIMING.lock().unwrap_or_else(PoisonError::into_inner);
     let (codec, received) = dirty_batch(EncoderKind::SecDed(6));
-    sfq_ecc::telemetry::set_recording(false);
-    let off = decode_rate(&codec, &received);
-    sfq_ecc::telemetry::set_recording(true);
-    let on = decode_rate(&codec, &received);
+    let (mut off, mut on) = (Vec::new(), Vec::new());
+    for _ in 0..RECORDING_PAIRS {
+        sfq_ecc::telemetry::set_recording(false);
+        off.push(decode_rate(&codec, &received));
+        sfq_ecc::telemetry::set_recording(true);
+        on.push(decode_rate(&codec, &received));
+    }
+    let median = |rates: &mut Vec<f64>| {
+        rates.sort_by(f64::total_cmp);
+        rates[rates.len() / 2]
+    };
+    let (off, on) = (median(&mut off), median(&mut on));
     let ratio = on / off;
-    println!("SEC-DED(72,64) decode: recording on {on:.3e}, off {off:.3e} msg/s ({ratio:.3})");
+    println!(
+        "SEC-DED(72,64) decode, median of {RECORDING_PAIRS} alternating loops: \
+         recording on {on:.3e}, off {off:.3e} msg/s ({ratio:.3})"
+    );
     assert!(
         ratio >= RECORDING_RATIO_FLOOR,
         "recording on decodes at {ratio:.3}x the recording-off rate, \
