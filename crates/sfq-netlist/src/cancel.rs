@@ -42,9 +42,10 @@
 //! the dense outputs and the per-subset miss counts (`MissCounts`) live
 //! across steps: a step recounts only the signals whose masks it changed.
 //! Every output subset gets an O(1) score from those counts, and member
-//! lists and depth checks are built for the top-ranked group only. The two
-//! rectangle tie rules (see [`factor_with_cancellation`]) share one search
-//! until they first pick different rectangles.
+//! lists and depth checks are built for the top-ranked group only. Of the
+//! two rectangle tie rules (see [`factor_with_cancellation`]), the
+//! lexicographic one runs a search of its own only when the rollout one
+//! ever picks differently.
 //!
 //! When no rewrite earns anything, the pass performs one **cost-neutral
 //! lowering step**: it combines the two shallowest terms of the largest
@@ -170,11 +171,13 @@ pub struct CancellationOutcome {
 /// lexicographic arrangement on the widest — so both are searched and the
 /// cheaper program is kept (ties go to the lexicographic arrangement).
 ///
-/// The arrangements differ only in which rectangle they take, so they run
-/// as one search while their tie rules pick the same rectangle. At the
-/// first tie the rules break differently, the search forks and finishes
-/// each arrangement from there. The result is exactly that of running the
-/// two separately; most catalog designs never fork.
+/// The arrangements differ only in which rectangle they take. The rollout
+/// arrangement runs first and notes whether it ever took a rectangle other
+/// than the top-ranked one; if it never did, every step it took is the
+/// lexicographic arrangement's too, and its program is both. Only a search
+/// whose rollout diverged runs the lexicographic arrangement as well. The
+/// result is exactly that of running the two separately; most catalog
+/// designs never diverge.
 ///
 /// # Panics
 /// Panics if `ir.k()` exceeds [`MAX_SUPPORT_BITS`] (the pass wrapper guards
@@ -182,10 +185,10 @@ pub struct CancellationOutcome {
 pub fn factor_with_cancellation(ir: &mut ParityIr, budget: usize) -> CancellationOutcome {
     let registry = sfq_telemetry::global();
     registry.counter("synth.cancel.searches").inc();
-    // Registered before the search, so the name exists when none forks.
+    // Registered before the search, so the name exists when none diverges.
     let forks = registry.counter("synth.cancel.forks");
-    let search = Search::run(ir.clone(), budget);
-    forks.add(u64::from(search.forked));
+    let search = Search::run(ir, budget);
+    forks.add(u64::from(search.diverged));
     registry
         .counter("synth.cancel.rewrites_applied")
         .add(search.steps);
@@ -211,37 +214,31 @@ struct Search {
     /// The cheaper arrangement's program.
     ir: ParityIr,
     outcome: CancellationOutcome,
-    /// Whether the two arrangements took different rectangles at some step.
-    forked: bool,
-    /// Steps applied, a shared prefix counted once.
+    /// Whether the rollout arrangement took a rectangle the lexicographic
+    /// one would not have, so that both ran.
+    diverged: bool,
+    /// Steps applied, over every arrangement run.
     steps: u64,
 }
 
 impl Search {
-    fn run(ir: ParityIr, budget: usize) -> Self {
-        let mut steps = 0;
-        let mut shared = State::new(ir, budget, Arrangement::Shared);
-        let Some((lexicographic, rollout)) = shared.run(&mut steps) else {
-            let (ir, outcome) = shared.finish();
-            return Search {
-                ir,
-                outcome,
-                forked: false,
-                steps,
-            };
-        };
-        let other = shared.clone();
-        let lex = shared.resume(Arrangement::Lexicographic, &lexicographic, &mut steps);
-        let roll = other.resume(Arrangement::Rollout, &rollout, &mut steps);
-        let (ir, outcome) = if roll.0.xor_count() < lex.0.xor_count() {
-            roll
-        } else {
-            lex
-        };
+    fn run(ir: &ParityIr, budget: usize) -> Self {
+        let mut rollout = State::new(ir.clone(), budget, Arrangement::Rollout);
+        let mut steps = rollout.run();
+        let diverged = rollout.diverged;
+        let (mut program, mut outcome) = rollout.finish();
+        if diverged {
+            let mut lexicographic = State::new(ir.clone(), budget, Arrangement::Lexicographic);
+            steps += lexicographic.run();
+            let lex = lexicographic.finish();
+            if lex.0.xor_count() <= program.xor_count() {
+                (program, outcome) = lex;
+            }
+        }
         Search {
-            ir,
+            ir: program,
             outcome,
-            forked: true,
+            diverged,
             steps,
         }
     }
@@ -255,23 +252,10 @@ enum Arrangement {
     Lexicographic,
     /// The one whose mask-level greedy rollout saves the most.
     Rollout,
-    /// Both rules while they agree; the search forks where they do not.
-    Shared,
-}
-
-/// What one search step did.
-enum Step {
-    /// A rewrite was applied.
-    Applied,
-    /// No rewrite remains.
-    Done,
-    /// The shared arrangement's two tie rules picked different rectangles,
-    /// the lexicographic pick first; nothing was applied.
-    Fork(Rectangle, Rectangle),
 }
 
 /// A rectangle candidate (see `State::best_rectangles`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 struct Rectangle {
     /// Gates the extraction saves.
     saving: i64,
@@ -301,7 +285,6 @@ struct Candidate {
     freq: usize,
 }
 
-#[derive(Clone)]
 struct State {
     ir: ParityIr,
     budget: usize,
@@ -328,10 +311,8 @@ struct State {
     /// are outside the 2–16 outputs mining enumerates).
     index: Option<MaskIndex>,
     arrangement: Arrangement,
-    /// Steps this arrangement may still apply. Every step strictly shrinks
-    /// the term lists or adds a distinct new support, both of which are
-    /// bounded; the cap only guards against a broken edit looping forever.
-    steps_left: usize,
+    /// Whether a rectangle other than the top-ranked one was taken.
+    diverged: bool,
     /// Consecutive full stalls whose companion scan found nothing, and the
     /// number of full stalls seen — used to back the expensive scan off.
     companion_dry: (u32, u32),
@@ -366,7 +347,6 @@ impl State {
             .iter()
             .map(|dec| dec.iter().map(|&t| 1u128 << ir.depth(t)).sum())
             .collect();
-        let steps_left = 4 * decs.iter().map(Vec::len).sum::<usize>() + 64;
         let mut state = State {
             ir,
             budget,
@@ -378,7 +358,7 @@ impl State {
             reachable: FxHashMap::default(),
             index: None,
             arrangement,
-            steps_left,
+            diverged: false,
             companion_dry: (0, 0),
             outcome: CancellationOutcome::default(),
         };
@@ -388,39 +368,20 @@ impl State {
         state
     }
 
-    /// Applies steps until no rewrite remains, adding each to `steps`. In
-    /// the shared arrangement it stops early at the first step whose tie
-    /// rules disagree and returns their picks (lexicographic first),
-    /// leaving the state as it was before that step.
-    fn run(&mut self, steps: &mut u64) -> Option<(Rectangle, Rectangle)> {
-        while self.steps_left > 0 {
-            match self.step() {
-                Step::Applied => {
-                    self.steps_left -= 1;
-                    *steps += 1;
-                }
-                Step::Done => break,
-                Step::Fork(lexicographic, rollout) => return Some((lexicographic, rollout)),
+    /// Applies steps until no rewrite remains; returns how many it applied.
+    fn run(&mut self) -> u64 {
+        // Safety valve: every step strictly shrinks the term lists or adds a
+        // distinct new support, both of which are bounded; the cap only
+        // guards against a future broken edit looping forever.
+        let max_steps = 4 * self.decs.iter().map(Vec::len).sum::<usize>() + 64;
+        let mut steps = 0;
+        for _ in 0..max_steps {
+            if !self.step() {
+                break;
             }
+            steps += 1;
         }
-        None
-    }
-
-    /// Finishes a forked search as `arrangement`: takes its pick as the
-    /// fork step, then runs to the end.
-    fn resume(
-        mut self,
-        arrangement: Arrangement,
-        pick: &Rectangle,
-        steps: &mut u64,
-    ) -> (ParityIr, CancellationOutcome) {
-        self.arrangement = arrangement;
-        self.extract_rectangle(pick);
-        self.steps_left -= 1;
-        *steps += 1;
-        let fork = self.run(steps);
-        debug_assert!(fork.is_none(), "only the shared arrangement forks");
-        self.finish()
+        steps
     }
 
     /// Writes the term lists back and prunes dead factors.
@@ -636,13 +597,13 @@ impl State {
     /// lexicographically smallest member list, then the smallest subset.
     /// The result is the top of that ranking at the top saving: its first
     /// candidate alone for the lexicographic arrangement, and up to
-    /// [`RECT_ROLLOUT_WIDTH`] for the arrangements whose rollout arbitrates
-    /// the ties.
+    /// [`RECT_ROLLOUT_WIDTH`] for the rollout arrangement, whose rollout
+    /// arbitrates the ties.
     fn best_rectangles(&mut self) -> Vec<Rectangle> {
         self.sync_index();
         let want = match self.arrangement {
             Arrangement::Lexicographic => 1,
-            Arrangement::Rollout | Arrangement::Shared => RECT_ROLLOUT_WIDTH,
+            Arrangement::Rollout => RECT_ROLLOUT_WIDTH,
         };
         let found = self.mine_rectangles(want);
         #[cfg(test)]
@@ -836,23 +797,25 @@ impl State {
                 best = Some((score, idx));
             }
         }
-        best.expect("top is non-empty").1
+        let pick = best.expect("top is non-empty").1;
+        #[cfg(test)]
+        assert_eq!(
+            pick,
+            oracle::rollout_pick(self, top),
+            "rollout arbitration diverged from the rescanning one"
+        );
+        pick
     }
 
-    /// Extracts the rectangle this arrangement takes from `top`, or, in the
-    /// shared arrangement when the two tie rules pick differently, returns
-    /// both picks without applying either.
-    fn take_rectangle(&mut self, mut top: Vec<Rectangle>) -> Step {
+    /// Extracts the rectangle this arrangement takes from `top`, noting
+    /// when it is not the top-ranked one.
+    fn take_rectangle(&mut self, top: &[Rectangle]) {
         let pick = match self.arrangement {
             Arrangement::Lexicographic => 0,
-            Arrangement::Rollout | Arrangement::Shared => self.rollout_pick(&top),
+            Arrangement::Rollout => self.rollout_pick(top),
         };
-        if pick != 0 && self.arrangement == Arrangement::Shared {
-            let rollout = top.swap_remove(pick);
-            return Step::Fork(top.swap_remove(0), rollout);
-        }
+        self.diverged |= pick != 0;
         self.extract_rectangle(&top[pick]);
-        Step::Applied
     }
 
     /// Extracts a rectangle found by [`State::best_rectangles`]: folds the
@@ -969,10 +932,10 @@ impl State {
         }
     }
 
-    /// One greedy step.
-    fn step(&mut self) -> Step {
+    /// One greedy step. Returns `false` when no rewrite remains.
+    fn step(&mut self) -> bool {
         if self.apply_free_rewrites() {
-            return Step::Applied;
+            return true;
         }
         let rectangles = self.best_rectangles();
         let rect_saving = rectangles.first().map_or(0, |r| r.saving);
@@ -980,7 +943,8 @@ impl State {
         // Rectangles first: a wide shared sum saves (|I|−1)(|J|−1) at once,
         // and taking the pair tier first would fragment it.
         if rect_saving >= 2 && rect_saving > best_pair.map_or(0, |c| c.net) {
-            return self.take_rectangle(rectangles);
+            self.take_rectangle(&rectangles);
+            return true;
         }
         // Lazy staging: while plain support-level sharing still earns ≥ 2
         // gates per step there is no point paying for subset enumeration —
@@ -988,16 +952,17 @@ impl State {
         if let Some(c) = best_pair {
             if c.net >= 2 {
                 self.apply_candidate(c);
-                return Step::Applied;
+                return true;
             }
         }
         if rect_saving >= 1 {
-            return self.take_rectangle(rectangles);
+            self.take_rectangle(&rectangles);
+            return true;
         }
         if let Some(c) = best_pair {
             if c.net >= 1 {
                 self.apply_scored(c);
-                return Step::Applied;
+                return true;
             }
         }
         // Full stall: pay for the companion search — replace 3–4 terms by
@@ -1014,16 +979,12 @@ impl State {
                 Some(c) if c.net >= 1 => {
                     self.companion_dry.0 = 0;
                     self.apply_scored(c);
-                    return Step::Applied;
+                    return true;
                 }
                 _ => self.companion_dry.0 += 1,
             }
         }
-        if self.lower_one() {
-            Step::Applied
-        } else {
-            Step::Done
-        }
+        self.lower_one()
     }
 
     /// Applies a scored candidate; if the apply pass disagrees with the
@@ -1323,7 +1284,6 @@ impl State {
 /// and one sum-over-supersets pass computes all three in
 /// `O(outputs · 2^outputs)`. [`MissCounts::count`] then adds or removes one
 /// mask at a time.
-#[derive(Clone)]
 struct MissCounts {
     misses: Vec<[u32; 3]>,
 }
@@ -1424,7 +1384,6 @@ impl MissCounts {
 /// notes the signal; [`MaskIndex::sync`] then recounts each noted signal
 /// once, out under the mask it was counted with and in under its current
 /// one, instead of redoing the whole transform.
-#[derive(Clone)]
 struct MaskIndex {
     dense: Vec<usize>,
     /// Current mask per signal.
@@ -1592,29 +1551,36 @@ fn best_candidate(cands: &FxHashMap<u128, Candidate>) -> Option<Candidate> {
 mod oracle {
     //! The per-subset scans that superset-count mining and the incremental
     //! rollout replaced, kept as differential oracles: in a test build every
-    //! `State::best_rectangles` call and every rollout checks its answer
-    //! against these. [`arrangements`] runs the two arrangements separately,
-    //! the way the shared search must reproduce.
+    //! `State::best_rectangles` call, every rollout and every rollout
+    //! arbitration checks its answer against these. [`arrangements`] runs
+    //! the two arrangements separately, the way [`Search::run`] must
+    //! reproduce.
 
     use super::*;
     use std::collections::HashMap;
 
-    /// Reference rectangle mining: every signal's mask is scanned for
-    /// every output subset. Returns every feasible candidate at the top
-    /// saving in rank order, at most [`RECT_ROLLOUT_WIDTH`].
-    pub(super) fn best_rectangles(state: &State) -> Vec<Rectangle> {
+    /// The dense (multi-term) outputs and the participation mask over them
+    /// of every signal in one, rebuilt from the term lists.
+    fn participation(state: &State) -> (Vec<usize>, HashMap<SignalId, u32>) {
         let dense: Vec<usize> = (0..state.decs.len())
             .filter(|&j| state.decs[j].len() >= 2)
             .collect();
-        if dense.len() < 2 || dense.len() > 16 {
-            return Vec::new();
-        }
-        // Participation mask of every signal over the dense outputs.
         let mut masks: HashMap<SignalId, u32> = HashMap::new();
         for (bit, &j) in dense.iter().enumerate() {
             for &t in &state.decs[j] {
                 *masks.entry(t).or_insert(0) |= 1 << bit;
             }
+        }
+        (dense, masks)
+    }
+
+    /// Reference rectangle mining: every signal's mask is scanned for
+    /// every output subset. Returns every feasible candidate at the top
+    /// saving in rank order, at most [`RECT_ROLLOUT_WIDTH`].
+    pub(super) fn best_rectangles(state: &State) -> Vec<Rectangle> {
+        let (dense, masks) = participation(state);
+        if dense.len() < 2 || dense.len() > 16 {
+            return Vec::new();
         }
         // Depth of a balanced fold of `count` leaves no deeper than
         // `max_leaf`, as a `2^depth` capacity bit.
@@ -1726,6 +1692,35 @@ mod oracle {
             .collect()
     }
 
+    /// Reference rollout arbitration over `top` (see `State::rollout_pick`):
+    /// each candidate's post-extraction masks are rebuilt from the term
+    /// lists — members drop the subset, and the shared sum joins as a mask
+    /// of its own — and the first maximum of saving plus rollout wins.
+    pub(super) fn rollout_pick(state: &State, top: &[Rectangle]) -> usize {
+        let (dense, masks) = participation(state);
+        let outputs = dense.len() as u32;
+        let mut best: Option<(i64, usize)> = None;
+        for (idx, rect) in top.iter().enumerate() {
+            let mut after: Vec<u32> = Vec::with_capacity(masks.len() + 1);
+            for (&t, &mask) in &masks {
+                let mask = if rect.members.binary_search(&t).is_ok() {
+                    mask ^ rect.subset
+                } else {
+                    mask
+                };
+                if mask != 0 {
+                    after.push(mask);
+                }
+            }
+            after.push(rect.subset);
+            let score = rect.saving + rollout_saving(after, outputs);
+            if best.is_none_or(|(bs, _)| score > bs) {
+                best = Some((score, idx));
+            }
+        }
+        best.expect("top is non-empty").1
+    }
+
     /// One mask-level rectangle step: the best `(subset, member-masks, saving)`
     /// over a participation-mask multiset, ignoring depth (used by the
     /// lookahead rollout, where only the sharing cascade matters).
@@ -1776,18 +1771,15 @@ mod oracle {
         total
     }
 
-    /// The lexicographic and the rollout arrangement, each run from the
-    /// start on its own: the portfolio the shared search replaced.
+    /// The lexicographic and the rollout arrangement, each run on its own
+    /// from the start.
     pub(super) fn arrangements(
         ir: &ParityIr,
         budget: usize,
     ) -> [(ParityIr, CancellationOutcome); 2] {
         [Arrangement::Lexicographic, Arrangement::Rollout].map(|arrangement| {
             let mut state = State::new(ir.clone(), budget, arrangement);
-            assert!(
-                state.run(&mut 0).is_none(),
-                "only the shared arrangement forks"
-            );
+            state.run();
             state.finish()
         })
     }
@@ -1918,46 +1910,52 @@ mod tests {
             .any(|p| p.pass == "factor-cancellation"));
     }
 
-    /// Factors each `(seed, k, outputs, depth slack)` system with the shared
-    /// search and with each arrangement run on its own. In a test build
-    /// every mining step checks its incremental miss counts against the
-    /// full transform, every built rectangle its O(1) score, every
+    /// Factors each `(seed, k, outputs, depth slack)` system with
+    /// [`Search::run`] and with each arrangement run on its own. In a test
+    /// build every mining step checks its incremental miss counts against
+    /// the full transform, every built rectangle its O(1) score, every
     /// `best_rectangles` call its top candidates against the per-subset
-    /// scan and every rollout against the rescanning one (see `oracle`), so
-    /// a divergence panics mid-search. The shared search must then return
-    /// the cheaper arrangement's term lists, factors and outcome (ties to
-    /// the lexicographic one), and both arrangements' programs must verify
-    /// and meet the depth budget. Both forking and non-forking systems must
-    /// occur, so both paths of the shared search are covered.
+    /// scan, and every rollout arbitration its pick and each candidate's
+    /// rollout against the rescanning ones (see `oracle`), so a divergence
+    /// panics mid-search. The search must then return the cheaper
+    /// arrangement's term lists, factors and outcome (ties to the
+    /// lexicographic one), and both arrangements' programs must verify and
+    /// meet the depth budget. Where the rollout never diverged, the two
+    /// arrangements' runs must be equal. Systems whose rollout arrangement
+    /// diverges and systems whose rollout never does must both occur, so
+    /// both paths of the search are covered.
     fn differential_sweep(cases: &[(u64, usize, usize, usize)]) {
-        let (mut forked, mut unforked) = (0, 0);
+        let (mut diverged, mut single) = (0, 0);
         for &(seed, k, outputs, slack) in cases {
             let g = random_parity_system(seed, k, outputs);
             let ir = ParityIr::from_generator(&g);
             let budget = ir.depth_budget() + slack;
             let case = format!("seed {seed}, k {k}, {outputs} outputs, slack {slack}");
-            let [lex, rollout] = oracle::arrangements(&ir, budget);
-            for (program, _) in [&lex, &rollout] {
+            let [lex, rollout] = &oracle::arrangements(&ir, budget);
+            for (program, _) in [lex, rollout] {
                 assert!(program.verify_against(&g).is_ok(), "{case}");
                 assert!(program.max_output_depth() <= budget, "{case}");
+            }
+            let search = Search::run(&ir, budget);
+            if search.diverged {
+                diverged += 1;
+            } else {
+                // A rollout that never left the top-ranked rectangle took
+                // every lexicographic step: the two runs are one.
+                assert_eq!(lex, rollout, "{case}");
+                single += 1;
             }
             let (expected, outcome) = if rollout.0.xor_count() < lex.0.xor_count() {
                 rollout
             } else {
                 lex
             };
-            let search = Search::run(ir, budget);
-            assert_eq!(search.ir, expected, "{case}");
-            assert_eq!(search.outcome, outcome, "{case}");
-            if search.forked {
-                forked += 1;
-            } else {
-                unforked += 1;
-            }
+            assert_eq!(&search.ir, expected, "{case}");
+            assert_eq!(&search.outcome, outcome, "{case}");
         }
         assert!(
-            forked > 0 && unforked > 0,
-            "{forked} systems forked and {unforked} did not"
+            diverged > 0 && single > 0,
+            "{diverged} searches diverged and {single} did not"
         );
     }
 
